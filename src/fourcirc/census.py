@@ -13,13 +13,10 @@ two are compared by the acceptance suite.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .codes import DEFAULT_CAP, CapExceeded, FourCirculantCode
+from .codes import DEFAULT_CAP, CapExceeded, FourCirculantCode, message_weights
 from .fields import Field, is_prime, quad_char
 from .polyring import QuotientRing, is_primitive_root, multiplicative_order
 
@@ -81,141 +78,48 @@ def self_dual_count_formula(field: Field, n: int) -> Optional[int]:
 class CensusReport:
     """Everything the self-dual pair sweep finds.
 
-    distinct_code_count is None when fingerprinting all pairs would blow the
-    workload cap (the count is only informative at small sizes anyway, and
-    provably equals pair_count: the generator matrix is its own reduced row
-    echelon form, so distinct pairs span distinct codes).
+    distinct_code_count always equals pair_count; see distinct_code_count.
     """
 
     q: int
     n: int
     pair_count: int
     formula_count: Optional[int]
-    distinct_code_count: Optional[int]
+    distinct_code_count: int
     pairs: list = dataclass_field(default_factory=list)
     pair_distances: Optional[list] = None
     per_code_distances: Optional[dict] = None
 
 
-def _self_conv_groups(ring: QuotientRing):
-    """For every ring element u (by index), u * u' and the grouping by value."""
-    elems = [ring.element(i) for i in range(ring.size)]
-    sc = [ring.mul(u, ring.reciprocal(u)) for u in elems]
+def self_dual_pairs(field: Field, n: int, cap: int = DEFAULT_CAP) -> list[tuple[int, int]]:
+    """Index pairs (a, b) with 1 + a*a' + b*b' = 0, in a-major order."""
+    ring = QuotientRing(field, n)
+    Q = ring.size
+    if Q * Q > cap:
+        raise CapExceeded(f"pair sweep covers {Q * Q} pairs, cap is {cap}")
+    # u * u' for every element u, and the element indices grouped by that value
+    sc = [ring.mul(u, ring.reciprocal(u)) for u in map(ring.element, range(Q))]
     groups: dict[tuple, list[int]] = {}
     for i, v in enumerate(sc):
         groups.setdefault(v, []).append(i)
-    return elems, sc, groups
-
-
-def _pair_scan(ring: QuotientRing, lo: int, hi: int) -> list[tuple[int, int]]:
-    elems, sc, groups = _self_conv_groups(ring)
     one = ring.one
     out = []
-    for ai in range(lo, hi):
+    for ai in range(Q):
         need = ring.neg(ring.add(one, sc[ai]))
         for bi in groups.get(need, ()):
             out.append((ai, bi))
     return out
 
 
-def _enumerate_worker(args):
-    p, k, modulus, n, lo, hi = args
-    field = Field(p, k, modulus if k > 1 else None)
-    ring = QuotientRing(field, n)
-    return _pair_scan(ring, lo, hi)
-
-
-def self_dual_pairs(
-    field: Field, n: int, cap: int = DEFAULT_CAP, workers: int = 1
-) -> list[tuple[int, int]]:
-    """Index pairs (a, b) with 1 + a*a' + b*b' = 0, in a-major order."""
-    ring = QuotientRing(field, n)
-    Q = ring.size
-    if Q * Q > cap:
-        raise CapExceeded(f"pair sweep covers {Q * Q} pairs, cap is {cap}")
-    if workers > 1 and Q >= workers:
-        chunk = (Q + workers - 1) // workers
-        tasks = [
-            (field.p, field.k, field.modulus, n, w * chunk, min((w + 1) * chunk, Q))
-            for w in range(workers)
-            if w * chunk < Q
-        ]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(tasks)) as pool:
-            parts = pool.map(_enumerate_worker, tasks)
-        out: list[tuple[int, int]] = []
-        for part in parts:
-            out.extend(part)
-        return out
-    return _pair_scan(ring, 0, Q)
-
-
-def _rref_fingerprint(field: Field, rows: list[list[int]]) -> tuple:
-    """Reduced row echelon form of a matrix over F_q, as a hashable tuple."""
-    mat = [list(r) for r in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, v) for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [field.sub(mat[i][j], field.mul(f, mat[r][j])) for j in range(ncols)]
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in mat)
-
-
-def _rref_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    M = mat % p
-    rows, cols = M.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if M[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), p - 2, p)) % p
-        col = M[:, c].copy()
-        col[r] = 0
-        M = (M - np.outer(col, M[r])) % p
-        r += 1
-        if r == rows:
-            break
-    return M
-
-
 def distinct_code_count(field: Field, n: int, pairs: Sequence[tuple[int, int]]) -> int:
-    """Number of distinct row spaces among the codes C_{a,b} of the given pairs.
+    """Number of distinct codes C_{a,b} among the codes of the given pairs.
 
-    Row spaces are canonicalized by reduced row echelon form, so equal codes
-    collapse even if they arise from different generator pairs.
+    The generator matrix G = [I | M] is already in reduced row echelon form,
+    and a row space has exactly one such form, so two pairs give the same
+    code only when they are the same pair: the count is the number of
+    distinct pairs.
     """
-    ring = QuotientRing(field, n)
-    prints = set()
-    for ai, bi in pairs:
-        code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
-        if field.k == 1:
-            M = _rref_mod_p(np.array(code.generator_matrix(), dtype=np.int64), field.p)
-            prints.add(M.tobytes())
-        else:
-            prints.add(_rref_fingerprint(field, code.generator_matrix()))
-    return len(prints)
+    return len(set(pairs))
 
 
 def code_distances(
@@ -236,21 +140,7 @@ def code_distances(
             code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
             out.append(code.min_distance(cap=cap)[0])
         return out
-    MUL, ADD = t.mul_np, t.add_np
-    NEG, REC, W = t.neg_np, t.recip_np, t.weight_np
-    big = np.int64(4 * n + 1)
-    out = []
-    for ai, bi in pairs:
-        row_a = MUL[ai]
-        row_b = MUL[bi]
-        row_ap = MUL[REC[ai]]
-        neg_row_bp = NEG[MUL[REC[bi]]]
-        e_idx = ADD[row_a[:, None], neg_row_bp[None, :]]
-        f_idx = ADD[row_b[:, None], row_ap[None, :]]
-        wt = W[:, None] + W[None, :] + W[e_idx] + W[f_idx]
-        wt[0, 0] = big
-        out.append(int(wt.min()))
-    return out
+    return [int(wt.min()) for wt in message_weights(t, pairs)]
 
 
 def enumerate_self_dual(
@@ -258,28 +148,23 @@ def enumerate_self_dual(
     n: int,
     with_distances: bool = False,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
 ) -> CensusReport:
     """Sweep all q^(2n) pairs and report every self-dual one.
 
     The closed-form count is attached when its hypotheses hold (n an odd
     prime, q a primitive root mod n) and left as None otherwise.  Pair
     order is a-major with coefficient vectors ascending in base-q code
-    order, so reports are deterministic for any worker count.
+    order, so reports are deterministic.
     """
     ring = QuotientRing(field, n)
-    idx_pairs = self_dual_pairs(field, n, cap=cap, workers=workers)
+    idx_pairs = self_dual_pairs(field, n, cap=cap)
     pairs = [(ring.element(ai), ring.element(bi)) for ai, bi in idx_pairs]
-    # fingerprinting costs about 16 n^3 field operations per pair
-    distinct = None
-    if len(idx_pairs) * 16 * n**3 <= cap:
-        distinct = distinct_code_count(field, n, idx_pairs)
     report = CensusReport(
         q=field.q,
         n=n,
         pair_count=len(idx_pairs),
         formula_count=self_dual_count_formula(field, n),
-        distinct_code_count=distinct,
+        distinct_code_count=distinct_code_count(field, n, idx_pairs),
         pairs=pairs,
     )
     if with_distances:

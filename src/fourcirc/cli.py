@@ -1,8 +1,9 @@
 """Command line front end.
 
 Every JSON report has the shape {"schema", "manifest", "report"}; the
-report body is deterministic for fixed arguments and caps regardless of
-worker count, while the manifest carries run metadata (wall time included).
+report body is deterministic for fixed arguments and caps, while the
+manifest carries run metadata (wall time included).  Every job runs
+sequentially in this process; --workers is accepted and recorded only.
 Exit codes: 0 success, 2 validation error, 3 workload cap refusal.
 """
 
@@ -116,7 +117,7 @@ def cmd_check(args):
 
 def cmd_distance(args):
     code = _code_from_args(args)
-    d, witness = code.min_distance(cap=args.cap, workers=args.workers)
+    d, witness = code.min_distance(cap=args.cap)
     body = {
         "q": code.field.q,
         "n": code.n,
@@ -146,9 +147,7 @@ def cmd_crt(args):
 
 def cmd_enumerate(args):
     field = build_field(args)
-    report = enumerate_self_dual(
-        field, args.n, with_distances=args.distances, cap=args.cap, workers=args.workers
-    )
+    report = enumerate_self_dual(field, args.n, with_distances=args.distances, cap=args.cap)
     body = {
         "q": report.q,
         "n": report.n,
@@ -160,7 +159,7 @@ def cmd_enumerate(args):
     if args.distances:
         body["pair_distances"] = report.pair_distances
         body["distance_histogram"] = [[d, c] for d, c in report.per_code_distances.items()]
-    return body, "fourcirc/enumerate/v1", {"field": field}
+    return body, "fourcirc/enumerate/v2", {"field": field}
 
 
 def cmd_counts(args):
@@ -189,7 +188,7 @@ def cmd_artin(args):
 def cmd_search(args):
     field = build_field(args)
     ring = QuotientRing(field, args.n)
-    idx_pairs = self_dual_pairs(field, args.n, cap=args.cap, workers=args.workers)
+    idx_pairs = self_dual_pairs(field, args.n, cap=args.cap)
     print(f"search: {len(idx_pairs)} self-dual codes to rank", file=sys.stderr)
     dists = []
     chunk = 512
@@ -251,22 +250,17 @@ def cmd_entropy(args):
 # output
 
 def _csv_text(body: dict, command: str) -> str:
+    """Rows (a, b, distance) of an enumerate or a search report."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["a", "b", "distance"])
     if command == "enumerate":
-        writer.writerow(["a", "b", "distance"])
         dists = body.get("pair_distances")
-        for i, (a, b) in enumerate(body["pairs"]):
-            d = dists[i] if dists else ""
-            writer.writerow([",".join(map(str, a)), ",".join(map(str, b)), d])
-    elif command == "search":
-        writer.writerow(["a", "b", "distance"])
-        for row in body["top"]:
-            writer.writerow(
-                [",".join(map(str, row["a"])), ",".join(map(str, row["b"])), row["distance"]]
-            )
+        rows = [(a, b, dists[i] if dists else "") for i, (a, b) in enumerate(body["pairs"])]
     else:
-        raise ValueError(f"csv output is not defined for {command!r}")
+        rows = [(r["a"], r["b"], r["distance"]) for r in body["top"]]
+    for a, b, d in rows:
+        writer.writerow([",".join(map(str, a)), ",".join(map(str, b)), d])
     return out.getvalue()
 
 
@@ -323,7 +317,13 @@ def export(payload: dict, fmt: str, path: str, command: str) -> None:
 # ---------------------------------------------------------------------------
 # parser plumbing
 
-def _add_common(sub, *, n=False, poly=False, cap=False, workers=False, fmt=True):
+def _add_output(sub, *, csv=False):
+    formats = ["json", "text", "csv"] if csv else ["json", "text"]
+    sub.add_argument("--format", choices=formats, default="json")
+    sub.add_argument("--output", help="also write the report to this path")
+
+
+def _add_common(sub, *, n=False, poly=False, cap=False, workers=False, csv=False):
     sub.add_argument("--q", required=True, help="field order, p or p^k")
     sub.add_argument("--modulus", help="field modulus coefficients c0,c1,...,ck (base-p digits)")
     if n:
@@ -335,11 +335,12 @@ def _add_common(sub, *, n=False, poly=False, cap=False, workers=False, fmt=True)
         sub.add_argument("--cap", type=int, default=None, help="workload cap override")
     if workers:
         sub.add_argument(
-            "--workers", type=int, default=None, help="parallel workers (default: all cores)"
+            "--workers",
+            type=int,
+            default=None,
+            help="accepted for compatibility and recorded in the manifest; runs are sequential",
         )
-    if fmt:
-        sub.add_argument("--format", choices=["json", "text", "csv"], default="json")
-    sub.add_argument("--output", help="also write the report to this path")
+    _add_output(sub, csv=csv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_crt)
 
     s = subs.add_parser("enumerate", help="enumerate all self-dual pairs")
-    _add_common(s, n=True, cap=True, workers=True)
+    _add_common(s, n=True, cap=True, workers=True, csv=True)
     s.add_argument("--distances", action="store_true", help="attach per-code distances")
     s.set_defaults(func=cmd_enumerate)
 
@@ -380,12 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("artin", help="scan primes where q is a primitive root")
     s.add_argument("--q", dest="q_int", type=int, required=True)
     s.add_argument("--limit", type=int, required=True)
-    s.add_argument("--format", choices=["json", "text", "csv"], default="json")
-    s.add_argument("--output", help="also write the report to this path")
+    _add_output(s)
     s.set_defaults(func=cmd_artin)
 
     s = subs.add_parser("search", help="rank self-dual codes by minimum distance")
-    _add_common(s, n=True, cap=True, workers=True)
+    _add_common(s, n=True, cap=True, workers=True, csv=True)
     s.add_argument("--top", type=int, default=10)
     s.set_defaults(func=cmd_search)
 
@@ -398,11 +398,22 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t", type=float)
     s.add_argument("--inverse", action="store_true")
     s.add_argument("--y", type=float)
-    s.add_argument("--format", choices=["json", "text", "csv"], default="json")
-    s.add_argument("--output", help="also write the report to this path")
+    _add_output(s)
     s.set_defaults(func=cmd_entropy)
 
     return parser
+
+
+def _output_problem(path: str) -> Optional[str]:
+    """Why the report could not be written to path, or None if it can."""
+    if os.path.isdir(path):
+        return f"{path!r} is a directory"
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"directory {parent!r} does not exist"
+    if not os.access(parent, os.W_OK):
+        return f"directory {parent!r} is not writable"
+    return None
 
 
 def _manifest(args, argv, meta, wall: float) -> dict:
@@ -423,11 +434,15 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "workers", None) is not None and args.workers < 1:
+        parser.error(f"argument --workers: must be at least 1, got {args.workers}")
+    if args.output:
+        problem = _output_problem(args.output)
+        if problem:
+            parser.error(f"argument --output: {problem}")
     try:
         if hasattr(args, "cap"):
             args.cap = args.cap if args.cap is not None else default_cap()
-        if hasattr(args, "workers"):
-            args.workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
         start = time.monotonic()
         body, schema, meta = args.func(args)
         wall = time.monotonic() - start
@@ -444,8 +459,12 @@ def main(argv=None) -> int:
     }
     text = render(payload, args.format, args.command)
     sys.stdout.write(text)
-    if getattr(args, "output", None):
-        export(payload, args.format, args.output, args.command)
+    if args.output:
+        try:
+            export(payload, args.format, args.output, args.command)
+        except OSError as exc:
+            print(f"fourcirc: cannot write --output: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -13,14 +13,13 @@ make the first two length-n blocks of any codeword equal to its message.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .fields import Field
-from .polyring import QuotientRing, poly_degree, poly_gcd
+from .polyring import QuotientRing, RingTables, poly_degree, poly_gcd
 
 DEFAULT_CAP = 1 << 26
 
@@ -168,96 +167,74 @@ class FourCirculantCode:
 
     # -- minimum distance ------------------------------------------------------------
 
-    def min_distance(self, cap: int = DEFAULT_CAP, workers: int = 1) -> tuple[int, Codeword]:
+    def min_distance(self, cap: int = DEFAULT_CAP) -> tuple[int, Codeword]:
         """Exact minimum distance by scanning all q^(2n) messages.
 
         Returns the distance and the codeword of the lexicographically least
         message attaining it (message index = c_index * q^n + d_index).
         Raises CapExceeded when q^(2n) > cap.
         """
-        Q = self.ring.size
+        ring = self.ring
+        Q = ring.size
         total = Q * Q
         if total > cap:
             raise CapExceeded(
                 f"distance scan needs {total} codeword evaluations, cap is {cap}"
             )
-        if workers > 1 and total >= 4:
-            chunk = (total + workers - 1) // workers
-            tasks = []
-            for w in range(workers):
-                lo, hi = w * chunk, min((w + 1) * chunk, total)
-                if lo < hi:
-                    tasks.append(
-                        (
-                            self.field.p,
-                            self.field.k,
-                            self.field.modulus,
-                            self.n,
-                            self.a,
-                            self.b,
-                            lo,
-                            hi,
-                        )
-                    )
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(len(tasks)) as pool:
-                partials = pool.map(_distance_worker, tasks)
-            best_w, best_m = min(p for p in partials if p[1] >= 0)
+        t = ring.tables()
+        if t is None:
+            best_w, best_m = _distance_scan(self)
         else:
-            best_w, best_m = _distance_scan(self, 0, total)
+            pair = (ring.index(self.a), ring.index(self.b))
+            wt = next(message_weights(t, [pair]))
+            # argmin returns the first minimum in c-major order: the least message
+            best_m = int(wt.argmin())
+            best_w = int(wt.flat[best_m])
         ci, di = divmod(best_m, Q)
-        witness = self.encode(self.ring.element(ci), self.ring.element(di))
+        witness = self.encode(ring.element(ci), ring.element(di))
         return best_w, witness
 
     def __repr__(self) -> str:
         return f"FourCirculantCode(q={self.field.q}, n={self.n}, a={list(self.a)}, b={list(self.b)})"
 
 
-def _distance_scan(code: FourCirculantCode, lo: int, hi: int) -> tuple[int, int]:
+def message_weights(
+    t: RingTables, pairs: Sequence[tuple[int, int]]
+) -> Iterator[np.ndarray]:
+    """Codeword weights of every message, one Q x Q array per (a, b) index pair.
+
+    Entry [ci, di] is the weight of the codeword of message (c, d) with
+    c = element(ci), d = element(di); the zero message gets 4n + 1, above
+    every real weight.  Weights are int8: dense tables exist only for
+    Q <= 1024, so n <= 10 and no sum exceeds 4n + 1 <= 41.
+    """
+    MUL, NEG, REC = t.mul_np, t.neg_np, t.recip_np
+    W = t.weight_np.astype(np.int8)
+    W_ADD = W[t.add_np]  # W_ADD[u, v] = weight(u + v)
+    cd = W[:, None] + W[None, :]
+    big = np.int8(W.max() * 4 + 1)
+    for ai, bi in pairs:
+        neg_row_bp = NEG[MUL[REC[bi]]]
+        row_ap = MUL[REC[ai]]
+        wt = cd + W_ADD[MUL[ai][:, None], neg_row_bp[None, :]]
+        wt += W_ADD[MUL[bi][:, None], row_ap[None, :]]
+        wt[0, 0] = big
+        yield wt
+
+
+def _distance_scan(code: FourCirculantCode) -> tuple[int, int]:
+    """Per-message encode scan for rings too large for dense tables."""
     ring = code.ring
     Q = ring.size
-    t = ring.tables()
     best_w = 4 * code.n + 1
     best_m = -1
-    if t is not None:
-        mul, add, neg, rec, W = t.mul, t.add, t.neg, t.recip, t.weight
-        ai, bi = ring.index(code.a), ring.index(code.b)
-        row_a, row_b = mul[ai], mul[bi]
-        row_ap = mul[rec[ai]]
-        neg_row_bp = [neg[v] for v in mul[rec[bi]]]
-        ci_lo, ci_hi = lo // Q, (hi - 1) // Q
-        for ci in range(ci_lo, ci_hi + 1):
-            wc = W[ci]
-            arow = add[row_a[ci]]
-            brow = add[row_b[ci]]
-            d_start = lo - ci * Q if ci == ci_lo else 0
-            d_end = hi - ci * Q if ci == ci_hi else Q
-            for di in range(max(d_start, 0), d_end):
-                if ci == 0 and di == 0:
-                    continue
-                w = wc + W[di] + W[arow[neg_row_bp[di]]] + W[brow[row_ap[di]]]
-                if w < best_w:
-                    best_w = w
-                    best_m = ci * Q + di
-    else:
-        for m in range(lo, hi):
-            if m == 0:
-                continue
-            ci, di = m // Q, m % Q
-            word = code.encode(ring.element(ci), ring.element(di))
-            w = word.weight
-            if w < best_w:
-                best_w = w
-                best_m = m
+    for m in range(1, Q * Q):
+        ci, di = divmod(m, Q)
+        w = code.encode(ring.element(ci), ring.element(di)).weight
+        if w < best_w:
+            best_w = w
+            best_m = m
     return best_w, best_m
-
-
-def _distance_worker(args):
-    p, k, modulus, n, a, b, lo, hi = args
-    field = Field(p, k, modulus if k > 1 else None)
-    ring = QuotientRing(field, n)
-    code = FourCirculantCode(ring, a, b)
-    return _distance_scan(code, lo, hi)
 
 
 def _digit_matrix(q: int, n: int, count: int) -> np.ndarray:

@@ -4,8 +4,7 @@ An element of F_{p^k} is stored as an integer code in [0, q): the element
 with coefficient vector (c_0, ..., c_{k-1}) over F_p, ascending in powers
 of the modulus root, has code sum(c_j * p**j).  Prime-field elements are
 their own residues.  Field objects are immutable after construction and
-every operation is a pure function, so contexts can be shared freely
-between parallel workers.
+every operation is a pure function, so contexts can be shared freely.
 """
 
 from __future__ import annotations

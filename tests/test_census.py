@@ -70,13 +70,6 @@ def test_enumerate_cap_and_gcd():
     assert rep.formula_count is None
 
 
-def test_enumerate_workers_match():
-    seq = enumerate_self_dual(F3, 5, workers=1)
-    par = enumerate_self_dual(F3, 5, workers=4)
-    assert seq.pairs == par.pairs
-    assert seq.pair_count == par.pair_count == 2880
-
-
 def test_enumerate_length_one():
     # n = 1 gives [4, 2] codes; over F_3 the four solutions of
     # 1 + a^2 + b^2 = 0 all yield codes of minimum distance 3
@@ -88,10 +81,10 @@ def test_enumerate_length_one():
 
 def test_enumerate_2_13_matches_formula():
     # the length where the expurgation inequality first bites; the sweep is
-    # at the default cap boundary and fingerprinting is skipped there
+    # at the default cap boundary
     rep = enumerate_self_dual(F2, 13)
     assert rep.pair_count == rep.formula_count == 524160
-    assert rep.distinct_code_count is None
+    assert rep.distinct_code_count == rep.pair_count
 
 
 def test_enumerate_even_extension_field():
@@ -118,12 +111,44 @@ def test_code_distances_matches_min_distance():
         assert code.min_distance()[0] == d
 
 
+def rref(field, rows):
+    """Reduced row echelon form of a matrix over F_q, as a hashable tuple."""
+    mat = [list(r) for r in rows]
+    nrows, ncols = len(mat), len(mat[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(inv, v) for v in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [field.sub(mat[i][j], field.mul(f, mat[r][j])) for j in range(ncols)]
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in mat)
+
+
 def test_distinct_codes_equal_pairs():
     # the generator matrix is already in reduced row echelon form, so the
-    # pair -> code map is injective; the fingerprint census must agree
-    for field, n in [(F2, 3), (F5, 3)]:
-        pairs = self_dual_pairs(field, n)
-        assert distinct_code_count(field, n, pairs) == len(pairs)
+    # pair -> code map is injective; an RREF census of the row spaces must
+    # agree with distinct_code_count, on all pairs and on self-dual ones
+    all_pairs = [(F2, 3), (F3, 2), (Field(2, 2), 2)]
+    self_dual = [(F2, 3), (F5, 3)]
+    cases = [(f, n, None) for f, n in all_pairs] + [(f, n, self_dual_pairs(f, n)) for f, n in self_dual]
+    for field, n, pairs in cases:
+        ring = QuotientRing(field, n)
+        if pairs is None:
+            pairs = [(ai, bi) for ai in range(ring.size) for bi in range(ring.size)]
+        codes = {
+            rref(field, FourCirculantCode(ring, ring.element(ai), ring.element(bi)).generator_matrix())
+            for ai, bi in pairs
+        }
+        assert distinct_code_count(field, n, pairs) == len(codes) == len(pairs), (field.q, n)
 
 
 # -- membership -----------------------------------------------------------------

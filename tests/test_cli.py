@@ -31,7 +31,9 @@ def test_check_snapshot():
 
 
 def test_enumerate_snapshot():
-    rep = run_json("enumerate", "--q", "2", "--n", "3")["report"]
+    payload = run_json("enumerate", "--q", "2", "--n", "3")
+    assert payload["schema"] == "fourcirc/enumerate/v2"
+    rep = payload["report"]
     assert rep["pair_count"] == 12
     assert rep["formula_count"] == 12
     assert rep["distinct_code_count"] == 12
@@ -116,12 +118,46 @@ def test_enumerate_csv():
     assert len(lines) == 13
 
 
+def test_csv_only_on_table_commands():
+    # argparse refuses csv before any work starts: exit 2, usage, no traceback
+    for args in [
+        ("factor", "--q", "2", "--n", "3"),
+        ("artin", "--q", "2", "--limit", "30"),
+        ("entropy", "--q", "2", "--t", "0.25"),
+    ]:
+        proc = run_cli(*args, "--format", "csv", expect=2)
+        assert "invalid choice" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_export_to_file(tmp_path):
     out = tmp_path / "report.json"
     run_cli("enumerate", "--q", "2", "--n", "3", "--output", str(out))
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["report"]["pair_count"] == 12
     assert out.read_text(encoding="utf-8").endswith("\n")
+
+
+def test_output_refused_when_unwritable(tmp_path):
+    missing = tmp_path / "missing" / "report.json"
+    for path in (missing, tmp_path):
+        proc = run_cli("factor", "--q", "2", "--n", "3", "--output", str(path), expect=2)
+        assert "--output" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""  # refused before the job ran
+    assert not missing.parent.exists()
+
+
+def test_workers_must_be_positive():
+    for value in ("0", "-3"):
+        proc = run_cli("enumerate", "--q", "2", "--n", "3", "--workers", value, expect=2)
+        assert "--workers" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    manifest = run_json("enumerate", "--q", "2", "--n", "3")["manifest"]
+    assert manifest["workers"] is None
+    manifest = run_json("enumerate", "--q", "2", "--n", "3", "--workers", "3")["manifest"]
+    assert manifest["workers"] == 3
 
 
 def test_json_round_trip():

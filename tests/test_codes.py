@@ -200,24 +200,26 @@ def test_min_distance_second_pass_oracle():
 
 
 def test_min_distance_without_tables_matches():
-    ring = QuotientRing(F3, 3)
-    code = FourCirculantCode(ring, (1, 1, 0), (1, 0, 2))
-    d_tables, w_tables = code.min_distance()
-    # fresh ring whose tables are suppressed exercises the tuple path
-    ring2 = QuotientRing(F3, 3)
-    ring2._tables_checked = True
-    code2 = FourCirculantCode(ring2, (1, 1, 0), (1, 0, 2))
-    d_plain, w_plain = code2.min_distance()
-    assert (d_tables, w_tables.blocks) == (d_plain, w_plain.blocks)
+    # the dense-table kernel against the per-message fallback scan, which a
+    # fresh ring with suppressed tables selects; distance and witness agree
+    from fourcirc.census import self_dual_pairs
 
-
-def test_min_distance_parallel_matches_sequential():
-    ring = QuotientRing(F2, 5)
-    code = FourCirculantCode(ring, (0, 1, 0, 0, 0), (0, 0, 0, 0, 0))
-    seq = code.min_distance(workers=1)
-    par = code.min_distance(workers=3)
-    assert seq[0] == par[0]
-    assert seq[1].blocks == par[1].blocks
+    r33 = QuotientRing(F3, 3)
+    cases = [
+        (F3, 3, [(r33.index((1, 1, 0)), r33.index((1, 0, 2)))]),
+        (F2, 5, self_dual_pairs(F2, 5)),
+        (F4, 3, [(1, 0), (5, 17), (23, 42), (63, 63)]),
+    ]
+    for field, n, pairs in cases:
+        ring = QuotientRing(field, n)
+        plain = QuotientRing(field, n)
+        plain._tables_checked = True
+        for ai, bi in pairs:
+            a, b = ring.element(ai), ring.element(bi)
+            d_tables, w_tables = FourCirculantCode(ring, a, b).min_distance()
+            d_plain, w_plain = FourCirculantCode(plain, a, b).min_distance()
+            assert (d_tables, w_tables.blocks) == (d_plain, w_plain.blocks), (field.q, n, ai, bi)
+        assert ring.tables() is not None and plain.tables() is None
 
 
 def test_min_distance_cap():
