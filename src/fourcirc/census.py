@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
-from .codes import DEFAULT_CAP, CapExceeded, FourCirculantCode, message_weights
+from .codes import DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap, message_weights
 from .fields import Field, is_prime, quad_char
 from .polyring import QuotientRing, is_primitive_root, multiplicative_order
 
@@ -91,24 +91,36 @@ class CensusReport:
     per_code_distances: Optional[dict] = None
 
 
+PAIR_WORDS = 8  # a listed pair: a 2-tuple (7 words of 8 bytes) and its list slot
+
+
 def self_dual_pairs(field: Field, n: int, cap: int = DEFAULT_CAP) -> list[tuple[int, int]]:
-    """Index pairs (a, b) with 1 + a*a' + b*b' = 0, in a-major order."""
+    """Index pairs (a, b) with 1 + a*a' + b*b' = 0, in a-major order.
+
+    The cap counts work units: the sweep's Q ring products of n^2
+    coefficient terms each, checked before it starts, and then PAIR_WORDS
+    memory words for each pair in the list, checked on the exact pair count
+    before any pair is listed.
+    """
     ring = QuotientRing(field, n)
     Q = ring.size
-    if Q * Q > cap:
-        raise CapExceeded(f"pair sweep covers {Q * Q} pairs, cap is {cap}")
+    work = Q * n * n
+    if work > cap:
+        raise CapExceeded(f"pair sweep needs {work} coefficient products, cap is {cap}")
     # u * u' for every element u, and the element indices grouped by that value
     sc = [ring.mul(u, ring.reciprocal(u)) for u in map(ring.element, range(Q))]
     groups: dict[tuple, list[int]] = {}
     for i, v in enumerate(sc):
         groups.setdefault(v, []).append(i)
     one = ring.one
-    out = []
-    for ai in range(Q):
-        need = ring.neg(ring.add(one, sc[ai]))
-        for bi in groups.get(need, ()):
-            out.append((ai, bi))
-    return out
+    partners = [groups.get(ring.neg(ring.add(one, v)), ()) for v in sc]
+    count = sum(map(len, partners))
+    if work + PAIR_WORDS * count > cap:
+        raise CapExceeded(
+            f"pair sweep finds {count} pairs, {work + PAIR_WORDS * count} work units with "
+            f"the sweep, cap is {cap}"
+        )
+    return [(ai, bi) for ai, bs in enumerate(partners) for bi in bs]
 
 
 def distinct_code_count(field: Field, n: int, pairs: Sequence[tuple[int, int]]) -> int:
@@ -130,9 +142,7 @@ def code_distances(
 ) -> list[int]:
     """Exact minimum distance for each (a, b) index pair."""
     ring = QuotientRing(field, n)
-    Q = ring.size
-    if Q * Q > cap:
-        raise CapExceeded(f"distance scans need {Q * Q} evaluations per code, cap is {cap}")
+    check_distance_cap(ring.size, cap)
     t = ring.tables()
     if t is None:
         out = []
@@ -155,8 +165,15 @@ def enumerate_self_dual(
     prime, q a primitive root mod n) and left as None otherwise.  Pair
     order is a-major with coefficient vectors ascending in base-q code
     order, so reports are deterministic.
+
+    The report spells out every pair as 2n coefficients, and a rendered
+    pair costs far more than PAIR_WORDS (about 3 KB in the CLI at n = 13),
+    so the report is bounded on its own, before the sweep starts: it may
+    list at most cap pairs, and there are up to Q^2 of them.
     """
     ring = QuotientRing(field, n)
+    if ring.size**2 > cap:
+        raise CapExceeded(f"enumeration lists up to {ring.size**2} pairs, cap is {cap}")
     idx_pairs = self_dual_pairs(field, n, cap=cap)
     pairs = [(ring.element(ai), ring.element(bi)) for ai, bi in idx_pairs]
     report = CensusReport(
@@ -239,20 +256,22 @@ def membership_census(
     elems = [ring.element(i) for i in range(Q)]
     recs = [ring.reciprocal(u) for u in elems]
     units = [ring.is_unit(u) for u in elems]
+    # the products that involve b alone, computed once per b
+    d_recs = [ring.mul(d, r) for r in recs]
+    c_bs = [ring.mul(c, b) for b in elems]
+    b_recs = [ring.mul(b, r) for b, r in zip(elems, recs)]
     one = ring.one
     for ai, a in enumerate(elems):
-        ca = ring.mul(c, a)
-        da_rec = ring.mul(d, recs[ai])
-        res_a = ring.add(one, ring.mul(a, recs[ai]))
-        for bi, b in enumerate(elems):
-            if ring.sub(ca, ring.mul(d, recs[bi])) != e:
-                continue
-            if ring.add(ring.mul(c, b), da_rec) != f:
+        want_e = ring.sub(ring.mul(c, a), e)  # c*a - d*b' = e
+        want_f = ring.sub(f, ring.mul(d, recs[ai]))  # c*b + d*a' = f
+        want_sd = ring.neg(ring.add(one, ring.mul(a, recs[ai])))  # 1 + a*a' + b*b' = 0
+        for bi in range(Q):
+            if d_recs[bi] != want_e or c_bs[bi] != want_f:
                 continue
             count += 1
             if units[ai] and units[bi]:
                 unit_count += 1
-            if ring.add(res_a, ring.mul(b, recs[bi])) == ring.zero:
+            if b_recs[bi] == want_sd:
                 sd_count += 1
     c_rec = ring.reciprocal(c)
     d_rec = ring.reciprocal(d)
@@ -348,7 +367,7 @@ def membership_sweep(field: Field, n: int, cap: int = DEFAULT_CAP) -> Membership
     t = ring.tables()
     if t is None:
         raise CapExceeded("membership sweep needs dense ring tables")
-    mul, add, neg, rec = t.mul, t.add, t.neg, t.recip
+    mul, add, neg, rec = t.mul.tolist(), t.add.tolist(), t.neg.tolist(), t.recip.tolist()
     Q2, Q3 = Q * Q, Q * Q * Q
     counts = [0] * (Q**4)
     unit_counts = [0] * (Q**4)

@@ -28,7 +28,7 @@ from .census import (
     enumerate_self_dual,
     self_dual_pairs,
 )
-from .codes import DEFAULT_CAP, CapExceeded, FourCirculantCode
+from .codes import DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap
 from .crt import decompose_report
 from .fields import Field
 from .polyring import QuotientRing, factor_xn_minus_1
@@ -188,6 +188,7 @@ def cmd_artin(args):
 def cmd_search(args):
     field = build_field(args)
     ring = QuotientRing(field, args.n)
+    check_distance_cap(ring.size, args.cap)  # refuse before the sweep, not after it
     idx_pairs = self_dual_pairs(field, args.n, cap=args.cap)
     print(f"search: {len(idx_pairs)} self-dual codes to rank", file=sys.stderr)
     dists = []

@@ -18,14 +18,21 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, digits
 from .polyring import QuotientRing, RingTables, poly_degree, poly_gcd
 
 DEFAULT_CAP = 1 << 26
+SWEEP_CHUNK = 8192  # (a, b) pairs per batch of self_dual_matrix_sweep over F_p
 
 
 class CapExceeded(RuntimeError):
     """An exhaustive scan would exceed its workload cap."""
+
+
+def check_distance_cap(Q: int, cap: int) -> None:
+    """Refuse exhaustive distance scans of Q^2 messages per code above the cap."""
+    if Q * Q > cap:
+        raise CapExceeded(f"distance scans need {Q * Q} codeword evaluations per code, cap is {cap}")
 
 
 @dataclass(frozen=True)
@@ -176,11 +183,7 @@ class FourCirculantCode:
         """
         ring = self.ring
         Q = ring.size
-        total = Q * Q
-        if total > cap:
-            raise CapExceeded(
-                f"distance scan needs {total} codeword evaluations, cap is {cap}"
-            )
+        check_distance_cap(Q, cap)
         t = ring.tables()
         if t is None:
             best_w, best_m = _distance_scan(self)
@@ -208,9 +211,9 @@ def message_weights(
     every real weight.  Weights are int8: dense tables exist only for
     Q <= 1024, so n <= 10 and no sum exceeds 4n + 1 <= 41.
     """
-    MUL, NEG, REC = t.mul_np, t.neg_np, t.recip_np
-    W = t.weight_np.astype(np.int8)
-    W_ADD = W[t.add_np]  # W_ADD[u, v] = weight(u + v)
+    MUL, NEG, REC = t.mul, t.neg, t.recip
+    W = t.weight.astype(np.int8)
+    W_ADD = W[t.add]  # W_ADD[u, v] = weight(u + v)
     cd = W[:, None] + W[None, :]
     big = np.int8(W.max() * 4 + 1)
     for ai, bi in pairs:
@@ -237,29 +240,19 @@ def _distance_scan(code: FourCirculantCode) -> tuple[int, int]:
     return best_w, best_m
 
 
-def _digit_matrix(q: int, n: int, count: int) -> np.ndarray:
-    codes = np.arange(count, dtype=np.int64)
-    E = np.empty((count, n), dtype=np.int64)
-    v = codes.copy()
-    for j in range(n):
-        E[:, j] = v % q
-        v //= q
-    return E
-
-
 def self_dual_matrix_sweep(
     field: Field,
     n: int,
     pairs: Optional[Sequence[tuple[int, int]]] = None,
-    chunk: int = 8192,
 ) -> np.ndarray:
     """Matrix-side self-duality test over many (a, b) pairs at once.
 
     pairs is a sequence of (a_index, b_index) ring element indices; None means
-    all q^(2n) pairs in a-major order.  Prime fields run a batched integer
-    computation that assembles every G explicitly and checks A*At + B*Bt + I = 0
-    together with the full Gram G*Gt = 0.  Extension fields fall back to the
-    per-code check.
+    all q^(2n) pairs in a-major order.  A batched integer computation
+    assembles every G explicitly and checks A*At + B*Bt + I = 0 together
+    with the full Gram G*Gt = 0.  Each F_q entry x is taken to its k x k
+    matrix rep[x] over F_p, multiplication by x on coefficient vectors vec[y],
+    so a product of matrices over F_q becomes an integer einsum mod p.
     """
     ring = QuotientRing(field, n)
     Q = ring.size
@@ -270,41 +263,41 @@ def self_dual_matrix_sweep(
         arr = np.asarray(pairs, dtype=np.int64)
         ai_all, bi_all = arr[:, 0], arr[:, 1]
     total = len(ai_all)
-    if field.k != 1:
-        out = np.empty(total, dtype=bool)
-        for s in range(total):
-            code = FourCirculantCode(
-                ring, ring.element(int(ai_all[s])), ring.element(int(bi_all[s]))
-            )
-            out[s] = code.is_self_dual_matrix()
-        return out
 
-    p = field.p
-    E = _digit_matrix(p, n, Q)
+    p, k, q = field.p, field.k, field.q
+    log, exp = field.log_array, field.exp_array
+    vec = digits(np.arange(q), p, k)
+    # column j of rep[x] is vec[x * y^j], and y^j has code p^j
+    rep = vec[exp[log[:, None] + log[p ** np.arange(k)][None, :]]].transpose(0, 2, 1)
+    neg = field.neg_array
+    E = digits(np.arange(Q), q, n)
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     I_n = np.eye(n, dtype=np.int64)
+    one = I_n[:, None, :] * vec[1][:, None]  # I as one[i, a, j]
+
+    def gram_is_zero(X, extra=0):
+        """Per pair, whether X*Xt + extra is the zero matrix over F_q."""
+        m, r, c = X.shape
+        RX = rep[X].transpose(0, 1, 3, 2, 4).reshape(m, r * k, c * k)
+        VX = vec[X].reshape(m, r, c * k)
+        g = np.einsum("sij,skj->sik", RX, VX).reshape(m, r, k, r) + extra
+        return (g % p == 0).all(axis=(1, 2, 3))
+
+    chunk = max(1, SWEEP_CHUNK // (k * k))  # rep[] makes each entry k*k times larger
     out = np.empty(total, dtype=bool)
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
-        ai = ai_all[start:stop]
-        bi = bi_all[start:stop]
-        A = E[ai][:, idx]
-        B = E[bi][:, idx]
-        At = A.transpose(0, 2, 1)
-        Bt = B.transpose(0, 2, 1)
-        gram = (
-            np.einsum("sij,skj->sik", A, A) + np.einsum("sij,skj->sik", B, B) + I_n
-        ) % p
-        ok = (gram == 0).all(axis=(1, 2))
+        A = E[ai_all[start:stop]][:, idx]
+        B = E[bi_all[start:stop]][:, idx]
+        AB = np.concatenate([A, B], axis=2)  # A*At + B*Bt = [A B] * [A B]t
+        ok = gram_is_zero(AB, one)
         m = stop - start
         G = np.zeros((m, 2 * n, 4 * n), dtype=np.int64)
         G[:, :n, :n] = I_n
         G[:, n:, n : 2 * n] = I_n
-        G[:, :n, 2 * n : 3 * n] = A
-        G[:, :n, 3 * n :] = B
-        G[:, n:, 2 * n : 3 * n] = (-Bt) % p
-        G[:, n:, 3 * n :] = At
-        GGt = np.einsum("sij,skj->sik", G, G) % p
-        ok &= (GGt == 0).all(axis=(1, 2))
+        G[:, :n, 2 * n :] = AB
+        G[:, n:, 2 * n : 3 * n] = neg[B.transpose(0, 2, 1)]
+        G[:, n:, 3 * n :] = A.transpose(0, 2, 1)
+        ok &= gram_is_zero(G)
         out[start:stop] = ok
     return out

@@ -19,6 +19,7 @@ from .polyring import (
     Poly,
     QuotientRing,
     factor_xn_minus_1,
+    first_root,
     poly_add,
     poly_degree,
     poly_divmod,
@@ -52,31 +53,18 @@ class Constituent:
 
 
 @lru_cache(maxsize=None)
-def _constituent_context(
-    p: int, k: int, modulus: tuple, factor: Poly
-) -> tuple[Field, Field, Embedding, int]:
+def _extension(base: Field, d: int) -> tuple[Field, Embedding]:
+    """F_{q^d} and the embedding of F_q in it, shared by all factors of degree d."""
+    ext = base if d == 1 else Field(base.p, base.k * d)
+    return ext, Embedding(base, ext)
+
+
+@lru_cache(maxsize=None)
+def _constituent_context(base: Field, factor: Poly) -> tuple[Field, Embedding, int]:
     """Extension field, embedding and deterministic root for one factor."""
-    base = Field(p, k, modulus if k > 1 else None)
-    d = poly_degree(factor)
-    if d == 1:
-        ext = base
-        emb = Embedding(base, base)
-        root = base.neg(factor[0])  # monic x - root
-        return base, ext, emb, root
-    ext = Field(p, k * d)
-    emb = Embedding(base, ext)
-    f_big = tuple(emb.apply(c) for c in factor)
-    root = None
-    for z in ext.elements():
-        acc = 0
-        for c in reversed(f_big):
-            acc = ext.add(ext.mul(acc, z), c)
-        if acc == 0:
-            root = z
-            break
-    if root is None:
-        raise AssertionError("irreducible factor has no root in its splitting field")
-    return base, ext, emb, root
+    ext, emb = _extension(base, poly_degree(factor))
+    root = first_root(ext, tuple(emb.apply(c) for c in factor))
+    return ext, emb, root
 
 
 def _eval_at_root(ext: Field, emb: Embedding, coeffs, root: int) -> int:
@@ -92,14 +80,14 @@ def decompose(code: FourCirculantCode) -> list[Constituent]:
     fact = factor_xn_minus_1(field, n)
     out = []
     for factor, kind in fact.factors():
-        base, ext, emb, root = _constituent_context(field.p, field.k, field.modulus, factor)
+        ext, emb, root = _constituent_context(field, factor)
         a_img = _eval_at_root(ext, emb, code.a, root)
         b_img = _eval_at_root(ext, emb, code.b, root)
         out.append(
             Constituent(
                 factor=factor,
                 kind=kind,
-                base=base,
+                base=field,
                 field=ext,
                 root=root,
                 a_image=a_img,
@@ -191,11 +179,11 @@ def reconstruct(field: Field, n: int, constituents: list[Constituent]) -> tuple[
     for con in constituents:
         d = con.degree
         seen_degree += d
-        base, ext, emb, root = _constituent_context(field.p, field.k, field.modulus, con.factor)
+        ext, emb, root = _constituent_context(field, con.factor)
         if (ext, root) != (con.field, con.root):
             raise ValueError("constituent does not match its deterministic context")
-        ra = _image_to_residue(base, ext, emb, root, con.a_image, d)
-        rb = _image_to_residue(base, ext, emb, root, con.b_image, d)
+        ra = _image_to_residue(field, ext, emb, root, con.a_image, d)
+        rb = _image_to_residue(field, ext, emb, root, con.b_image, d)
         cofactor, rem = poly_divmod(field, modulus, con.factor)
         if rem:
             raise ValueError("constituent factor does not divide x^n - 1")

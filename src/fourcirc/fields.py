@@ -3,13 +3,22 @@
 An element of F_{p^k} is stored as an integer code in [0, q): the element
 with coefficient vector (c_0, ..., c_{k-1}) over F_p, ascending in powers
 of the modulus root, has code sum(c_j * p**j).  Prime-field elements are
-their own residues.  Field objects are immutable after construction and
-every operation is a pure function, so contexts can be shared freely.
+their own residues.
+
+Every field, prime or not, computes through the same tables, built once at
+construction: logarithms and antilogarithms to the base g, the least
+primitive element in code order, and Zech logarithms log(1 + g^d) for
+addition (Lidl and Niederreiter, Finite Fields, ch. 9).  The base is
+internal and appears in no output.  Field objects are immutable after
+construction and every operation is a pure function, so contexts can be
+shared freely.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 ORDER_CAP = 1 << 16
 
@@ -27,54 +36,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Internal polynomial helpers over F_p (coefficient lists, ascending order).
-# Only used for modulus generation and validation; general polynomial
-# arithmetic over arbitrary fields lives in polyring.
-
-def _ptrim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmod(f: list[int], g: list[int], p: int) -> list[int]:
-    # remainder of f by g, g monic
-    r = list(f)
-    dg = len(g) - 1
-    while len(r) - 1 >= dg and r:
-        lead = r[-1]
-        shift = len(r) - 1 - dg
-        if lead:
-            for i, gi in enumerate(g):
-                r[shift + i] = (r[shift + i] - lead * gi) % p
-        r.pop()
-        _ptrim(r)
-        if not r:
-            break
-    return r
-
-
-def _monic_polys_mod_p(p: int, d: int) -> Iterator[list[int]]:
-    for c in range(p**d):
-        coeffs = []
-        v = c
-        for _ in range(d):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
-        yield coeffs
-
-
-def _is_irreducible_mod_p(f: Sequence[int], p: int) -> bool:
-    d = len(f) - 1
-    if d < 1:
-        return False
-    for e in range(1, d // 2 + 1):
-        for g in _monic_polys_mod_p(p, e):
-            if not _pmod(list(f), g, p):
-                return False
-    return True
+def digits(codes: np.ndarray, base: int, width: int) -> np.ndarray:
+    """Base-`base` digits of each code, least significant first: shape (len, width)."""
+    return np.asarray(codes, dtype=np.int64)[:, None] // base ** np.arange(width) % base
 
 
 def _lexleast_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -84,9 +48,12 @@ def _lexleast_irreducible(p: int, k: int) -> tuple[int, ...]:
     coefficients (c_0 + c_1 p + ...), which makes the choice reproducible
     byte for byte across runs and platforms.
     """
-    for f in _monic_polys_mod_p(p, k):
-        if _is_irreducible_mod_p(f, p):
-            return tuple(f)
+    from .polyring import is_irreducible, monic_polys
+
+    prime = Field(p)
+    for f in monic_polys(prime, k):
+        if is_irreducible(prime, f):
+            return f
     raise AssertionError(f"no irreducible polynomial of degree {k} over F_{p}")
 
 
@@ -96,9 +63,24 @@ class Field:
     For k > 1 the field is F_p[y]/(modulus).  If no modulus is supplied the
     lexicographically least monic irreducible of degree k is generated, so
     enumeration outputs are deterministic.
+
+    With m = q - 1 and Z = 2m standing for log 0, the tables are
+      log_table[x]   log_g x in [0, m) for x != 0, and Z for x = 0;
+      exp_table[i]   g^i for 0 <= i < 2m, and 0 for 2m <= i <= 4m, so
+                     exp_table[log x + log y] = x*y for all x, y;
+      zech_table[d]  log(1 + g^d), or Z when 1 + g^d = 0, periodic in d
+                     with period m over 3m entries, so any d in (-m, 2m)
+                     indexes it directly;
+      neg_table[x]   -x.
+    log_array, exp_array and neg_array hold the same values as numpy arrays,
+    for the table builders that gather from them.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_xpow", "_coeff_cache")
+    __slots__ = (
+        "p", "k", "q", "modulus",
+        "log_table", "exp_table", "zech_table", "neg_table",
+        "log_array", "exp_array", "neg_array",
+    )
 
     def __init__(self, p: int, k: int = 1, modulus: Optional[Sequence[int]] = None):
         if not is_prime(p):
@@ -118,48 +100,77 @@ class Field:
         elif modulus is None:
             self.modulus = _lexleast_irreducible(p, k)
         else:
+            from .polyring import is_irreducible
+
             mod = tuple(c % p for c in modulus)
             if len(mod) != k + 1 or mod[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {k}")
-            if not _is_irreducible_mod_p(mod, p):
+            if not is_irreducible(Field(p), mod):
                 raise ValueError(f"modulus {list(mod)} is reducible over F_{p}")
             self.modulus = mod
+        self._build_tables()
 
-        # Reduction rows: coefficient vector of y^j mod modulus, j = k..2k-2.
-        self._xpow: tuple[tuple[int, ...], ...] = ()
-        if k > 1:
-            red = tuple((-c) % p for c in self.modulus[:k])
-            rows = [red]
-            for _ in range(k - 2):
-                prev = rows[-1]
-                top = prev[-1]
-                row = [0] + list(prev[:-1])
-                if top:
-                    row = [(row[i] + top * red[i]) % p for i in range(k)]
-                rows.append(tuple(row))
-            self._xpow = tuple(tuple(r) for r in rows)
-        self._coeff_cache: Optional[list[tuple[int, ...]]] = None
+    # -- table construction ---------------------------------------------------
+
+    def _times(self, h: int) -> np.ndarray:
+        """k x k matrix over F_p of multiplication by h: column j is h*y^j."""
+        p = self.p
+        red = [(-c) % p for c in self.modulus[: self.k]]  # y^k = sum red[i] y^i
+        col = [int(c) for c in digits([h], p, self.k)[0]]
+        cols = [col]
+        for _ in range(self.k - 1):
+            top = col[-1]
+            col = [(c + top * r) % p for c, r in zip([0] + col[:-1], red)]
+            cols.append(col)
+        return np.array(cols, dtype=np.int64).T
+
+    def _powers(self, g: int) -> Optional[np.ndarray]:
+        """g^0, ..., g^(q-2) by doubling, or None when g is not primitive.
+
+        Each step multiplies the powers found so far by g^filled at once; g
+        is primitive exactly when no power g^i with 0 < i < q - 1 is 1.
+        """
+        p, k, m = self.p, self.k, self.q - 1
+        pw = p ** np.arange(k)
+        exp = np.empty(m, dtype=np.int64)
+        exp[0] = 1
+        times, filled = self._times(g), 1  # times multiplies by g^filled
+        while filled < m:
+            block = exp[: min(filled, m - filled)]
+            new = digits(block, p, k) @ times.T % p @ pw
+            if (new == 1).any():
+                return None
+            exp[filled : filled + len(new)] = new
+            times = times @ times % p
+            filled *= 2
+        return exp
+
+    def _build_tables(self) -> None:
+        p, k, q = self.p, self.k, self.q
+        m = q - 1
+        exp = next(e for e in map(self._powers, range(1, q)) if e is not None)
+        zero_log = 2 * m
+        log = np.empty(q, dtype=np.int64)
+        log[exp] = np.arange(m)
+        log[0] = zero_log
+        one_plus = exp - exp % p + (exp + 1) % p  # add 1 to the constant digit
+        self.log_array = log
+        self.exp_array = np.concatenate([exp, exp, np.zeros(2 * m + 1, np.int64)])
+        self.neg_array = -digits(np.arange(q), p, k) % p @ (p ** np.arange(k))
+        for arr in (self.log_array, self.exp_array, self.neg_array):
+            arr.flags.writeable = False  # shared by every user of the field
+        # Python lists for the scalar operations, which index one entry at a time
+        self.log_table = log.tolist()
+        self.exp_table = self.exp_array.tolist()
+        self.zech_table = np.tile(log[one_plus], 3).tolist()
+        self.neg_table = self.neg_array.tolist()
 
     # -- representation helpers --------------------------------------------
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         """Coefficient vector of an element code, length k, ascending."""
-        if self.k == 1:
-            return (x,)
-        cache = self._coeff_cache
-        if cache is None and self.q <= 4096:
-            cache = self._coeff_cache = [self._decode(i) for i in range(self.q)]
-        if cache is not None:
-            return cache[x]
-        return self._decode(x)
-
-    def _decode(self, x: int) -> tuple[int, ...]:
         p = self.p
-        out = []
-        for _ in range(self.k):
-            out.append(x % p)
-            x //= p
-        return tuple(out)
+        return tuple(x // p**j % p for j in range(self.k))
 
     def element(self, coeffs: Iterable[int]) -> int:
         """Code of the element with the given F_p coefficient vector."""
@@ -185,76 +196,33 @@ class Field:
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        if self.k == 1:
-            return (x + y) % self.p
-        p = self.p
-        a, b = self.coeffs(x), self.coeffs(y)
-        code = 0
-        pw = 1
-        for i in range(self.k):
-            code += ((a[i] + b[i]) % p) * pw
-            pw *= p
-        return code
+        if not x:
+            return y
+        if not y:
+            return x
+        lx = self.log_table[x]
+        return self.exp_table[lx + self.zech_table[self.log_table[y] - lx]]
 
     def neg(self, x: int) -> int:
-        if self.k == 1:
-            return (-x) % self.p
-        p = self.p
-        a = self.coeffs(x)
-        code = 0
-        pw = 1
-        for i in range(self.k):
-            code += ((-a[i]) % p) * pw
-            pw *= p
-        return code
+        return self.neg_table[x]
 
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        return self.add(x, self.neg_table[y])
 
     def mul(self, x: int, y: int) -> int:
-        if self.k == 1:
-            return (x * y) % self.p
-        if x == 0 or y == 0:
-            return 0
-        p, k = self.p, self.k
-        a, b = self.coeffs(x), self.coeffs(y)
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        res = [v % p for v in prod[:k]]
-        for j in range(k, 2 * k - 1):
-            v = prod[j] % p
-            if v:
-                row = self._xpow[j - k]
-                for i in range(k):
-                    res[i] = (res[i] + v * row[i]) % p
-        code = 0
-        pw = 1
-        for c in res:
-            code += c * pw
-            pw *= p
-        return code
+        return self.exp_table[self.log_table[x] + self.log_table[y]]
 
     def pow(self, x: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(x), -e)
-        if self.k == 1:
-            return pow(x, e, self.p)
-        result = 1
-        base = x
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if not x:
+            return 0 if e else 1
+        return self.exp_table[self.log_table[x] * e % (self.q - 1)]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ValueError("0 has no multiplicative inverse")
-        return self.pow(x, self.q - 2)
+        return self.exp_table[self.q - 1 - self.log_table[x]]
 
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))
@@ -267,9 +235,7 @@ class Field:
         """
         if e < 0:
             raise ValueError("frobenius exponent must be >= 0")
-        for _ in range(e):
-            x = self.pow(x, self.p)
-        return x
+        return self.pow(x, self.p**e)
 
     # -- identity -----------------------------------------------------------
 
@@ -332,63 +298,36 @@ def quad_char(field: Field, x: int) -> int:
 class Embedding:
     """Field homomorphism F_{p^k} -> F_{p^K} fixing F_p, for k dividing K.
 
-    The image of the source modulus root is the first root of the source
-    modulus found in code order, so embeddings are deterministic.
+    The source modulus root goes to root, the first root of the source
+    modulus in code order (0 for a prime source, whose modulus is empty), so
+    embeddings are deterministic.  The map is F_p-linear: c_0 + c_1 y + ...
+    goes to c_0 + c_1 root + ...
     """
 
     __slots__ = ("src", "dst", "_fwd", "_back", "root")
 
     def __init__(self, src: Field, dst: Field):
+        from .polyring import first_root
+
         if src.p != dst.p:
             raise ValueError("embedding requires equal characteristic")
         if dst.k % src.k != 0:
             raise ValueError(f"F_{src.q} does not embed in F_{dst.q}")
         self.src = src
         self.dst = dst
-        if src.k == 1 or src == dst:
-            # prime subfield or identity: codes map to themselves
-            self._fwd = None
-            self._back = None
-            self.root = None if src.k == 1 else src.p
-            return
-        root = None
-        for z in dst.elements():
-            acc = 0
-            for c in reversed(src.modulus):
-                acc = dst.add(dst.mul(acc, z), c)
-            if acc == 0:
-                root = z
-                break
-        if root is None:
-            raise AssertionError("subfield modulus has no root in the extension")
-        self.root = root
+        self.root = first_root(dst, src.modulus)
         powers = [dst.one]
         for _ in range(src.k - 1):
-            powers.append(dst.mul(powers[-1], root))
-        fwd = []
-        for x in src.elements():
-            acc = 0
-            for c, rp in zip(src.coeffs(x), powers):
-                acc = dst.add(acc, dst.mul(c, rp))
-            fwd.append(acc)
-        self._fwd = fwd
-        self._back = {v: i for i, v in enumerate(fwd)}
+            powers.append(dst.mul(powers[-1], self.root))
+        p = src.p
+        images = digits(np.arange(src.q), p, src.k) @ digits(powers, p, dst.k) % p
+        self._fwd = (images @ p ** np.arange(dst.k)).tolist()
+        self._back = {v: i for i, v in enumerate(self._fwd)}
 
     def apply(self, x: int) -> int:
-        if self._fwd is None:
-            return x
         return self._fwd[x]
 
-    def contains(self, y: int) -> bool:
-        if self._back is None:
-            return y < self.src.q
-        return y in self._back
-
     def preimage(self, y: int) -> int:
-        if self._back is None:
-            if y < self.src.q:
-                return y
-            raise ValueError(f"element {y} is not in the embedded subfield")
         try:
             return self._back[y]
         except KeyError:

@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .fields import Embedding, Field
+from .fields import Embedding, Field, digits
 
 Poly = tuple  # coefficient tuple, ascending
 RingElem = tuple  # exactly n coefficients
@@ -133,6 +133,16 @@ def poly_eval(field: Field, f: Poly, x: int) -> int:
     return acc
 
 
+def first_root(field: Field, f: Poly) -> int:
+    """Least element code z with f(z) = 0; every z is a root of the zero polynomial."""
+    if len(f) == 2:  # c0 + c1*x has the one root -c0/c1
+        return field.div(field.neg(f[0]), f[1])
+    for z in field.elements():
+        if poly_eval(field, f, z) == 0:
+            return z
+    raise ValueError(f"polynomial {list(f)} has no root in F_{field.q}")
+
+
 def monic_reciprocal(field: Field, f: Poly) -> Poly:
     """x^deg(f) * f(1/x), normalized monic.  Requires f(0) != 0."""
     if not f or f[0] == 0:
@@ -233,6 +243,9 @@ def is_two_factor_case(field: Field, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # quotient ring
 
+TABLE_LIMIT = 1024  # largest ring size that gets dense operation tables
+
+
 class QuotientRing:
     """R(n, F_q) with residues as length-n coefficient tuples."""
 
@@ -274,20 +287,23 @@ class QuotientRing:
             yield self.element(i)
 
     # -- arithmetic ----------------------------------------------------------
+    # add, neg and mul read the field's log, exp and Zech tables directly.
 
     def add(self, u: RingElem, v: RingElem) -> RingElem:
         F = self.field
-        if F.k == 1:
-            p = F.p
-            return tuple((a + b) % p for a, b in zip(u, v))
-        return tuple(F.add(a, b) for a, b in zip(u, v))
+        log, exp, zech = F.log_table, F.exp_table, F.zech_table
+        out = []
+        for a, b in zip(u, v):
+            if a and b:
+                la = log[a]
+                out.append(exp[la + zech[log[b] - la]])
+            else:
+                out.append(a or b)
+        return tuple(out)
 
     def neg(self, u: RingElem) -> RingElem:
-        F = self.field
-        if F.k == 1:
-            p = F.p
-            return tuple((-a) % p for a in u)
-        return tuple(F.neg(a) for a in u)
+        neg = self.field.neg_table
+        return tuple([neg[a] for a in u])
 
     def sub(self, u: RingElem, v: RingElem) -> RingElem:
         return self.add(u, self.neg(v))
@@ -299,27 +315,21 @@ class QuotientRing:
     def mul(self, u: RingElem, v: RingElem) -> RingElem:
         """Cyclic convolution: the product in F_q[x]/(x^n - 1)."""
         F, n = self.field, self.n
-        if F.k == 1:
-            p = F.p
-            acc = [0] * n
-            for i, ui in enumerate(u):
-                if ui:
-                    for j, vj in enumerate(v):
-                        if vj:
-                            t = i + j
-                            if t >= n:
-                                t -= n
-                            acc[t] += ui * vj
-            return tuple(a % p for a in acc)
+        log, exp, zech = F.log_table, F.exp_table, F.zech_table
         acc = [0] * n
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    if vj:
-                        t = i + j
-                        if t >= n:
-                            t -= n
-                        acc[t] = F.add(acc[t], F.mul(ui, vj))
+        # j is kept as j - n: acc[i + j - n] is acc[(i + j) % n] by negative indexing
+        terms = [(j - n, log[b]) for j, b in enumerate(v) if b]
+        for i, a in enumerate(u):
+            if a:
+                la = log[a]
+                for j, lb in terms:
+                    t = i + j
+                    c = acc[t]
+                    if c:
+                        lc = log[c]
+                        acc[t] = exp[lc + zech[la + lb - lc]]
+                    else:
+                        acc[t] = exp[la + lb]
         return tuple(acc)
 
     def reciprocal(self, u: RingElem) -> RingElem:
@@ -356,11 +366,11 @@ class QuotientRing:
 
     # -- dense tables ----------------------------------------------------------
 
-    def tables(self, limit: int = 1024) -> Optional["RingTables"]:
-        """Dense index-space operation tables, or None when the ring is too big."""
+    def tables(self) -> Optional["RingTables"]:
+        """Dense index-space operation tables, or None above TABLE_LIMIT elements."""
         if not self._tables_checked:
             self._tables_checked = True
-            if self.size <= limit:
+            if self.size <= TABLE_LIMIT:
                 self._tables = RingTables(self)
         return self._tables
 
@@ -371,50 +381,42 @@ class QuotientRing:
 class RingTables:
     """Dense operation tables for a small quotient ring, indexed by element code.
 
-    mul/add are size x size nested lists, neg/recip/weight are flat lists.
-    The numpy mirrors (*_np) back the batched sweeps.
+    mul and add are size x size int64 arrays; neg, recip and weight are
+    flat ones.
     """
 
     def __init__(self, ring: QuotientRing):
         field, n, Q = ring.field, ring.n, ring.size
+        p, q = field.p, field.q
         self.size = Q
-        if field.k == 1:
-            p = field.p
-            codes = np.arange(Q, dtype=np.int64)
-            E = np.empty((Q, n), dtype=np.int64)
-            v = codes.copy()
-            for j in range(n):
-                E[:, j] = v % p
-                v //= p
-            pw = p ** np.arange(n, dtype=np.int64)
-            idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # (j - i) % n
-            shifted = E[:, idx]  # shifted[y, i, j] = E[y, (j - i) % n]
-            conv = np.einsum("xi,yij->xyj", E, shifted) % p
-            self.mul_np = conv @ pw
-            self.add_np = ((E[:, None, :] + E[None, :, :]) % p) @ pw
-            self.neg_np = ((-E) % p) @ pw
-            perm = [(n - j) % n for j in range(n)]
-            self.recip_np = E[:, perm] @ pw
-            self.weight_np = (E != 0).sum(axis=1)
-        else:
-            elems = [ring.element(i) for i in range(Q)]
-            index = ring.index
-            self.mul_np = np.array(
-                [[index(ring.mul(u, v)) for v in elems] for u in elems], dtype=np.int64
+        E = digits(np.arange(Q), q, n)  # E[x, j]: coefficient j of element x
+        qpw = q ** np.arange(n)
+        # an element code is also the base-p number of its n*k F_p digits,
+        # so add acts digit by digit
+        digit_add = np.add.outer(np.arange(p), np.arange(p)) % p
+        add = np.zeros((1, 1), dtype=np.int64)
+        while len(add) < Q:
+            add = (p * add[:, None, :, None] + digit_add[None, :, None, :]).reshape(
+                p * len(add), p * len(add)
             )
-            self.add_np = np.array(
-                [[index(ring.add(u, v)) for v in elems] for u in elems], dtype=np.int64
-            )
-            self.neg_np = np.array([index(ring.neg(u)) for u in elems], dtype=np.int64)
-            self.recip_np = np.array(
-                [index(ring.reciprocal(u)) for u in elems], dtype=np.int64
-            )
-            self.weight_np = np.array([ring.weight(u) for u in elems], dtype=np.int64)
-        self.mul = self.mul_np.tolist()
-        self.add = self.add_np.tolist()
-        self.neg = self.neg_np.tolist()
-        self.recip = self.recip_np.tolist()
-        self.weight = self.weight_np.tolist()
+        self.add = add
+        self.neg = field.neg_array[E] @ qpw
+        self.recip = E[:, [(n - j) % n for j in range(n)]] @ qpw
+        self.weight = (E != 0).sum(axis=1)
+        # x = x0 + q*(x div q) as polynomials x0 + t*(x div q), so
+        # mul[x] = add[scal[x0], shift[mul[x div q]]], filled one digit level at a time
+        log, exp = field.log_array, field.exp_array
+        scal = exp[log[:, None, None] + log[E][None]] @ qpw  # scal[c, y] = c*y
+        top = q ** (n - 1)
+        shift = np.arange(Q) % top * q + np.arange(Q) // top  # shift[y] = t*y
+        mul = np.empty((Q, Q), dtype=np.int64)
+        mul[:q] = scal
+        lo = q
+        while lo < Q:
+            x = np.arange(lo, lo * q)
+            mul[lo : lo * q] = add[scal[x % q], shift[mul[x // q]]]
+            lo *= q
+        self.mul = mul
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
 from fourcirc.census import (
+    PAIR_WORDS,
     artin_scan,
     code_distances,
     count_hermitian,
@@ -65,9 +66,34 @@ def test_enumerate_inapplicable_formula():
 def test_enumerate_cap_and_gcd():
     with pytest.raises(CapExceeded):
         enumerate_self_dual(F3, 13)
+    # the sweep alone fits the cap at (2, 15), but a report of up to Q^2 pairs does not
+    with pytest.raises(CapExceeded):
+        enumerate_self_dual(F2, 15)
     # repeated-root length: sweep still runs, formula is inapplicable
     rep = enumerate_self_dual(F2, 4)
     assert rep.formula_count is None
+
+
+def test_pair_sweep_cap_counts_its_work():
+    # the sweep does Q ring products of n^2 terms: Q * n^2 = 2^15 * 225 fits
+    # the default cap, though Q^2 = 2^30 does not; 2,937,600 is the product
+    # of the per-factor counts for x^15 - 1 over F_2
+    assert len(self_dual_pairs(F2, 15)) == 2_937_600
+    with pytest.raises(CapExceeded):
+        self_dual_pairs(F2, 15, cap=2**15 * 225 - 1)
+
+
+def test_pair_sweep_cap_counts_its_output():
+    # (2, 7): the sweep costs 2^7 * 49 = 6272 units and lists 1008 pairs of
+    # PAIR_WORDS words each
+    need = 2**7 * 49 + PAIR_WORDS * 1008
+    assert len(self_dual_pairs(F2, 7, cap=need)) == 1008
+    with pytest.raises(CapExceeded, match="finds 1008 pairs"):
+        self_dual_pairs(F2, 7, cap=need - 1)
+    # (2, 16) has a repeated-root length: the sweep (2^24 units) fits the
+    # default cap, but its 2^24 pairs would make a list of about 1 GB
+    with pytest.raises(CapExceeded, match="finds 16777216 pairs"):
+        self_dual_pairs(F2, 16)
 
 
 def test_enumerate_length_one():

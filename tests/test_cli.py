@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 CLI = [sys.executable, "-m", "fourcirc"]
 
@@ -176,6 +177,9 @@ def test_exit_code_validation():
 def test_exit_code_cap():
     proc = run_cli("enumerate", "--q", "3", "--n", "13", expect=3)
     assert "cap" in proc.stderr
+    # the pair sweep fits the cap here, the per-code distance scans do not
+    proc = run_cli("search", "--q", "2", "--n", "15", expect=3)
+    assert "distance scans" in proc.stderr
 
 
 def test_cap_env_override():
@@ -188,6 +192,28 @@ def test_cap_env_override():
     )
     assert proc.returncode == 3, proc.stderr
     assert "cap" in proc.stderr
+
+
+def test_tracer_runs(tmp_path):
+    # perfbench/traced.py wraps fourcirc functions and methods by name
+    # (Field.add, Embedding.__init__, QuotientRing.mul, RingTables.__init__,
+    # ...), so renaming one fails here as well as in the traced benchmark
+    root = Path(__file__).resolve().parents[1]
+    trace = tmp_path / "trace.json"
+    job = {"id": "t", "cli": ["crt", "--q", "2^2", "--n", "5", "--a", "1,1", "--b", "0,1"]}
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced.py"), str(trace), json.dumps(job)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["schema"] == "fourcirc/crt/v1"
+    data = json.loads(trace.read_text())
+    assert data["job"] == "t"
+    assert data["leaves"]["fields.mul"][0] > 0
 
 
 def test_extension_field_cli():

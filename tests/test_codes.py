@@ -80,26 +80,36 @@ def test_matrix_agrees_with_poly_exhaustive_2_3():
             assert code.is_self_dual_poly() == code.is_self_dual_matrix()
 
 
-def test_matrix_agrees_with_poly_exhaustive_5_3():
+def poly_truth_table(field, n):
     from fourcirc.census import self_dual_pairs
 
+    size = QuotientRing(field, n).size
+    poly = np.zeros(size**2, dtype=bool)
+    for ai, bi in self_dual_pairs(field, n):
+        poly[ai * size + bi] = True
+    return poly
+
+
+def test_matrix_agrees_with_poly_exhaustive_5_3():
     field = Field(5)
-    ring = QuotientRing(field, 3)
-    sweep = self_dual_matrix_sweep(field, 3)
-    poly = np.zeros(ring.size**2, dtype=bool)
-    for ai, bi in self_dual_pairs(field, 3):
-        poly[ai * ring.size + bi] = True
-    assert (sweep == poly).all()
+    assert (self_dual_matrix_sweep(field, 3) == poly_truth_table(field, 3)).all()
+
+
+@pytest.mark.parametrize("field", [Field(2, 3), Field(3, 2)], ids=["q8", "q9"])
+def test_matrix_agrees_with_poly_exhaustive_extension(field):
+    # F_8 and F_9 multiplication matrices are not symmetric, unlike F_4's
+    poly = poly_truth_table(field, 2)
+    assert poly.any()
+    assert (self_dual_matrix_sweep(field, 2) == poly).all()
 
 
 def test_matrix_sweep_agrees_with_single_calls():
-    # prime field: batched path vs per-code path on every pair
+    # batched path vs per-code expansion on every pair, then on F_4 spot pairs
     sweep = self_dual_matrix_sweep(F2, 3)
     for ai in range(8):
         for bi in range(8):
             code = code23(R23.element(ai), R23.element(bi))
             assert sweep[ai * 8 + bi] == code.is_self_dual_matrix()
-    # extension field: fallback path, spot pairs
     ring4 = QuotientRing(F4, 2)
     pairs = [(ai, bi) for ai in range(6) for bi in range(6)]
     sweep4 = self_dual_matrix_sweep(F4, 2, pairs=pairs)
@@ -209,6 +219,7 @@ def test_min_distance_without_tables_matches():
         (F3, 3, [(r33.index((1, 1, 0)), r33.index((1, 0, 2)))]),
         (F2, 5, self_dual_pairs(F2, 5)),
         (F4, 3, [(1, 0), (5, 17), (23, 42), (63, 63)]),
+        (Field(3, 2), 2, [(1, 0), (10, 29), (40, 80), (77, 5)]),
     ]
     for field, n, pairs in cases:
         ring = QuotientRing(field, n)

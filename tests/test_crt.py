@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -53,6 +54,22 @@ def test_round_trip_random():
             code = FourCirculantCode(ring, a, b)
             assert reconstruct(field, n, decompose(code)) == (a, b)
 
+
+def test_round_trip_many_linear_factors_at_large_q():
+    # 2^16 = 1 mod 255, so x^255 - 1 splits into 255 linear factors over
+    # F_{2^16}: every constituent lives in one shared copy of the base field,
+    # and the round trip stays cheap however many factors there are
+    field = Field(2, 16)
+    ring = QuotientRing(field, 255)
+    a = tuple((7 * i + 3) % field.q for i in range(255))
+    b = tuple((11 * i + 1) % field.q for i in range(255))
+    start = time.perf_counter()
+    cons = decompose(FourCirculantCode(ring, a, b))
+    assert reconstruct(field, 255, cons) == (a, b)
+    assert time.perf_counter() - start < 20
+    assert len(cons) == 255
+    assert all(con.field is cons[0].field == field for con in cons)
+    assert all(con.root == field.neg(con.factor[0]) for con in cons)  # x - root
 
 def test_images_respect_evaluation():
     ring = QuotientRing(F3, 5)

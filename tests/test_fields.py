@@ -2,6 +2,83 @@ import pytest
 
 from fourcirc.fields import Embedding, Field, field_of_order, is_prime, quad_char
 
+
+class SchoolbookField:
+    """Polynomial-basis reference arithmetic for F_q, independent of the tables.
+
+    Elements use the same codes as Field; products are schoolbook polynomial
+    products reduced by precomputed rows for y^k, ..., y^(2k-2).
+    """
+
+    def __init__(self, p, k, modulus):
+        self.p, self.k, self.q = p, k, p**k
+        self._xpow = ()
+        if k > 1:
+            red = tuple((-c) % p for c in modulus[:k])
+            rows = [red]
+            for _ in range(k - 2):
+                prev = rows[-1]
+                top = prev[-1]
+                row = [0] + list(prev[:-1])
+                if top:
+                    row = [(row[i] + top * red[i]) % p for i in range(k)]
+                rows.append(tuple(row))
+            self._xpow = tuple(rows)
+
+    def coeffs(self, x):
+        out = []
+        for _ in range(self.k):
+            out.append(x % self.p)
+            x //= self.p
+        return out
+
+    def add(self, x, y):
+        if self.k == 1:
+            return (x + y) % self.p
+        p = self.p
+        a, b = self.coeffs(x), self.coeffs(y)
+        return sum(((a[i] + b[i]) % p) * p**i for i in range(self.k))
+
+    def neg(self, x):
+        if self.k == 1:
+            return (-x) % self.p
+        p = self.p
+        return sum(((-c) % p) * p**i for i, c in enumerate(self.coeffs(x)))
+
+    def mul(self, x, y):
+        if self.k == 1:
+            return (x * y) % self.p
+        if x == 0 or y == 0:
+            return 0
+        p, k = self.p, self.k
+        a, b = self.coeffs(x), self.coeffs(y)
+        prod = [0] * (2 * k - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        res = [v % p for v in prod[:k]]
+        for j in range(k, 2 * k - 1):
+            v = prod[j] % p
+            if v:
+                row = self._xpow[j - k]
+                for i in range(k):
+                    res[i] = (res[i] + v * row[i]) % p
+        return sum(c * p**i for i, c in enumerate(res))
+
+    def pow(self, x, e):
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, x)
+            x = self.mul(x, x)
+            e >>= 1
+        return result
+
+
+def _prime_powers(limit):
+    return [(p, k) for p in range(2, limit + 1) if is_prime(p) for k in range(1, 9) if p**k <= limit]
+
 SMALL_FIELDS = [
     Field(2),
     Field(3),
@@ -45,6 +122,20 @@ def test_deterministic_modulus():
     assert Field(2, 4).modulus == (1, 1, 0, 0, 1)
     # least quadratic over F_3 is y^2 + 1
     assert Field(3, 2).modulus == (1, 0, 1)
+
+
+@pytest.mark.parametrize("p,k", _prime_powers(256), ids=lambda v: str(v))
+def test_tables_match_schoolbook_reference(p, k):
+    # every pair of elements, for every q <= 256
+    F = Field(p, k)
+    ref = SchoolbookField(p, k, F.modulus)
+    els = list(F.elements())
+    assert [F.neg(x) for x in els] == [ref.neg(x) for x in els]
+    assert [F.inv(x) for x in els[1:]] == [ref.pow(x, F.q - 2) for x in els[1:]]
+    assert [F.frobenius(x, 1) for x in els] == [ref.pow(x, p) for x in els]
+    for x in els:
+        assert [F.add(x, y) for y in els] == [ref.add(x, y) for y in els]
+        assert [F.mul(x, y) for y in els] == [ref.mul(x, y) for y in els]
 
 
 def test_code_coeff_round_trip():

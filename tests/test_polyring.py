@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -148,19 +149,45 @@ def test_ring_index_round_trip():
 
 
 def test_ring_tables_agree_with_ops():
-    for field, n in [(F2, 4), (F3, 3), (F4, 2)]:
+    cases = [(F2, 4), (F3, 3), (F4, 2), (F4, 4), (Field(2, 3), 2), (Field(3, 2), 2)]
+    for field, n in cases:
         R = QuotientRing(field, n)
         t = R.tables()
         assert t is not None
-        for i in range(R.size):
-            u = R.element(i)
-            assert t.neg[i] == R.index(R.neg(u))
-            assert t.recip[i] == R.index(R.reciprocal(u))
-            assert t.weight[i] == R.weight(u)
-            for j in range(R.size):
-                v = R.element(j)
-                assert t.mul[i][j] == R.index(R.mul(u, v))
-                assert t.add[i][j] == R.index(R.add(u, v))
+        elems = [R.element(i) for i in range(R.size)]
+        assert t.neg.tolist() == [R.index(R.neg(u)) for u in elems]
+        assert t.recip.tolist() == [R.index(R.reciprocal(u)) for u in elems]
+        assert t.weight.tolist() == [R.weight(u) for u in elems]
+        for i, u in enumerate(elems):
+            assert t.mul[i].tolist() == [R.index(R.mul(u, v)) for v in elems], (field.q, n, i)
+            assert t.add[i].tolist() == [R.index(R.add(u, v)) for v in elems], (field.q, n, i)
+
+
+def einsum_prime_tables(p, n):
+    """Dense tables of R(n, F_p) by one integer convolution of digit vectors."""
+    Q = p**n
+    v = np.arange(Q, dtype=np.int64)
+    E = np.empty((Q, n), dtype=np.int64)
+    for j in range(n):
+        E[:, j] = v % p
+        v //= p
+    pw = p ** np.arange(n, dtype=np.int64)
+    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # (j - i) % n
+    conv = np.einsum("xi,yij->xyj", E, E[:, idx]) % p
+    return {
+        "mul": conv @ pw,
+        "add": ((E[:, None, :] + E[None, :, :]) % p) @ pw,
+        "neg": ((-E) % p) @ pw,
+        "recip": E[:, [(n - j) % n for j in range(n)]] @ pw,
+        "weight": (E != 0).sum(axis=1),
+    }
+
+
+@pytest.mark.parametrize("p,n", [(2, 10), (3, 6)])
+def test_ring_tables_match_einsum_reference(p, n):
+    t = QuotientRing(Field(p), n).tables()
+    for name, expected in einsum_prime_tables(p, n).items():
+        assert np.array_equal(getattr(t, name), expected), name
 
 
 # -- orders and cosets ---------------------------------------------------------
