@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .codes import DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap, message_weights
 from .fields import Field, is_prime, quad_char
 from .polyring import QuotientRing, is_primitive_root, multiplicative_order
@@ -143,14 +145,7 @@ def code_distances(
     """Exact minimum distance for each (a, b) index pair."""
     ring = QuotientRing(field, n)
     check_distance_cap(ring.size, cap)
-    t = ring.tables()
-    if t is None:
-        out = []
-        for ai, bi in pairs:
-            code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
-            out.append(code.min_distance(cap=cap)[0])
-        return out
-    return [int(wt.min()) for wt in message_weights(t, pairs)]
+    return [int(wt.min()) for wt in message_weights(ring.tables(), pairs)]
 
 
 def enumerate_self_dual(
@@ -356,43 +351,39 @@ class MembershipSweep:
 def membership_sweep(field: Field, n: int, cap: int = DEFAULT_CAP) -> MembershipSweep:
     """Exhaustive membership census over every word, via encoding all pairs.
 
-    For each generator pair and each message the encoded word's count is
-    incremented, which is exactly |{(a, b) : u in C_{a,b}}| for every u since
-    membership forces the message blocks.
+    For each message (c, d) the codewords of all Q^2 generator pairs are
+    tallied at once, which gives |{(a, b) : u in C_{a,b}}| for every word u
+    with message blocks (c, d), since membership forces the message blocks.
+    The cap bounds Q^4, so the Q x Q index tables used here stay small.
     """
     ring = QuotientRing(field, n)
     Q = ring.size
     if Q**4 > cap:
         raise CapExceeded(f"membership sweep covers {Q ** 4} encodings, cap is {cap}")
     t = ring.tables()
-    if t is None:
-        raise CapExceeded("membership sweep needs dense ring tables")
-    mul, add, neg, rec = t.mul.tolist(), t.add.tolist(), t.neg.tolist(), t.recip.tolist()
-    Q2, Q3 = Q * Q, Q * Q * Q
-    counts = [0] * (Q**4)
-    unit_counts = [0] * (Q**4)
-    sd_counts = [0] * (Q**4)
-    one_idx = ring.index(ring.one)
-    units = [ring.is_unit(ring.element(i)) for i in range(Q)]
-    for ai in range(Q):
-        row_a = mul[ai]
-        row_ap = mul[rec[ai]]
-        res_a = add[one_idx][row_a[rec[ai]]]
-        for bi in range(Q):
-            row_b = mul[bi]
-            neg_row_bp = [neg[v] for v in mul[rec[bi]]]
-            targets = [counts]
-            if units[ai] and units[bi]:
-                targets.append(unit_counts)
-            if add[res_a][row_b[rec[bi]]] == 0:
-                targets.append(sd_counts)
-            for ci in range(Q):
-                erow = add[row_a[ci]]
-                frow = add[row_b[ci]]
-                for di in range(Q):
-                    u = ci + Q * di + Q2 * erow[neg_row_bp[di]] + Q3 * frow[row_ap[di]]
-                    for arr in targets:
-                        arr[u] += 1
+    P = t.digit_vectors
+    add = (P[:, None] + P[None, :]) % field.p @ t.digit_powers  # add[u, v]: index of u + v
+    rows = np.array([t.times(m) for m in range(Q)])  # rows[m, x]: index of m*x
+    rows_rec = rows[:, t.recip]  # rows_rec[m, x]: index of m*x'
+    neg_rows_rec = t.neg[rows_rec]
+    self_rec = rows_rec.diagonal()  # x*x'
+    # 1 + a*a' + b*b' = 0 exactly when b*b' = -(1 + a*a')
+    sd_need = t.neg[add[ring.index(ring.one), self_rec]]
+    units = np.array([ring.is_unit(ring.element(i)) for i in range(Q)])
+    counts, unit_counts, sd_counts = ([0] * Q**4 for _ in range(3))
+    pair_sets = [
+        (counts, np.ones((Q, Q), dtype=bool)),
+        (unit_counts, units[:, None] & units[None, :]),
+        (sd_counts, self_rec[None, :] == sd_need[:, None]),
+    ]  # masks over [a, b]
+    for m in range(Q * Q):
+        ci, di = m % Q, m // Q
+        # the codeword of message (c, d) in C_{a,b} has index m + Q^2*(e + Q*f)
+        e = add[rows[ci][:, None], neg_rows_rec[di][None, :]]  # c*a - d*b' at [a, b]
+        f = add[rows[ci][None, :], rows_rec[di][:, None]]  # c*b + d*a'
+        key = e + Q * f
+        for out, mask in pair_sets:
+            out[m :: Q * Q] = np.bincount(key[mask], minlength=Q * Q).tolist()
     const_idx = frozenset(ring.index(u) for u in constant_vectors(ring))
     return MembershipSweep(
         q=field.q,

@@ -308,13 +308,6 @@ def render(payload: dict, fmt: str, command: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def export(payload: dict, fmt: str, path: str, command: str) -> None:
-    """Write a rendered report to a file, UTF-8 and newline-terminated."""
-    text = render(payload, fmt, command)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-
-
 # ---------------------------------------------------------------------------
 # parser plumbing
 
@@ -462,7 +455,8 @@ def main(argv=None) -> int:
     sys.stdout.write(text)
     if args.output:
         try:
-            export(payload, args.format, args.output, args.command)
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
         except OSError as exc:
             print(f"fourcirc: cannot write --output: {exc}", file=sys.stderr)
             return 2

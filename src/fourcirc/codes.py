@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .fields import Field, digits
+from .fields import Field, digits, mul_matrices
 from .polyring import QuotientRing, RingTables, poly_degree, poly_gcd
 
 DEFAULT_CAP = 1 << 26
@@ -184,15 +184,11 @@ class FourCirculantCode:
         ring = self.ring
         Q = ring.size
         check_distance_cap(Q, cap)
-        t = ring.tables()
-        if t is None:
-            best_w, best_m = _distance_scan(self)
-        else:
-            pair = (ring.index(self.a), ring.index(self.b))
-            wt = next(message_weights(t, [pair]))
-            # argmin returns the first minimum in c-major order: the least message
-            best_m = int(wt.argmin())
-            best_w = int(wt.flat[best_m])
+        pair = (ring.index(self.a), ring.index(self.b))
+        wt = next(message_weights(ring.tables(), [pair]))
+        # argmin returns the first minimum in c-major order: the least message
+        best_m = int(wt.argmin())
+        best_w = int(wt.flat[best_m])
         ci, di = divmod(best_m, Q)
         witness = self.encode(ring.element(ci), ring.element(di))
         return best_w, witness
@@ -208,36 +204,31 @@ def message_weights(
 
     Entry [ci, di] is the weight of the codeword of message (c, d) with
     c = element(ci), d = element(di); the zero message gets 4n + 1, above
-    every real weight.  Weights are int8: dense tables exist only for
-    Q <= 1024, so n <= 10 and no sum exceeds 4n + 1 <= 41.
+    every real weight.  Weights are int8, which holds 4n + 1 for n <= 31,
+    far beyond any ring whose Q x Q arrays fit in memory.
     """
-    MUL, NEG, REC = t.mul, t.neg, t.recip
     W = t.weight.astype(np.int8)
-    W_ADD = W[t.add]  # W_ADD[u, v] = weight(u + v)
-    cd = W[:, None] + W[None, :]
-    big = np.int8(W.max() * 4 + 1)
+    SW, NEG, REC = t.sum_weight, t.neg, t.recip
+    big = np.int8(4 * t.n + 1)
+    maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def times_pair(m):
+        """c -> c*m and c -> c*m', the second as c'*m reflected: c*m' = (c'*m)'."""
+        if m not in maps:
+            row = t.times(m)
+            maps[m] = (row, REC[row[REC]])
+        return maps[m]
+
     for ai, bi in pairs:
-        neg_row_bp = NEG[MUL[REC[bi]]]
-        row_ap = MUL[REC[ai]]
-        wt = cd + W_ADD[MUL[ai][:, None], neg_row_bp[None, :]]
-        wt += W_ADD[MUL[bi][:, None], row_ap[None, :]]
+        row_a, row_ap = times_pair(ai)
+        row_b, row_bp = times_pair(bi)
+        # gathering rows, then columns, beats one broadcast 2-d gather
+        wt = SW[row_a][:, NEG[row_bp]]  # weight(c*a - d*b')
+        wt += SW[row_b][:, row_ap]  # weight(c*b + d*a')
+        wt += W[:, None]  # weight(c)
+        wt += W  # weight(d)
         wt[0, 0] = big
         yield wt
-
-
-def _distance_scan(code: FourCirculantCode) -> tuple[int, int]:
-    """Per-message encode scan for rings too large for dense tables."""
-    ring = code.ring
-    Q = ring.size
-    best_w = 4 * code.n + 1
-    best_m = -1
-    for m in range(1, Q * Q):
-        ci, di = divmod(m, Q)
-        w = code.encode(ring.element(ci), ring.element(di)).weight
-        if w < best_w:
-            best_w = w
-            best_m = m
-    return best_w, best_m
 
 
 def self_dual_matrix_sweep(
@@ -265,10 +256,8 @@ def self_dual_matrix_sweep(
     total = len(ai_all)
 
     p, k, q = field.p, field.k, field.q
-    log, exp = field.log_array, field.exp_array
     vec = digits(np.arange(q), p, k)
-    # column j of rep[x] is vec[x * y^j], and y^j has code p^j
-    rep = vec[exp[log[:, None] + log[p ** np.arange(k)][None, :]]].transpose(0, 2, 1)
+    rep = mul_matrices(field, np.arange(q))
     neg = field.neg_array
     E = digits(np.arange(Q), q, n)
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n

@@ -41,6 +41,23 @@ def digits(codes: np.ndarray, base: int, width: int) -> np.ndarray:
     return np.asarray(codes, dtype=np.int64)[:, None] // base ** np.arange(width) % base
 
 
+def mul_matrices(field: "Field", xs) -> np.ndarray:
+    """k x k matrices over F_p of multiplication by each code in xs.
+
+    Column j of matrix i is the coefficient vector of xs[i] * y^j, so
+    matrix i times vec(z) is vec(xs[i] * z).  Built from the modulus alone,
+    so it also serves the field's own table construction.
+    """
+    p, k = field.p, field.k
+    red = -np.array(field.modulus[:k], dtype=np.int64) % p  # y^k = sum red[i] y^i
+    col = digits(xs, p, k)
+    cols = [col]
+    for _ in range(k - 1):
+        col = (np.pad(col[:, :-1], ((0, 0), (1, 0))) + col[:, -1:] * red) % p
+        cols.append(col)
+    return np.stack(cols, axis=2)
+
+
 def _lexleast_irreducible(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible of degree k in ascending code order.
 
@@ -112,18 +129,6 @@ class Field:
 
     # -- table construction ---------------------------------------------------
 
-    def _times(self, h: int) -> np.ndarray:
-        """k x k matrix over F_p of multiplication by h: column j is h*y^j."""
-        p = self.p
-        red = [(-c) % p for c in self.modulus[: self.k]]  # y^k = sum red[i] y^i
-        col = [int(c) for c in digits([h], p, self.k)[0]]
-        cols = [col]
-        for _ in range(self.k - 1):
-            top = col[-1]
-            col = [(c + top * r) % p for c, r in zip([0] + col[:-1], red)]
-            cols.append(col)
-        return np.array(cols, dtype=np.int64).T
-
     def _powers(self, g: int) -> Optional[np.ndarray]:
         """g^0, ..., g^(q-2) by doubling, or None when g is not primitive.
 
@@ -134,7 +139,7 @@ class Field:
         pw = p ** np.arange(k)
         exp = np.empty(m, dtype=np.int64)
         exp[0] = 1
-        times, filled = self._times(g), 1  # times multiplies by g^filled
+        times, filled = mul_matrices(self, [g])[0], 1  # times multiplies by g^filled
         while filled < m:
             block = exp[: min(filled, m - filled)]
             new = digits(block, p, k) @ times.T % p @ pw

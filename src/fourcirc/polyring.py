@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .fields import Embedding, Field, digits
+from .fields import Embedding, Field, digits, mul_matrices
 
 Poly = tuple  # coefficient tuple, ascending
 RingElem = tuple  # exactly n coefficients
@@ -243,9 +243,6 @@ def is_two_factor_case(field: Field, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # quotient ring
 
-TABLE_LIMIT = 1024  # largest ring size that gets dense operation tables
-
-
 class QuotientRing:
     """R(n, F_q) with residues as length-n coefficient tuples."""
 
@@ -263,7 +260,6 @@ class QuotientRing:
             [field.neg(1)] + [0] * (n - 1) + [1]
         )
         self._tables: Optional[RingTables] = None
-        self._tables_checked = False
 
     # -- enumeration ---------------------------------------------------------
 
@@ -364,14 +360,12 @@ class QuotientRing:
             raise ValueError("ring element is not a unit")
         return self.reduce(poly_scale(self.field, self.field.inv(d[0]), s))
 
-    # -- dense tables ----------------------------------------------------------
+    # -- index tables ----------------------------------------------------------
 
-    def tables(self) -> Optional["RingTables"]:
-        """Dense index-space operation tables, or None above TABLE_LIMIT elements."""
-        if not self._tables_checked:
-            self._tables_checked = True
-            if self.size <= TABLE_LIMIT:
-                self._tables = RingTables(self)
+    def tables(self) -> "RingTables":
+        """Index-space tables of the ring, built on first use."""
+        if self._tables is None:
+            self._tables = RingTables(self)
         return self._tables
 
     def __repr__(self) -> str:
@@ -379,44 +373,48 @@ class QuotientRing:
 
 
 class RingTables:
-    """Dense operation tables for a small quotient ring, indexed by element code.
+    """Index-space tables of a quotient ring, indexed by element code.
 
-    mul and add are size x size int64 arrays; neg, recip and weight are
-    flat ones.
+    neg, recip and weight are flat int64 arrays; sum_weight is the size x
+    size int8 table of weight(u + v); times(m) gives the index of c*m for
+    every c.  An element code is also the base-p number of the n*k F_p
+    digits of its coefficients, held in digit_vectors, and addition and
+    multiplication by a fixed m act on those digits F_p-linearly.
     """
 
     def __init__(self, ring: QuotientRing):
         field, n, Q = ring.field, ring.n, ring.size
         p, q = field.p, field.q
-        self.size = Q
+        self.field, self.n, self.size = field, n, Q
         E = digits(np.arange(Q), q, n)  # E[x, j]: coefficient j of element x
         qpw = q ** np.arange(n)
-        # an element code is also the base-p number of its n*k F_p digits,
-        # so add acts digit by digit
-        digit_add = np.add.outer(np.arange(p), np.arange(p)) % p
-        add = np.zeros((1, 1), dtype=np.int64)
-        while len(add) < Q:
-            add = (p * add[:, None, :, None] + digit_add[None, :, None, :]).reshape(
-                p * len(add), p * len(add)
-            )
-        self.add = add
         self.neg = field.neg_array[E] @ qpw
         self.recip = E[:, [(n - j) % n for j in range(n)]] @ qpw
         self.weight = (E != 0).sum(axis=1)
-        # x = x0 + q*(x div q) as polynomials x0 + t*(x div q), so
-        # mul[x] = add[scal[x0], shift[mul[x div q]]], filled one digit level at a time
-        log, exp = field.log_array, field.exp_array
-        scal = exp[log[:, None, None] + log[E][None]] @ qpw  # scal[c, y] = c*y
-        top = q ** (n - 1)
-        shift = np.arange(Q) % top * q + np.arange(Q) // top  # shift[y] = t*y
-        mul = np.empty((Q, Q), dtype=np.int64)
-        mul[:q] = scal
-        lo = q
-        while lo < Q:
-            x = np.arange(lo, lo * q)
-            mul[lo : lo * q] = add[scal[x % q], shift[mul[x // q]]]
-            lo *= q
-        self.mul = mul
+        self.digit_vectors = digits(np.arange(Q), p, n * field.k)
+        self.digit_powers = p ** np.arange(n * field.k)
+        # weight(u + v) summed over coefficients, one digit level at a time:
+        # coefficients x and y add to a nonzero one unless y = -x
+        w1 = (np.arange(q)[None, :] != field.neg_array[:, None]).astype(np.int8)
+        sum_weight = np.zeros((1, 1), dtype=np.int8)
+        while len(sum_weight) < Q:
+            m = q * len(sum_weight)
+            sum_weight = (sum_weight[:, None, :, None] + w1[None, :, None, :]).reshape(m, m)
+        self.sum_weight = sum_weight
+
+    def times(self, m: int) -> np.ndarray:
+        """Index of c*m for every element index c.
+
+        Coefficient j of c contributes coefficient (j + i) % n of c*m times
+        coefficient i of m, so on F_p digits c -> c*m is the block circulant
+        of the k x k multiplication matrices of m's coefficients.
+        """
+        n, k, p = self.n, self.field.k, self.field.p
+        m_coeffs = digits([m], self.field.q, n)[0]
+        shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # (l - j) % n at [j, l]
+        blocks = mul_matrices(self.field, m_coeffs)[shift]  # [j, l, out digit, in digit]
+        matrix = blocks.transpose(0, 3, 1, 2).reshape(n * k, n * k)
+        return self.digit_vectors @ matrix % p @ self.digit_powers
 
 
 # ---------------------------------------------------------------------------

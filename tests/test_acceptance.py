@@ -29,6 +29,8 @@ from fourcirc.crt import constituent_self_dual, decompose, reconstruct
 from fourcirc.fields import Field, quad_char
 from fourcirc.polyring import QuotientRing
 
+from helpers import child_env
+
 ODD_Q_FIELDS = [Field(3), Field(5), Field(7), Field(3, 2), Field(11), Field(13)]
 HERMITIAN_FIELDS = [Field(2), Field(3), Field(2, 2), Field(5)]
 ENUMERATION_CASES = [
@@ -204,6 +206,7 @@ def test_criterion_10_cli_determinism():
                 capture_output=True,
                 text=True,
                 timeout=300,
+                env=child_env(),
             )
             assert proc.returncode == 0, proc.stderr
             return json.dumps(json.loads(proc.stdout)["report"], sort_keys=True).encode()

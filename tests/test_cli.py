@@ -1,15 +1,15 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
+
+from helpers import ROOT, child_env
 
 CLI = [sys.executable, "-m", "fourcirc"]
 
 
 def run_cli(*args, expect=0):
     proc = subprocess.run(
-        CLI + list(args), capture_output=True, text=True, timeout=300
+        CLI + list(args), capture_output=True, text=True, timeout=300, env=child_env()
     )
     assert proc.returncode == expect, proc.stderr
     return proc
@@ -80,6 +80,16 @@ def test_distance_snapshot():
     assert rep["witness_weight"] == 2
 
 
+def test_distance_above_1024_elements():
+    # Q = 2048; the default cap admits every n up to 13 and refuses 14
+    rep = run_json(
+        "distance", "--q", "2", "--n", "11", "--a", "1,0,1", "--b", "1,1,0,0,1,0,1,0,1,1,1"
+    )["report"]
+    assert (rep["d"], rep["witness_weight"]) == (8, 8)
+    proc = run_cli("distance", "--q", "2", "--n", "14", "--a", "1", "--b", "0", expect=3)
+    assert "cap" in proc.stderr
+
+
 def test_crt_snapshot():
     rep = run_json("crt", "--q", "2", "--n", "3", "--a", "0,1,0", "--b", "0,0,0")["report"]
     kinds = [c["kind"] for c in rep["constituents"]]
@@ -133,11 +143,13 @@ def test_csv_only_on_table_commands():
 
 
 def test_export_to_file(tmp_path):
-    out = tmp_path / "report.json"
-    run_cli("enumerate", "--q", "2", "--n", "3", "--output", str(out))
-    payload = json.loads(out.read_text(encoding="utf-8"))
+    for fmt in ("json", "text", "csv"):
+        out = tmp_path / f"report.{fmt}"
+        proc = run_cli("enumerate", "--q", "2", "--n", "3", "--format", fmt, "--output", str(out))
+        assert out.read_bytes() == proc.stdout.encode("utf-8"), fmt
+        assert proc.stdout.endswith("\n"), fmt
+    payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert payload["report"]["pair_count"] == 12
-    assert out.read_text(encoding="utf-8").endswith("\n")
 
 
 def test_output_refused_when_unwritable(tmp_path):
@@ -188,7 +200,7 @@ def test_cap_env_override():
         capture_output=True,
         text=True,
         timeout=300,
-        env={**os.environ, "FOURCIRC_CAP": "10"},
+        env=child_env(FOURCIRC_CAP="10"),
     )
     assert proc.returncode == 3, proc.stderr
     assert "cap" in proc.stderr
@@ -198,16 +210,14 @@ def test_tracer_runs(tmp_path):
     # perfbench/traced.py wraps fourcirc functions and methods by name
     # (Field.add, Embedding.__init__, QuotientRing.mul, RingTables.__init__,
     # ...), so renaming one fails here as well as in the traced benchmark
-    root = Path(__file__).resolve().parents[1]
     trace = tmp_path / "trace.json"
     job = {"id": "t", "cli": ["crt", "--q", "2^2", "--n", "5", "--a", "1,1", "--b", "0,1"]}
-    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "traced.py"), str(trace), json.dumps(job)],
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(trace), json.dumps(job)],
         capture_output=True,
         text=True,
         timeout=300,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["schema"] == "fourcirc/crt/v1"

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -209,9 +211,23 @@ def test_min_distance_second_pass_oracle():
             assert code.min_distance()[0] == second_pass_distance(code)
 
 
-def test_min_distance_without_tables_matches():
-    # the dense-table kernel against the per-message fallback scan, which a
-    # fresh ring with suppressed tables selects; distance and witness agree
+def encode_scan_distance(code):
+    """Least weight over nonzero messages, and the least message attaining it,
+    by encoding every message in c-major order."""
+    ring = code.ring
+    Q = ring.size
+    best_w, best_m = 4 * code.n + 1, -1
+    for m in range(1, Q * Q):
+        ci, di = divmod(m, Q)
+        w = code.encode(ring.element(ci), ring.element(di)).weight
+        if w < best_w:
+            best_w, best_m = w, m
+    ci, di = divmod(best_m, Q)
+    return best_w, code.encode(ring.element(ci), ring.element(di))
+
+
+def test_min_distance_matches_encode_scan():
+    # the table kernel against a per-message encode scan: distance and witness agree
     from fourcirc.census import self_dual_pairs
 
     r33 = QuotientRing(F3, 3)
@@ -223,14 +239,52 @@ def test_min_distance_without_tables_matches():
     ]
     for field, n, pairs in cases:
         ring = QuotientRing(field, n)
-        plain = QuotientRing(field, n)
-        plain._tables_checked = True
         for ai, bi in pairs:
-            a, b = ring.element(ai), ring.element(bi)
-            d_tables, w_tables = FourCirculantCode(ring, a, b).min_distance()
-            d_plain, w_plain = FourCirculantCode(plain, a, b).min_distance()
-            assert (d_tables, w_tables.blocks) == (d_plain, w_plain.blocks), (field.q, n, ai, bi)
-        assert ring.tables() is not None and plain.tables() is None
+            code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
+            d, witness = code.min_distance()
+            d_scan, w_scan = encode_scan_distance(code)
+            assert (d, witness.blocks) == (d_scan, w_scan.blocks), (field.q, n, ai, bi)
+
+
+def generator_matrix_distance(code, chunk=32):
+    """Least weight over nonzero messages and the least message attaining it,
+    as (d, c index, d index), from [c d] G mod p over a prime field, a block
+    of c values at a time."""
+    p, n, Q = code.field.p, code.n, code.ring.size
+    G = np.array(code.generator_matrix(), dtype=np.int32)
+    msgs = (np.arange(Q)[:, None] // p ** np.arange(n) % p).astype(np.int32)
+    from_c, from_d = msgs @ G[:n], msgs @ G[n:]
+    best = (4 * n + 1, 0, 0)
+    for start in range(0, Q, chunk):
+        words = (from_c[start : start + chunk, None, :] + from_d[None, :, :]) % p
+        wt = np.count_nonzero(words, axis=2)
+        if start == 0:
+            wt[0, 0] = 4 * n + 1
+        ci, di = np.unravel_index(wt.argmin(), wt.shape)
+        if wt[ci, di] < best[0]:
+            best = (int(wt[ci, di]), start + int(ci), int(di))
+    return best
+
+
+@pytest.mark.parametrize(
+    "p,n,a,b",
+    [
+        (2, 11, (1, 0, 1), (1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 1)),  # self-dual, d = 8
+        (3, 7, (1, 1), (2, 1, 1, 2, 0, 1, 1)),  # self-dual, d = 9
+    ],
+)
+def test_min_distance_above_1024_elements(p, n, a, b):
+    # Q = 2048 and 2187: a per-message encode scan takes minutes per code here
+    ring = QuotientRing(Field(p), n)
+    code = FourCirculantCode(ring, a + (0,) * (n - len(a)), b)
+    assert code.is_self_dual_poly()
+    start = time.perf_counter()
+    d, witness = code.min_distance()
+    elapsed = time.perf_counter() - start
+    d_ref, ci, di = generator_matrix_distance(code)
+    assert (d, witness.blocks[:2]) == (d_ref, (ring.element(ci), ring.element(di)))
+    assert witness.weight == d
+    assert elapsed < 20, f"min_distance took {elapsed:.1f} s at Q = {ring.size}"
 
 
 def test_min_distance_cap():

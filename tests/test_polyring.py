@@ -153,14 +153,14 @@ def test_ring_tables_agree_with_ops():
     for field, n in cases:
         R = QuotientRing(field, n)
         t = R.tables()
-        assert t is not None
         elems = [R.element(i) for i in range(R.size)]
         assert t.neg.tolist() == [R.index(R.neg(u)) for u in elems]
         assert t.recip.tolist() == [R.index(R.reciprocal(u)) for u in elems]
         assert t.weight.tolist() == [R.weight(u) for u in elems]
-        for i, u in enumerate(elems):
-            assert t.mul[i].tolist() == [R.index(R.mul(u, v)) for v in elems], (field.q, n, i)
-            assert t.add[i].tolist() == [R.index(R.add(u, v)) for v in elems], (field.q, n, i)
+        for i, m in enumerate(elems):
+            assert t.times(i).tolist() == [R.index(R.mul(u, m)) for u in elems], (field.q, n, i)
+            sums = [R.weight(R.add(m, v)) for v in elems]
+            assert t.sum_weight[i].tolist() == sums, (field.q, n, i)
 
 
 def einsum_prime_tables(p, n):
@@ -186,8 +186,12 @@ def einsum_prime_tables(p, n):
 @pytest.mark.parametrize("p,n", [(2, 10), (3, 6)])
 def test_ring_tables_match_einsum_reference(p, n):
     t = QuotientRing(Field(p), n).tables()
-    for name, expected in einsum_prime_tables(p, n).items():
-        assert np.array_equal(getattr(t, name), expected), name
+    ref = einsum_prime_tables(p, n)
+    for name in ("neg", "recip", "weight"):
+        assert np.array_equal(getattr(t, name), ref[name]), name
+    for m in range(p**n):
+        assert np.array_equal(t.times(m), ref["mul"][:, m]), m
+    assert np.array_equal(t.sum_weight, ref["weight"][ref["add"]])
 
 
 # -- orders and cosets ---------------------------------------------------------
