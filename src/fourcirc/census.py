@@ -13,6 +13,7 @@ two are compared by the acceptance suite.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
@@ -26,16 +27,22 @@ from .polyring import QuotientRing, is_primitive_root, multiplicative_order
 # ---------------------------------------------------------------------------
 # solution counts behind the closed form
 
+def _pair_count(field: Field, values: Sequence[int], target: int) -> int:
+    """Exact number of index pairs (x, y) with values[x] + values[y] = target.
+
+    With c_v the number of x whose value is v, the count is the sum over v of
+    c_v * c_(target - v): linear in len(values), not quadratic.
+    """
+    counts = Counter(values)
+    return sum(c * counts[field.sub(target, v)] for v, c in counts.items())
+
+
 def count_sum_of_squares(field: Field) -> tuple[int, int]:
-    """Solutions of x^2 + y^2 = -1 in F_q, exhaustive count next to q - eta(-1)."""
+    """Solutions of x^2 + y^2 = -1 in F_q, exact histogram count next to q - eta(-1)."""
     if field.q % 2 == 0:
         raise ValueError("x^2 + y^2 = -1 count requires odd q")
-    target = field.neg(field.one)
     squares = [field.mul(x, x) for x in field.elements()]
-    brute = 0
-    for sx in squares:
-        want = field.sub(target, sx)
-        brute += sum(1 for sy in squares if sy == want)
+    brute = _pair_count(field, squares, field.neg(field.one))
     formula = field.q - quad_char(field, field.neg(field.one))
     return brute, formula
 
@@ -47,14 +54,8 @@ def count_hermitian(field: Field) -> tuple[int, int]:
     """
     q = field.q
     big = Field(field.p, 2 * field.k)
-    target = big.neg(big.one)
     norms = [big.pow(x, 1 + q) for x in big.elements()]
-    counts: dict[int, int] = {}
-    for v in norms:
-        counts[v] = counts.get(v, 0) + 1
-    brute = 0
-    for v, c in counts.items():
-        brute += c * counts.get(big.sub(target, v), 0)
+    brute = _pair_count(big, norms, big.neg(big.one))
     formula = (q + 1) * (q * q - q)
     return brute, formula
 

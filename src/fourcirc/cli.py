@@ -430,6 +430,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "workers", None) is not None and args.workers < 1:
         parser.error(f"argument --workers: must be at least 1, got {args.workers}")
+    if getattr(args, "top", 0) < 0:
+        parser.error(f"argument --top: must be at least 0, got {args.top}")
     if args.output:
         problem = _output_problem(args.output)
         if problem:

@@ -4,8 +4,12 @@ With x^n - 1 = prod of distinct irreducible factors, reducing (a, b) modulo
 each factor gives one constituent per factor, living over the extension
 field F_q[x]/(factor).  Extensions are realized as single-step extensions
 F_{p^(k*d)} together with a deterministic choice of root of the factor, and
-a and b are represented by their values at that root.  Decompose and
-reconstruct are mutually inverse.
+a and b are represented by their values at that root.
+
+Reconstruction inverts this by interpolation at the n-th roots of unity.
+The values at the other roots of a factor are Frobenius conjugates of the
+value at the chosen root, so the sum over them is a trace, and
+a_i = n^(-1) * sum over factors f of Tr_{F_{q^d}/F_q}(a(root_f) * root_f^(-i)).
 """
 
 from __future__ import annotations
@@ -15,20 +19,7 @@ from functools import lru_cache
 
 from .codes import FourCirculantCode
 from .fields import Embedding, Field
-from .polyring import (
-    Poly,
-    QuotientRing,
-    factor_xn_minus_1,
-    first_root,
-    poly_add,
-    poly_degree,
-    poly_divmod,
-    poly_ext_gcd,
-    poly_mod,
-    poly_mul,
-    poly_scale,
-    poly_trim,
-)
+from .polyring import Poly, factor_xn_minus_1, first_root, poly_degree
 
 
 @dataclass(frozen=True)
@@ -120,83 +111,41 @@ def constituent_self_dual(con: Constituent) -> bool:
     return s == F.zero
 
 
-def _solve_mod_p(rows: list[list[int]], rhs: list[int], p: int) -> list[int]:
-    """Solve a square linear system over F_p by Gaussian elimination."""
-    m = len(rows)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    pivots = []
-    for col in range(m):
-        piv = None
-        for r in range(len(pivots), m):
-            if aug[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            raise AssertionError("singular basis matrix in constituent inversion")
-        r0 = len(pivots)
-        aug[r0], aug[piv] = aug[piv], aug[r0]
-        inv = pow(aug[r0][col], p - 2, p)
-        aug[r0] = [(v * inv) % p for v in aug[r0]]
-        for r in range(m):
-            if r != r0 and aug[r][col] % p:
-                factor = aug[r][col]
-                aug[r] = [(aug[r][j] - factor * aug[r0][j]) % p for j in range(m + 1)]
-        pivots.append(col)
-    return [aug[i][m] for i in range(m)]
-
-
-def _image_to_residue(base: Field, ext: Field, emb: Embedding, root: int, image: int, d: int) -> Poly:
-    """Invert c_0 + c_1*root + ... + c_{d-1}*root^(d-1) = image for c_i in F_q."""
-    if d == 1:
-        return poly_trim((emb.preimage(image),))
-    k = base.k
-    p = base.p
-    powers = [ext.one]
-    for _ in range(d - 1):
-        powers.append(ext.mul(powers[-1], root))
-    # columns indexed by (i, j): basis element y^j of F_q times root^i
-    cols = []
-    for i in range(d):
-        for j in range(k):
-            basis = emb.apply(base.element([0] * j + [1]))
-            cols.append(ext.coeffs(ext.mul(basis, powers[i])))
-    dim = k * d
-    rows = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-    sol = _solve_mod_p(rows, list(ext.coeffs(image)), p)
-    coeffs = []
-    for i in range(d):
-        coeffs.append(base.element(sol[i * k : (i + 1) * k]))
-    return poly_trim(coeffs)
-
-
 def reconstruct(field: Field, n: int, constituents: list[Constituent]) -> tuple[tuple, tuple]:
-    """CRT interpolation back to (a, b) in R(n, F_q) from all constituents."""
-    ring = QuotientRing(field, n)
-    modulus = ring.modulus_poly
-    a_poly: Poly = ()
-    b_poly: Poly = ()
-    seen_degree = 0
+    """Interpolate (a, b) in R(n, F_q) back from all its constituents.
+
+    The roots of a factor f of degree d are root^(q^j) for j < d, and a has
+    coefficients in F_q, so a(root^(q^j)) = a(root)^(q^j).  Lagrange
+    interpolation at the n-th roots of unity therefore reads
+
+        a_i = n^(-1) * sum over f of Tr(a(root_f) * root_f^(-i)),
+
+    with Tr(y) = y + y^q + ... + y^(q^(d-1)) the trace from F_{q^d} to F_q;
+    n is invertible because factor_xn_minus_1 requires gcd(n, q) = 1.  The
+    same holds for b.  The constituents must be exactly those of decompose
+    over this field, in any order.
+    """
+    expected = sorted(factor for factor, _ in factor_xn_minus_1(field, n).factors())
+    if sorted(con.factor for con in constituents) != expected:
+        raise ValueError("constituents are not exactly the factors of x^n - 1")
+    a = [field.zero] * n
+    b = [field.zero] * n
     for con in constituents:
-        d = con.degree
-        seen_degree += d
         ext, emb, root = _constituent_context(field, con.factor)
-        if (ext, root) != (con.field, con.root):
+        if (con.base, con.field, con.root) != (field, ext, root):
             raise ValueError("constituent does not match its deterministic context")
-        ra = _image_to_residue(field, ext, emb, root, con.a_image, d)
-        rb = _image_to_residue(field, ext, emb, root, con.b_image, d)
-        cofactor, rem = poly_divmod(field, modulus, con.factor)
-        if rem:
-            raise ValueError("constituent factor does not divide x^n - 1")
-        g, s, _ = poly_ext_gcd(field, cofactor, con.factor)
-        if poly_degree(g) != 0:
-            raise AssertionError("cofactor not invertible modulo its factor")
-        inv_cof = poly_scale(field, field.inv(g[0]), s)
-        idem = poly_mul(field, cofactor, poly_mod(field, inv_cof, con.factor))
-        a_poly = poly_mod(field, poly_add(field, a_poly, poly_mul(field, ra, idem)), modulus)
-        b_poly = poly_mod(field, poly_add(field, b_poly, poly_mul(field, rb, idem)), modulus)
-    if seen_degree != n:
-        raise ValueError("constituents do not cover every factor of x^n - 1")
-    return ring.reduce(a_poly), ring.reduce(b_poly)
+        step = ext.inv(root)
+        for image, out in ((con.a_image, a), (con.b_image, b)):
+            y = image
+            for i in range(n):
+                trace, t = ext.zero, y
+                for _ in range(con.degree):
+                    trace = ext.add(trace, t)
+                    t = ext.pow(t, field.q)
+                out[i] = field.add(out[i], emb.preimage(trace))
+                y = ext.mul(y, step)
+    n_inv = field.element([pow(n, -1, field.p)])
+    return tuple(field.mul(n_inv, c) for c in a), tuple(field.mul(n_inv, c) for c in b)
 
 
 def decompose_report(code: FourCirculantCode) -> list[dict]:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from fourcirc.census import (
@@ -24,6 +26,12 @@ def test_count_sum_of_squares_examples():
     assert count_sum_of_squares(F3) == (4, 4)
     assert count_sum_of_squares(F5) == (4, 4)
     assert count_sum_of_squares(Field(7)) == (8, 8)
+    # the largest prime the field cap admits: a scan of all q^2 pairs takes
+    # minutes at this q, the histogram count a fraction of a second
+    big = Field(65521)
+    start = time.perf_counter()
+    assert count_sum_of_squares(big) == (65520, 65520)  # 65521 = 1 mod 4
+    assert time.perf_counter() - start < 10
     with pytest.raises(ValueError):
         count_sum_of_squares(F2)
 

@@ -173,6 +173,14 @@ def test_workers_must_be_positive():
     assert manifest["workers"] == 3
 
 
+def test_top_must_be_nonnegative():
+    for value in ("-1", "-2"):
+        proc = run_cli("search", "--q", "2", "--n", "3", "--top", value, expect=2)
+        assert "--top" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert run_json("search", "--q", "2", "--n", "3", "--top", "0")["report"]["top"] == []
+
+
 def test_json_round_trip():
     proc = run_cli("check", "--q", "2", "--n", "3", "--a", "0,1,0", "--b", "0,0,0")
     payload = json.loads(proc.stdout)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -46,13 +47,42 @@ def test_decompose_requires_coprime_length():
 
 def test_round_trip_random():
     random.seed(20240601)
-    for field, n in [(F3, 5), (F2, 5), (F5, 3), (F2, 3), (F2, 7), (Field(2, 2), 3)]:
+    points = [
+        (F3, 5), (F2, 5), (F5, 3), (F2, 3), (F2, 7), (Field(2, 2), 3),
+        (F5, 6), (Field(7), 8), (F3, 20), (Field(2, 3), 7), (Field(3, 2), 4),
+        (Field(2, 4), 15), (F2, 1), (Field(2, 3, modulus=(1, 0, 1, 1)), 9),
+    ]
+    for field, n in points:
         ring = QuotientRing(field, n)
         for _ in range(100):
             a = ring.element(random.randrange(ring.size))
             b = ring.element(random.randrange(ring.size))
             code = FourCirculantCode(ring, a, b)
             assert reconstruct(field, n, decompose(code)) == (a, b)
+
+
+def test_reconstruct_rejects_bad_constituents():
+    code = make_code(F2, 7, (1, 1, 0, 1, 0, 0, 0), (0, 1, 1, 0, 0, 0, 1))
+    lin, cubic1, cubic2 = decompose(code)
+    assert (lin.degree, cubic1.degree, cubic2.degree) == (1, 3, 3)
+    with pytest.raises(ValueError):
+        reconstruct(F2, 7, [lin, cubic1, cubic1])  # repeated factor, one missing
+    with pytest.raises(ValueError):
+        reconstruct(F2, 7, [lin, cubic1])  # missing factor
+    with pytest.raises(ValueError):
+        reconstruct(F2, 7, [lin, cubic1, cubic2, lin])  # extra copy
+    moved = dataclasses.replace(cubic1, root=cubic1.field.pow(cubic1.root, 2))
+    with pytest.raises(ValueError):
+        reconstruct(F2, 7, [lin, moved, cubic2])  # another root of the same factor
+    # decomposed over another base field: F_4 has other factors of x^3 - 1,
+    # and F_8 under another modulus has the same linear factors but other roots
+    with pytest.raises(ValueError):
+        reconstruct(F2, 3, decompose(make_code(Field(2, 2), 3, (0, 1, 0), (1, 0, 0))))
+    other = Field(2, 3, modulus=(1, 0, 1, 1))
+    cons = decompose(make_code(other, 7, (0, 1) + (0,) * 5, (3,) + (0,) * 6))
+    with pytest.raises(ValueError):
+        reconstruct(Field(2, 3), 7, cons)
+    assert reconstruct(other, 7, cons) == ((0, 1) + (0,) * 5, (3,) + (0,) * 6)
 
 
 def test_round_trip_many_linear_factors_at_large_q():
