@@ -13,9 +13,7 @@ from .asympt import (
     ball_volume,
     entropy,
     entropy_inverse,
-    entropy_volume_gap,
     expurgation_bound,
-    rate_and_delta,
 )
 from .census import (
     ArtinReport,
@@ -38,8 +36,6 @@ from .codes import (
     CapExceeded,
     Codeword,
     FourCirculantCode,
-    circulant,
-    self_dual_matrix_sweep,
 )
 from .crt import Constituent, constituent_self_dual, decompose, decompose_report, reconstruct
 from .fields import Embedding, Field, field_of_order, is_prime, quad_char
@@ -50,7 +46,6 @@ from .polyring import (
     cyclotomic_cosets,
     factor_xn_minus_1,
     is_primitive_root,
-    is_two_factor_case,
     multiplicative_order,
 )
 
@@ -72,7 +67,6 @@ __all__ = [
     "RingTables",
     "artin_scan",
     "ball_volume",
-    "circulant",
     "code_distances",
     "constituent_self_dual",
     "count_hermitian",
@@ -83,21 +77,17 @@ __all__ = [
     "distinct_code_count",
     "entropy",
     "entropy_inverse",
-    "entropy_volume_gap",
     "enumerate_self_dual",
     "expurgation_bound",
     "factor_xn_minus_1",
     "field_of_order",
     "is_prime",
     "is_primitive_root",
-    "is_two_factor_case",
     "membership_census",
     "membership_sweep",
     "multiplicative_order",
     "quad_char",
-    "rate_and_delta",
     "reconstruct",
     "self_dual_count_formula",
-    "self_dual_matrix_sweep",
     "self_dual_pairs",
 ]

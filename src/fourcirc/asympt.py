@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .census import self_dual_count_formula
 from .fields import Field, field_of_order, is_prime
@@ -69,17 +69,6 @@ def ball_volume(q: int, N: int, r: int) -> int:
     if not 0 <= r <= N:
         raise ValueError(f"radius {r} outside [0, {N}]")
     return sum(math.comb(N, i) * (q - 1) ** i for i in range(r + 1))
-
-
-def entropy_volume_gap(q: int, t: float, N: int) -> float:
-    """log_q(ball_volume(q, N, floor(t*N))) / N - H_q(t).
-
-    Converges to 0 as N grows; the exact volume sits below q^(N*H_q(t)) for
-    t below (q-1)/q.
-    """
-    r = math.floor(t * N)
-    vol = ball_volume(q, N, r)
-    return math.log(vol) / (N * math.log(q)) - entropy(q, t)
 
 
 @dataclass(frozen=True)
@@ -153,15 +142,3 @@ def expurgation_bound(field_or_q: Union[Field, int], n: int) -> BoundReport:
         notes=_BOUND_NOTES,
     )
 
-
-def rate_and_delta(family: Sequence[tuple[int, int, int]]) -> tuple[float, float]:
-    """Finite-sample rate and relative distance of a family of (N, k, d).
-
-    Returns (max k/N, min d/N), the finite analogues of the limsup rate and
-    liminf relative distance.
-    """
-    if not family:
-        raise ValueError("family must be nonempty")
-    alpha = max(k / N for N, k, _ in family)
-    delta = min(d / N for N, _, d in family)
-    return alpha, delta

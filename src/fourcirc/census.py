@@ -325,9 +325,6 @@ class MembershipSweep:
             out = out * self.Q + code
         return out
 
-    def count_of(self, word) -> int:
-        return self.counts[self.word_index(word)]
-
     def max_nonconstant(self, which: str = "unit") -> tuple[int, int]:
         """Largest count over words whose c and d blocks are both non-constant.
 

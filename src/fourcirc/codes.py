@@ -1,4 +1,4 @@
-"""Four circulant codes: generator matrices, duality criteria, distances.
+"""Four circulant codes: encoding, duality criteria, distances.
 
 A code is determined by a pair (a, b) of residues in R(n, F_q).  Its
 generator matrix is
@@ -18,11 +18,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .fields import Field, digits, mul_matrices
 from .polyring import QuotientRing, RingTables, poly_degree, poly_gcd
 
 DEFAULT_CAP = 1 << 26
-SWEEP_CHUNK = 8192  # (a, b) pairs per batch of self_dual_matrix_sweep over F_p
 
 
 class CapExceeded(RuntimeError):
@@ -50,12 +48,6 @@ class Codeword:
         return sum(1 for x in self.vector if x)
 
 
-def circulant(first_row: Sequence[int]) -> list[list[int]]:
-    """Expand a first row into the circulant matrix M[i][j] = row[(j - i) % n]."""
-    n = len(first_row)
-    return [[first_row[(j - i) % n] for j in range(n)] for i in range(n)]
-
-
 class FourCirculantCode:
     """The [4n, 2n] code C_{a,b} over F_q."""
 
@@ -73,7 +65,6 @@ class FourCirculantCode:
         self.b = tuple(b)
         self.a_rec = ring.reciprocal(self.a)
         self.b_rec = ring.reciprocal(self.b)
-        self._neg_b_rec = ring.neg(self.b_rec)
         self._residue: Optional[tuple] = None
 
     # -- encoding and membership ------------------------------------------------
@@ -117,60 +108,6 @@ class FourCirculantCode:
         """Complementary dual: the criterion residue is a unit mod x^n - 1."""
         g = poly_gcd(self.field, self.ring.lift(self.criterion_residue()), self.ring.modulus_poly)
         return poly_degree(g) == 0
-
-    def generator_matrix(self) -> list[list[int]]:
-        n, F = self.n, self.field
-        A = circulant(self.a)
-        B = circulant(self.b)
-        NBt = circulant(self._neg_b_rec)
-        At = circulant(self.a_rec)
-        rows = []
-        for i in range(n):
-            row = [0] * (2 * n)
-            row[i] = F.one
-            rows.append(row + A[i] + B[i])
-        for i in range(n):
-            row = [0] * (2 * n)
-            row[n + i] = F.one
-            rows.append(row + NBt[i] + At[i])
-        return rows
-
-    def is_self_dual_matrix(self) -> bool:
-        """Matrix-side criterion: A*At + B*Bt + I = 0 and the full Gram G*Gt = 0.
-
-        Works entirely on expanded matrices with literal transposition, so it
-        shares no machinery with the residue criterion.
-        """
-        n, F = self.n, self.field
-        A = circulant(self.a)
-        B = circulant(self.b)
-        At = [[A[j][i] for j in range(n)] for i in range(n)]
-        Bt = [[B[j][i] for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                s = F.one if i == j else F.zero
-                for t in range(n):
-                    s = F.add(s, F.mul(A[i][t], At[t][j]))
-                    s = F.add(s, F.mul(B[i][t], Bt[t][j]))
-                if s != F.zero:
-                    return False
-        G = []
-        for i in range(n):
-            row = [0] * (2 * n)
-            row[i] = F.one
-            G.append(row + A[i] + B[i])
-        for i in range(n):
-            row = [0] * (2 * n)
-            row[n + i] = F.one
-            G.append(row + [F.neg(x) for x in Bt[i]] + At[i])
-        for i in range(2 * n):
-            for j in range(2 * n):
-                s = F.zero
-                for t in range(4 * n):
-                    s = F.add(s, F.mul(G[i][t], G[j][t]))
-                if s != F.zero:
-                    return False
-        return True
 
     # -- minimum distance ------------------------------------------------------------
 
@@ -230,63 +167,3 @@ def message_weights(
         wt[0, 0] = big
         yield wt
 
-
-def self_dual_matrix_sweep(
-    field: Field,
-    n: int,
-    pairs: Optional[Sequence[tuple[int, int]]] = None,
-) -> np.ndarray:
-    """Matrix-side self-duality test over many (a, b) pairs at once.
-
-    pairs is a sequence of (a_index, b_index) ring element indices; None means
-    all q^(2n) pairs in a-major order.  A batched integer computation
-    assembles every G explicitly and checks A*At + B*Bt + I = 0 together
-    with the full Gram G*Gt = 0.  Each F_q entry x is taken to its k x k
-    matrix rep[x] over F_p, multiplication by x on coefficient vectors vec[y],
-    so a product of matrices over F_q becomes an integer einsum mod p.
-    """
-    ring = QuotientRing(field, n)
-    Q = ring.size
-    if pairs is None:
-        ai_all = np.repeat(np.arange(Q, dtype=np.int64), Q)
-        bi_all = np.tile(np.arange(Q, dtype=np.int64), Q)
-    else:
-        arr = np.asarray(pairs, dtype=np.int64)
-        ai_all, bi_all = arr[:, 0], arr[:, 1]
-    total = len(ai_all)
-
-    p, k, q = field.p, field.k, field.q
-    vec = digits(np.arange(q), p, k)
-    rep = mul_matrices(field, np.arange(q))
-    neg = field.neg_array
-    E = digits(np.arange(Q), q, n)
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    I_n = np.eye(n, dtype=np.int64)
-    one = I_n[:, None, :] * vec[1][:, None]  # I as one[i, a, j]
-
-    def gram_is_zero(X, extra=0):
-        """Per pair, whether X*Xt + extra is the zero matrix over F_q."""
-        m, r, c = X.shape
-        RX = rep[X].transpose(0, 1, 3, 2, 4).reshape(m, r * k, c * k)
-        VX = vec[X].reshape(m, r, c * k)
-        g = np.einsum("sij,skj->sik", RX, VX).reshape(m, r, k, r) + extra
-        return (g % p == 0).all(axis=(1, 2, 3))
-
-    chunk = max(1, SWEEP_CHUNK // (k * k))  # rep[] makes each entry k*k times larger
-    out = np.empty(total, dtype=bool)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        A = E[ai_all[start:stop]][:, idx]
-        B = E[bi_all[start:stop]][:, idx]
-        AB = np.concatenate([A, B], axis=2)  # A*At + B*Bt = [A B] * [A B]t
-        ok = gram_is_zero(AB, one)
-        m = stop - start
-        G = np.zeros((m, 2 * n, 4 * n), dtype=np.int64)
-        G[:, :n, :n] = I_n
-        G[:, n:, n : 2 * n] = I_n
-        G[:, :n, 2 * n :] = AB
-        G[:, n:, 2 * n : 3 * n] = neg[B.transpose(0, 2, 1)]
-        G[:, n:, 3 * n :] = A.transpose(0, 2, 1)
-        ok &= gram_is_zero(G)
-        out[start:stop] = ok
-    return out

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fields import Embedding, Field, digits, mul_matrices
+from .fields import ORDER_CAP, Embedding, Field, digits, mul_matrices
 
 Poly = tuple  # coefficient tuple, ascending
 RingElem = tuple  # exactly n coefficients
@@ -235,11 +235,6 @@ def cyclotomic_cosets(q: int, n: int) -> list[list[int]]:
     return cosets
 
 
-def is_two_factor_case(field: Field, n: int) -> bool:
-    """True when x^n - 1 splits into exactly two irreducible factors over F_q."""
-    return len(cyclotomic_cosets(field.q, n)) == 2
-
-
 # ---------------------------------------------------------------------------
 # quotient ring
 
@@ -259,7 +254,6 @@ class QuotientRing:
         self.modulus_poly: Poly = poly_trim(
             [field.neg(1)] + [0] * (n - 1) + [1]
         )
-        self._tables: Optional[RingTables] = None
 
     # -- enumeration ---------------------------------------------------------
 
@@ -363,10 +357,8 @@ class QuotientRing:
     # -- index tables ----------------------------------------------------------
 
     def tables(self) -> "RingTables":
-        """Index-space tables of the ring, built on first use."""
-        if self._tables is None:
-            self._tables = RingTables(self)
-        return self._tables
+        """Index-space tables of the ring, built once per (field, n)."""
+        return _ring_tables(self.field, self.n)
 
     def __repr__(self) -> str:
         return f"QuotientRing(q={self.field.q}, n={self.n})"
@@ -401,6 +393,8 @@ class RingTables:
             m = q * len(sum_weight)
             sum_weight = (sum_weight[:, None, :, None] + w1[None, :, None, :]).reshape(m, m)
         self.sum_weight = sum_weight
+        for arr in (self.neg, self.recip, self.weight, self.digit_vectors, self.digit_powers, sum_weight):
+            arr.flags.writeable = False  # shared by every ring of the same field and n
 
     def times(self, m: int) -> np.ndarray:
         """Index of c*m for every element index c.
@@ -415,6 +409,12 @@ class RingTables:
         blocks = mul_matrices(self.field, m_coeffs)[shift]  # [j, l, out digit, in digit]
         matrix = blocks.transpose(0, 3, 1, 2).reshape(n * k, n * k)
         return self.digit_vectors @ matrix % p @ self.digit_powers
+
+
+@lru_cache(maxsize=1)
+def _ring_tables(field: Field, n: int) -> RingTables:
+    """The tables of R(n, F_q), kept for the most recent (field, n) only."""
+    return RingTables(QuotientRing(field, n))
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +443,6 @@ class Factorization:
             out.append((hstar, "pair_second"))
         return out
 
-    def factor_count(self) -> int:
-        return len(self.self_reciprocal) + 2 * len(self.pairs)
-
 
 def _find_primitive_root_of_unity(big: Field, n: int) -> int:
     """First element of multiplicative order exactly n, in code order."""
@@ -464,17 +461,25 @@ def _find_primitive_root_of_unity(big: Field, n: int) -> int:
 def factor_xn_minus_1(field: Field, n: int) -> Factorization:
     """Factor x^n - 1 into distinct monic irreducibles via cyclotomic cosets.
 
-    Requires gcd(n, q) = 1, so the factors are distinct and their number
-    equals the number of cyclotomic cosets of q mod n.  Every minimal
+    Requires n >= 1 and gcd(n, q) = 1, so the factors are distinct and their
+    number equals the number of cyclotomic cosets of q mod n.  Every minimal
     polynomial is formed in the splitting field F_{q^m} (m the order of
-    q mod n) and its coefficients are pulled back into F_q through the
-    deterministic subfield embedding; a pullback failure would mean the
-    construction is wrong and raises immediately.
+    q mod n), which must be within the field order cap, and its
+    coefficients are pulled back into F_q through the deterministic
+    subfield embedding; a pullback failure would mean the construction is
+    wrong and raises immediately.
     """
+    if n < 1:
+        raise ValueError(f"ring length must be >= 1, got {n}")
     if math.gcd(n, field.p) != 1:
         raise ValueError(f"x^n - 1 has repeated roots when gcd(n, q) != 1 (n={n}, q={field.q})")
     cosets = cyclotomic_cosets(field.q, n)
     m = multiplicative_order(field.q, n) if n > 1 else 1
+    if field.q**m > ORDER_CAP:
+        raise ValueError(
+            f"x^n - 1 splits only over F_(q^m) with n={n}, q={field.q}, m={m}: "
+            f"q^m = {field.q**m} exceeds the field order cap {ORDER_CAP}"
+        )
     big = field if m == 1 else Field(field.p, field.k * m)
     emb = Embedding(field, big)
     beta = _find_primitive_root_of_unity(big, n)

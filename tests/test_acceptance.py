@@ -13,9 +13,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 
-import numpy as np
-
-from fourcirc.asympt import entropy, entropy_inverse, entropy_volume_gap, expurgation_bound
+from fourcirc.asympt import entropy, entropy_inverse, expurgation_bound
 from fourcirc.census import (
     count_hermitian,
     count_sum_of_squares,
@@ -24,12 +22,18 @@ from fourcirc.census import (
     membership_sweep,
     self_dual_pairs,
 )
-from fourcirc.codes import FourCirculantCode, self_dual_matrix_sweep
+from fourcirc.codes import FourCirculantCode
 from fourcirc.crt import constituent_self_dual, decompose, reconstruct
 from fourcirc.fields import Field, quad_char
 from fourcirc.polyring import QuotientRing
 
 from helpers import child_env
+from oracles import (
+    entropy_volume_gap,
+    is_self_dual_matrix,
+    poly_truth_table,
+    self_dual_matrix_sweep,
+)
 
 ODD_Q_FIELDS = [Field(3), Field(5), Field(7), Field(3, 2), Field(11), Field(13)]
 HERMITIAN_FIELDS = [Field(2), Field(3), Field(2, 2), Field(5)]
@@ -87,9 +91,7 @@ def test_criterion_04_polynomial_vs_matrix_criterion():
         for field, n in TRUTH_TABLE_CASES:
             ring = QuotientRing(field, n)
             Q = ring.size
-            poly_table = np.zeros(Q * Q, dtype=bool)
-            for ai, bi in self_dual_pairs(field, n):
-                poly_table[ai * Q + bi] = True
+            poly_table = poly_truth_table(field, n)
             matrix_table = self_dual_matrix_sweep(field, n)
             assert (poly_table == matrix_table).all(), f"(q={field.q}, n={n})"
             # the batched matrix path agrees with the single-code expansion
@@ -97,7 +99,7 @@ def test_criterion_04_polynomial_vs_matrix_criterion():
             for _ in range(25):
                 ai, bi = rng.randrange(Q), rng.randrange(Q)
                 code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
-                assert matrix_table[ai * Q + bi] == code.is_self_dual_matrix()
+                assert matrix_table[ai * Q + bi] == is_self_dual_matrix(code)
 
 
 def test_criterion_05_constituents():

@@ -3,14 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourcirc.asympt import (
-    ball_volume,
-    entropy,
-    entropy_inverse,
-    entropy_volume_gap,
-    expurgation_bound,
-    rate_and_delta,
-)
+from fourcirc.asympt import ball_volume, entropy, entropy_inverse, expurgation_bound
+
+from oracles import entropy_volume_gap
 
 
 def test_entropy_examples():
@@ -129,13 +124,6 @@ def test_expurgation_accepts_field_or_int():
     from fourcirc.fields import Field
 
     assert expurgation_bound(Field(2), 13).total_self_dual == expurgation_bound(2, 13).total_self_dual
-
-
-def test_rate_and_delta():
-    assert rate_and_delta([(12, 6, 4)]) == (0.5, 4 / 12)
-    assert rate_and_delta([(12, 6, 2), (20, 10, 4)]) == (0.5, 2 / 12)
-    with pytest.raises(ValueError):
-        rate_and_delta([])
 
 
 def test_bound_consistent_with_census():

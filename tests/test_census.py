@@ -19,6 +19,8 @@ from fourcirc.codes import CapExceeded, FourCirculantCode
 from fourcirc.fields import Field
 from fourcirc.polyring import QuotientRing
 
+from oracles import generator_matrix, is_self_dual_matrix, rref
+
 F2, F3, F5 = Field(2), Field(3), Field(5)
 
 
@@ -62,7 +64,7 @@ def test_enumerate_example_2_3():
     assert indices == sorted(indices)
     # every reported pair passes the matrix criterion
     for a, b in rep.pairs:
-        assert FourCirculantCode(ring, a, b).is_self_dual_matrix()
+        assert is_self_dual_matrix(FourCirculantCode(ring, a, b))
 
 
 def test_enumerate_inapplicable_formula():
@@ -145,28 +147,6 @@ def test_code_distances_matches_min_distance():
         assert code.min_distance()[0] == d
 
 
-def rref(field, rows):
-    """Reduced row echelon form of a matrix over F_q, as a hashable tuple."""
-    mat = [list(r) for r in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, v) for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [field.sub(mat[i][j], field.mul(f, mat[r][j])) for j in range(ncols)]
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in mat)
-
-
 def test_distinct_codes_equal_pairs():
     # the generator matrix is already in reduced row echelon form, so the
     # pair -> code map is injective; an RREF census of the row spaces must
@@ -179,7 +159,7 @@ def test_distinct_codes_equal_pairs():
         if pairs is None:
             pairs = [(ai, bi) for ai in range(ring.size) for bi in range(ring.size)]
         codes = {
-            rref(field, FourCirculantCode(ring, ring.element(ai), ring.element(bi)).generator_matrix())
+            rref(field, generator_matrix(FourCirculantCode(ring, ring.element(ai), ring.element(bi))))
             for ai, bi in pairs
         }
         assert distinct_code_count(field, n, pairs) == len(codes) == len(pairs), (field.q, n)

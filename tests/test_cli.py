@@ -192,6 +192,11 @@ def test_exit_code_validation():
     assert "prime" in proc.stderr
     run_cli("check", "--q", "2", "--n", "3", "--a", "0,9,0", "--b", "0", expect=2)
     run_cli("factor", "--q", "2", "--n", "4", expect=2)  # gcd(n, q) != 1
+    # lengths below 1 are refused before any factoring work
+    for q, n in [("2", "0"), ("2", "-1"), ("3", "-2")]:
+        proc = run_cli("factor", "--q", q, "--n", n, expect=2)
+        assert "ring length must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_exit_code_cap():
@@ -214,12 +219,10 @@ def test_cap_env_override():
     assert "cap" in proc.stderr
 
 
-def test_tracer_runs(tmp_path):
-    # perfbench/traced.py wraps fourcirc functions and methods by name
-    # (Field.add, Embedding.__init__, QuotientRing.mul, RingTables.__init__,
-    # ...), so renaming one fails here as well as in the traced benchmark
+def run_traced(tmp_path, cli):
+    """Run one CLI job under perfbench/traced.py; return its stdout and trace."""
     trace = tmp_path / "trace.json"
-    job = {"id": "t", "cli": ["crt", "--q", "2^2", "--n", "5", "--a", "1,1", "--b", "0,1"]}
+    job = {"id": "t", "cli": cli}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(trace), json.dumps(job)],
         capture_output=True,
@@ -228,10 +231,24 @@ def test_tracer_runs(tmp_path):
         env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["schema"] == "fourcirc/crt/v1"
-    data = json.loads(trace.read_text())
+    return json.loads(proc.stdout), json.loads(trace.read_text())
+
+
+def test_tracer_runs(tmp_path):
+    # perfbench/traced.py wraps fourcirc functions and methods by name
+    # (Field.add, Embedding.__init__, QuotientRing.mul, RingTables.__init__,
+    # ...), so renaming one fails here as well as in the traced benchmark
+    payload, data = run_traced(tmp_path, ["crt", "--q", "2^2", "--n", "5", "--a", "1,1", "--b", "0,1"])
+    assert payload["schema"] == "fourcirc/crt/v1"
     assert data["job"] == "t"
     assert data["leaves"]["fields.mul"][0] > 0
+
+
+def test_search_builds_ring_tables_once(tmp_path):
+    # search ranks its codes in chunks; every chunk reuses one set of tables
+    payload, data = run_traced(tmp_path, ["search", "--q", "3", "--n", "5", "--top", "5"])
+    assert payload["report"]["total_self_dual"] == 2880
+    assert [s[0] for s in data["spans"]].count("polyring.tables") == 1
 
 
 def test_extension_field_cli():

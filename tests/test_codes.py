@@ -3,14 +3,20 @@ import time
 import numpy as np
 import pytest
 
-from fourcirc.codes import (
-    CapExceeded,
-    FourCirculantCode,
-    circulant,
-    self_dual_matrix_sweep,
-)
+from fourcirc.codes import CapExceeded, FourCirculantCode
 from fourcirc.fields import Field
 from fourcirc.polyring import QuotientRing
+
+from oracles import (
+    circulant,
+    encode_scan_distance,
+    generator_matrix,
+    generator_matrix_distance,
+    is_self_dual_matrix,
+    poly_truth_table,
+    second_pass_distance,
+    self_dual_matrix_sweep,
+)
 
 F2, F3, F4 = Field(2), Field(3), Field(2, 2)
 R23 = QuotientRing(F2, 3)
@@ -71,25 +77,15 @@ def test_self_dual_poly_examples():
 
 
 def test_self_dual_matrix_examples():
-    assert code23(X, ZERO).is_self_dual_matrix()
-    assert not code23(ZERO, ZERO).is_self_dual_matrix()
+    assert is_self_dual_matrix(code23(X, ZERO))
+    assert not is_self_dual_matrix(code23(ZERO, ZERO))
 
 
 def test_matrix_agrees_with_poly_exhaustive_2_3():
     for ai in range(8):
         for bi in range(8):
             code = code23(R23.element(ai), R23.element(bi))
-            assert code.is_self_dual_poly() == code.is_self_dual_matrix()
-
-
-def poly_truth_table(field, n):
-    from fourcirc.census import self_dual_pairs
-
-    size = QuotientRing(field, n).size
-    poly = np.zeros(size**2, dtype=bool)
-    for ai, bi in self_dual_pairs(field, n):
-        poly[ai * size + bi] = True
-    return poly
+            assert code.is_self_dual_poly() == is_self_dual_matrix(code)
 
 
 def test_matrix_agrees_with_poly_exhaustive_5_3():
@@ -111,13 +107,13 @@ def test_matrix_sweep_agrees_with_single_calls():
     for ai in range(8):
         for bi in range(8):
             code = code23(R23.element(ai), R23.element(bi))
-            assert sweep[ai * 8 + bi] == code.is_self_dual_matrix()
+            assert sweep[ai * 8 + bi] == is_self_dual_matrix(code)
     ring4 = QuotientRing(F4, 2)
     pairs = [(ai, bi) for ai in range(6) for bi in range(6)]
     sweep4 = self_dual_matrix_sweep(F4, 2, pairs=pairs)
     for (ai, bi), got in zip(pairs, sweep4):
         code = FourCirculantCode(ring4, ring4.element(ai), ring4.element(bi))
-        assert got == code.is_self_dual_matrix()
+        assert got == is_self_dual_matrix(code)
         assert got == code.is_self_dual_poly()
 
 
@@ -140,7 +136,7 @@ def test_self_orthogonality_when_self_dual():
                 code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
                 if not code.is_self_dual_poly():
                     continue
-                G = code.generator_matrix()
+                G = generator_matrix(code)
                 rows = len(G)
                 for i in range(rows):
                     for j in range(rows):
@@ -187,20 +183,6 @@ def test_min_distance_example():
     assert min(weights) == 2
 
 
-def second_pass_distance(code):
-    """Independent oracle: d-major enumeration in reverse, plain encode calls."""
-    ring = code.ring
-    best = 4 * code.n + 1
-    for di in reversed(range(ring.size)):
-        for ci in reversed(range(ring.size)):
-            if ci == 0 and di == 0:
-                continue
-            w = code.encode(ring.element(ci), ring.element(di)).weight
-            if w < best:
-                best = w
-    return best
-
-
 def test_min_distance_second_pass_oracle():
     cases = [(F2, 3), (F3, 3), (F4, 2)]
     for field, n in cases:
@@ -209,21 +191,6 @@ def test_min_distance_second_pass_oracle():
             ai, bi = divmod(idx, ring.size)
             code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
             assert code.min_distance()[0] == second_pass_distance(code)
-
-
-def encode_scan_distance(code):
-    """Least weight over nonzero messages, and the least message attaining it,
-    by encoding every message in c-major order."""
-    ring = code.ring
-    Q = ring.size
-    best_w, best_m = 4 * code.n + 1, -1
-    for m in range(1, Q * Q):
-        ci, di = divmod(m, Q)
-        w = code.encode(ring.element(ci), ring.element(di)).weight
-        if w < best_w:
-            best_w, best_m = w, m
-    ci, di = divmod(best_m, Q)
-    return best_w, code.encode(ring.element(ci), ring.element(di))
 
 
 def test_min_distance_matches_encode_scan():
@@ -244,26 +211,6 @@ def test_min_distance_matches_encode_scan():
             d, witness = code.min_distance()
             d_scan, w_scan = encode_scan_distance(code)
             assert (d, witness.blocks) == (d_scan, w_scan.blocks), (field.q, n, ai, bi)
-
-
-def generator_matrix_distance(code, chunk=32):
-    """Least weight over nonzero messages and the least message attaining it,
-    as (d, c index, d index), from [c d] G mod p over a prime field, a block
-    of c values at a time."""
-    p, n, Q = code.field.p, code.n, code.ring.size
-    G = np.array(code.generator_matrix(), dtype=np.int32)
-    msgs = (np.arange(Q)[:, None] // p ** np.arange(n) % p).astype(np.int32)
-    from_c, from_d = msgs @ G[:n], msgs @ G[n:]
-    best = (4 * n + 1, 0, 0)
-    for start in range(0, Q, chunk):
-        words = (from_c[start : start + chunk, None, :] + from_d[None, :, :]) % p
-        wt = np.count_nonzero(words, axis=2)
-        if start == 0:
-            wt[0, 0] = 4 * n + 1
-        ci, di = np.unravel_index(wt.argmin(), wt.shape)
-        if wt[ci, di] < best[0]:
-            best = (int(wt[ci, di]), start + int(ci), int(di))
-    return best
 
 
 @pytest.mark.parametrize(

@@ -2,78 +2,7 @@ import pytest
 
 from fourcirc.fields import Embedding, Field, field_of_order, is_prime, quad_char
 
-
-class SchoolbookField:
-    """Polynomial-basis reference arithmetic for F_q, independent of the tables.
-
-    Elements use the same codes as Field; products are schoolbook polynomial
-    products reduced by precomputed rows for y^k, ..., y^(2k-2).
-    """
-
-    def __init__(self, p, k, modulus):
-        self.p, self.k, self.q = p, k, p**k
-        self._xpow = ()
-        if k > 1:
-            red = tuple((-c) % p for c in modulus[:k])
-            rows = [red]
-            for _ in range(k - 2):
-                prev = rows[-1]
-                top = prev[-1]
-                row = [0] + list(prev[:-1])
-                if top:
-                    row = [(row[i] + top * red[i]) % p for i in range(k)]
-                rows.append(tuple(row))
-            self._xpow = tuple(rows)
-
-    def coeffs(self, x):
-        out = []
-        for _ in range(self.k):
-            out.append(x % self.p)
-            x //= self.p
-        return out
-
-    def add(self, x, y):
-        if self.k == 1:
-            return (x + y) % self.p
-        p = self.p
-        a, b = self.coeffs(x), self.coeffs(y)
-        return sum(((a[i] + b[i]) % p) * p**i for i in range(self.k))
-
-    def neg(self, x):
-        if self.k == 1:
-            return (-x) % self.p
-        p = self.p
-        return sum(((-c) % p) * p**i for i, c in enumerate(self.coeffs(x)))
-
-    def mul(self, x, y):
-        if self.k == 1:
-            return (x * y) % self.p
-        if x == 0 or y == 0:
-            return 0
-        p, k = self.p, self.k
-        a, b = self.coeffs(x), self.coeffs(y)
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        res = [v % p for v in prod[:k]]
-        for j in range(k, 2 * k - 1):
-            v = prod[j] % p
-            if v:
-                row = self._xpow[j - k]
-                for i in range(k):
-                    res[i] = (res[i] + v * row[i]) % p
-        return sum(c * p**i for i, c in enumerate(res))
-
-    def pow(self, x, e):
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return result
+from oracles import SchoolbookField
 
 
 def _prime_powers(limit):

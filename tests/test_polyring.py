@@ -11,8 +11,6 @@ from fourcirc.polyring import (
     factor_xn_minus_1,
     is_irreducible,
     is_primitive_root,
-    is_two_factor_case,
-    monic_polys,
     monic_reciprocal,
     multiplicative_order,
     poly_divmod,
@@ -23,19 +21,9 @@ from fourcirc.polyring import (
     poly_trim,
 )
 
+from oracles import brute_gcd, einsum_prime_tables, is_two_factor_case
+
 F2, F3, F4, F5 = Field(2), Field(3), Field(2, 2), Field(5)
-
-
-def brute_gcd(field, f, g):
-    """Largest-degree monic common divisor, by scanning every candidate."""
-    best = ()
-    top = max(len(f), len(g))
-    for d in range(0, top):
-        for h in monic_polys(field, d):
-            if not poly_divmod(field, f, h)[1] and not poly_divmod(field, g, h)[1]:
-                if d >= len(best) - 1:
-                    best = h
-    return best
 
 
 def test_divmod_round_trip():
@@ -163,26 +151,6 @@ def test_ring_tables_agree_with_ops():
             assert t.sum_weight[i].tolist() == sums, (field.q, n, i)
 
 
-def einsum_prime_tables(p, n):
-    """Dense tables of R(n, F_p) by one integer convolution of digit vectors."""
-    Q = p**n
-    v = np.arange(Q, dtype=np.int64)
-    E = np.empty((Q, n), dtype=np.int64)
-    for j in range(n):
-        E[:, j] = v % p
-        v //= p
-    pw = p ** np.arange(n, dtype=np.int64)
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # (j - i) % n
-    conv = np.einsum("xi,yij->xyj", E, E[:, idx]) % p
-    return {
-        "mul": conv @ pw,
-        "add": ((E[:, None, :] + E[None, :, :]) % p) @ pw,
-        "neg": ((-E) % p) @ pw,
-        "recip": E[:, [(n - j) % n for j in range(n)]] @ pw,
-        "weight": (E != 0).sum(axis=1),
-    }
-
-
 @pytest.mark.parametrize("p,n", [(2, 10), (3, 6)])
 def test_ring_tables_match_einsum_reference(p, n):
     t = QuotientRing(Field(p), n).tables()
@@ -251,6 +219,12 @@ def test_factor_examples():
     assert fact.self_reciprocal == ((1, 1), (1, 1, 1, 1, 1))
     with pytest.raises(ValueError):
         factor_xn_minus_1(F3, 6)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="ring length must be >= 1"):
+            factor_xn_minus_1(F2, n)
+    # x^19 - 1 splits only over F_(2^18), above the field order cap
+    with pytest.raises(ValueError, match=r"n=19, q=2, m=18"):
+        factor_xn_minus_1(F2, 19)
 
 
 def test_factorization_properties():
