@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .codes import DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap, message_weights
-from .fields import Field, is_prime, quad_char
+from .fields import Field, digits, is_prime, quad_char
 from .polyring import QuotientRing, is_primitive_root, multiplicative_order
 
 
@@ -92,6 +92,7 @@ class CensusReport:
     pairs: list = dataclass_field(default_factory=list)
     pair_distances: Optional[list] = None
     per_code_distances: Optional[dict] = None
+    orbit_count: Optional[int] = None  # codes scanned for pair_distances
 
 
 PAIR_WORDS = 8  # a listed pair: a 2-tuple (7 words of 8 bytes) and its list slot
@@ -149,6 +150,119 @@ def code_distances(
     return [int(wt.min()) for wt in message_weights(ring.tables(), pairs)]
 
 
+# ---------------------------------------------------------------------------
+# equivalent codes
+
+PairMap = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def equivalence_maps(field: Field, n: int) -> list[tuple[str, PairMap]]:
+    """Generators of a group of maps on index pairs (a, b) that keep
+    1 + a*a' + b*b' = 0 and the weight enumerator of C_{a,b}.
+
+    Each map takes index arrays (a, b) to the index arrays of the image.
+    On a alone or on b alone: multiplication by x (the f block of every
+    codeword is shifted) and negation (a message block is negated).  On
+    both at once: the swap (a, b) -> (b, a) (message (c, -d)), every
+    multiplier x -> x^t with gcd(t, n) = 1 (coordinates are permuted
+    inside each block; t = -1 is the reciprocal) and, over F_(p^k) with
+    k > 1, Frobenius on every coefficient.  A multiplier on a alone does
+    not keep self-duality.
+
+    Every map acts on each residue through its coefficients, so it is
+    built from the coefficient digits alone, without the ring tables.
+    """
+    q = field.q
+    coeffs = digits(np.arange(q**n), q, n)  # coeffs[u, j]: coefficient j of u
+    powers = q ** np.arange(n)
+    j = np.arange(n)
+
+    def coefficient_map(src: np.ndarray, table: np.ndarray = np.arange(q)) -> np.ndarray:
+        """Index of the residue whose coefficient j is table[coefficient src[j] of u], for every u."""
+        return table[coeffs[:, src]] @ powers
+
+    maps: list[tuple[str, PairMap]] = []
+    for name, perm in (("x*", coefficient_map((j - 1) % n)), ("-", coefficient_map(j, field.neg_array))):
+        maps.append((name + "a", lambda a, b, perm=perm: (perm[a], b)))
+        maps.append((name + "b", lambda a, b, perm=perm: (a, perm[b])))
+    maps.append(("swap", lambda a, b: (b, a)))
+    # x -> x^s moves coefficient i to i*s, so coefficient j comes from j/s
+    both = [
+        (f"x->x^{s}", coefficient_map(j * pow(s, -1, n) % n)) for s in range(2, n) if math.gcd(s, n) == 1
+    ]
+    if field.k > 1:
+        frob = np.array([field.frobenius(c, 1) for c in field.elements()])
+        both.append(("frobenius", coefficient_map(j, frob)))
+    for name, perm in both:
+        maps.append((name, lambda a, b, perm=perm: (perm[a], perm[b])))
+    return maps
+
+
+def code_orbits(field: Field, n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """For each pair of the a-major self-dual list, the position of the
+    least pair in its orbit under equivalence_maps.
+
+    Every map is first checked to take the list onto itself.  Labels then
+    start as the positions and take, until they stop changing, the least
+    label over each map's image and preimage, with a pointer-jumping step
+    (label of the label) per round.  A label is always a position in the
+    same orbit and no larger, so the fixed point is the orbit minimum.
+    """
+    Q = QuotientRing(field, n).size
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    a, b = arr[:, 0], arr[:, 1]
+    keys = a * Q + b
+    if (np.diff(keys) <= 0).any():
+        raise ValueError("pairs must be distinct and in a-major order")
+    images = []
+    for name, pair_map in equivalence_maps(field, n):
+        ia, ib = pair_map(a, b)
+        image = ia * Q + ib
+        pos = np.searchsorted(keys, image).clip(max=len(keys) - 1)
+        if (keys[pos] != image).any():
+            raise AssertionError(
+                f"map {name} takes a self-dual pair outside the list at (q={field.q}, n={n})"
+            )
+        images.append(pos)
+    labels = np.arange(len(keys))
+    while True:
+        new = labels.copy()
+        for pos in images:  # pos is a permutation of the positions
+            np.minimum(new, new[pos], out=new)
+            new[pos] = np.minimum(new[pos], new)
+        new = new[new]
+        if (new == labels).all():
+            return labels
+        labels = new
+
+
+def orbit_distances(
+    field: Field,
+    n: int,
+    pairs: Sequence[tuple[int, int]],
+    cap: int = DEFAULT_CAP,
+) -> tuple[list[int], int]:
+    """Exact minimum distance of every pair, from one scan per orbit.
+
+    Returns the distances and the number of orbits.  Equivalent codes
+    share their weight enumerator, so only the least pair of each orbit
+    is scanned.  The cap is charged Q^2 codeword evaluations per orbit,
+    after labelling and before any scan.
+    """
+    Q = QuotientRing(field, n).size
+    labels = code_orbits(field, n, pairs)
+    reps = np.flatnonzero(labels == np.arange(len(labels)))
+    work = len(reps) * Q * Q
+    if work > cap:
+        raise CapExceeded(
+            f"distance scans of {len(reps)} orbits of equivalent codes ({len(labels)} pairs) "
+            f"need {work} codeword evaluations, {Q * Q} per orbit, cap is {cap}"
+        )
+    dists = np.zeros(len(labels), dtype=np.int64)
+    dists[reps] = code_distances(field, n, [pairs[r] for r in reps], cap=cap)
+    return dists[labels].tolist(), len(reps)
+
+
 def enumerate_self_dual(
     field: Field,
     n: int,
@@ -171,6 +285,7 @@ def enumerate_self_dual(
     if ring.size**2 > cap:
         raise CapExceeded(f"enumeration lists up to {ring.size**2} pairs, cap is {cap}")
     idx_pairs = self_dual_pairs(field, n, cap=cap)
+    dists, orbits = orbit_distances(field, n, idx_pairs, cap=cap) if with_distances else (None, None)
     pairs = [(ring.element(ai), ring.element(bi)) for ai, bi in idx_pairs]
     report = CensusReport(
         q=field.q,
@@ -179,14 +294,11 @@ def enumerate_self_dual(
         formula_count=self_dual_count_formula(field, n),
         distinct_code_count=distinct_code_count(field, n, idx_pairs),
         pairs=pairs,
+        orbit_count=orbits,
     )
     if with_distances:
-        dists = code_distances(field, n, idx_pairs, cap=cap)
-        hist: dict[int, int] = {}
-        for d in dists:
-            hist[d] = hist.get(d, 0) + 1
         report.pair_distances = dists
-        report.per_code_distances = dict(sorted(hist.items()))
+        report.per_code_distances = dict(sorted(Counter(dists).items()))
     return report
 
 

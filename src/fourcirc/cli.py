@@ -22,10 +22,10 @@ from . import __version__
 from .asympt import entropy, entropy_inverse, expurgation_bound
 from .census import (
     artin_scan,
-    code_distances,
     count_hermitian,
     count_sum_of_squares,
     enumerate_self_dual,
+    orbit_distances,
     self_dual_pairs,
 )
 from .codes import DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap
@@ -57,17 +57,27 @@ def parse_q(text: str) -> tuple[int, int]:
     raise ValueError(f"bad field designation {text!r}, expected p or p^k")
 
 
+def parse_codes(text: str, option: str) -> list[int]:
+    """Comma-separated integer coefficient codes given to option; '' is no codes."""
+    try:
+        return [int(c) for c in text.split(",")] if text else []
+    except ValueError:
+        raise ValueError(
+            f"argument {option}: expected comma-separated integer coefficient codes, got {text!r}"
+        ) from None
+
+
 def build_field(args) -> Field:
     p, k = parse_q(args.q)
     modulus = None
     if getattr(args, "modulus", None):
-        modulus = [int(c) for c in args.modulus.split(",")]
+        modulus = parse_codes(args.modulus, "--modulus")
     return Field(p, k, modulus)
 
 
-def parse_poly(text: str, n: int, field: Field) -> tuple:
+def parse_poly(text: str, n: int, field: Field, option: str) -> tuple:
     """Ascending comma-separated coefficient codes, zero-padded to length n."""
-    coeffs = [int(c) for c in text.split(",")] if text else []
+    coeffs = parse_codes(text, option)
     if len(coeffs) > n:
         raise ValueError(f"polynomial has {len(coeffs)} coefficients but n = {n}")
     for c in coeffs:
@@ -79,8 +89,8 @@ def parse_poly(text: str, n: int, field: Field) -> tuple:
 def _code_from_args(args) -> FourCirculantCode:
     field = build_field(args)
     ring = QuotientRing(field, args.n)
-    a = parse_poly(args.a, args.n, field)
-    b = parse_poly(args.b, args.n, field)
+    a = parse_poly(args.a, args.n, field, "--a")
+    b = parse_poly(args.b, args.n, field, "--b")
     return FourCirculantCode(ring, a, b)
 
 
@@ -156,10 +166,12 @@ def cmd_enumerate(args):
         "distinct_code_count": report.distinct_code_count,
         "pairs": [[list(a), list(b)] for a, b in report.pairs],
     }
+    meta = {"field": field}
     if args.distances:
         body["pair_distances"] = report.pair_distances
         body["distance_histogram"] = [[d, c] for d, c in report.per_code_distances.items()]
-    return body, "fourcirc/enumerate/v2", {"field": field}
+        meta["counters"] = {"self_dual_pairs": report.pair_count, "codes_scanned": report.orbit_count}
+    return body, "fourcirc/enumerate/v2", meta
 
 
 def cmd_counts(args):
@@ -190,12 +202,9 @@ def cmd_search(args):
     ring = QuotientRing(field, args.n)
     check_distance_cap(ring.size, args.cap)  # refuse before the sweep, not after it
     idx_pairs = self_dual_pairs(field, args.n, cap=args.cap)
-    print(f"search: {len(idx_pairs)} self-dual codes to rank", file=sys.stderr)
-    dists = []
-    chunk = 512
-    for start in range(0, len(idx_pairs), chunk):
-        dists.extend(code_distances(field, args.n, idx_pairs[start : start + chunk], cap=args.cap))
-        print(f"search: ranked {len(dists)}/{len(idx_pairs)}", file=sys.stderr)
+    dists, orbits = orbit_distances(field, args.n, idx_pairs, cap=args.cap)
+    print(f"search: {len(idx_pairs)} self-dual codes in {orbits} orbits, one distance scan per orbit",
+          file=sys.stderr)
     ranked = sorted(
         zip(idx_pairs, dists),
         key=lambda item: (-item[1], ring.element(item[0][0]), ring.element(item[0][1])),
@@ -214,7 +223,8 @@ def cmd_search(args):
             for (ai, bi), d in top
         ],
     }
-    return body, "fourcirc/search/v1", {"field": field}
+    counters = {"self_dual_pairs": len(idx_pairs), "codes_scanned": orbits}
+    return body, "fourcirc/search/v1", {"field": field, "counters": counters}
 
 
 def cmd_bound(args):
@@ -412,7 +422,7 @@ def _output_problem(path: str) -> Optional[str]:
 
 def _manifest(args, argv, meta, wall: float) -> dict:
     field: Optional[Field] = meta.get("field")
-    return {
+    manifest = {
         "argv": list(argv),
         "version": __version__,
         "q": f"{field.p}^{field.k}" if field else None,
@@ -421,6 +431,9 @@ def _manifest(args, argv, meta, wall: float) -> dict:
         "workers": getattr(args, "workers", None),
         "wall_time_s": round(wall, 6),
     }
+    if "counters" in meta:  # work counts of search and enumerate --distances
+        manifest["counters"] = meta["counters"]
+    return manifest
 
 
 def main(argv=None) -> int:

@@ -20,6 +20,7 @@ import ...`, the way they import `helpers`.
 | `second_pass_distance`      | `FourCirculantCode.min_distance`                    |
 | `encode_scan_distance`      | `min_distance` distance and witness                 |
 | `generator_matrix_distance` | `min_distance` above 1024 ring elements             |
+| `all_pairs_distances`       | `census.orbit_distances`, one scan per pair         |
 | `entropy_volume_gap`        | `asympt.entropy` against `asympt.ball_volume`       |
 """
 
@@ -31,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from fourcirc.asympt import ball_volume, entropy
-from fourcirc.census import self_dual_pairs
+from fourcirc.census import code_distances, self_dual_pairs
 from fourcirc.fields import Field, digits, mul_matrices
 from fourcirc.polyring import QuotientRing, cyclotomic_cosets, monic_polys, poly_divmod
 
@@ -362,6 +363,13 @@ def generator_matrix_distance(code, chunk=32):
         if wt[ci, di] < best[0]:
             best = (int(wt[ci, di]), start + int(ci), int(di))
     return best
+
+
+def all_pairs_distances(field, n):
+    """Self-dual pairs in a-major order and the minimum distance of each,
+    from one kernel scan per pair rather than one per orbit."""
+    pairs = self_dual_pairs(field, n)
+    return pairs, code_distances(field, n, pairs)
 
 
 # ---------------------------------------------------------------------------

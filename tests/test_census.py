@@ -1,21 +1,26 @@
 import time
 
+import numpy as np
 import pytest
 
+from fourcirc import census
 from fourcirc.census import (
     PAIR_WORDS,
     artin_scan,
     code_distances,
+    code_orbits,
     count_hermitian,
     count_sum_of_squares,
     distinct_code_count,
     enumerate_self_dual,
+    equivalence_maps,
     membership_census,
     membership_sweep,
+    orbit_distances,
     self_dual_count_formula,
     self_dual_pairs,
 )
-from fourcirc.codes import CapExceeded, FourCirculantCode
+from fourcirc.codes import CapExceeded, FourCirculantCode, message_weights
 from fourcirc.fields import Field
 from fourcirc.polyring import QuotientRing
 
@@ -163,6 +168,71 @@ def test_distinct_codes_equal_pairs():
             for ai, bi in pairs
         }
         assert distinct_code_count(field, n, pairs) == len(codes) == len(pairs), (field.q, n)
+
+
+# -- equivalent codes -------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "field, n, orbits",
+    [(F2, 7, 6), (F3, 5, 7), (F2, 9, 14), (F3, 6, 24), (F2, 10, 72)],
+)
+def test_orbit_counts(field, n, orbits):
+    pairs = self_dual_pairs(field, n)
+    labels = code_orbits(field, n, pairs)
+    positions = np.arange(len(pairs))
+    # each label is the least position of its orbit
+    assert (labels <= positions).all()
+    assert (labels[labels] == labels).all()
+    assert len(np.unique(labels)) == orbits
+
+
+@pytest.mark.parametrize("field, n", [(F2, 6), (F2, 7), (F3, 4), (Field(2, 2), 3), (F5, 3)])
+def test_equivalence_maps_keep_self_duality_and_weights(field, n):
+    pairs = self_dual_pairs(field, n)
+    a, b = np.array(pairs).T
+    t = QuotientRing(field, n).tables()
+    weights = {
+        pair: np.bincount(wt.ravel(), minlength=4 * n + 2)
+        for pair, wt in zip(pairs, message_weights(t, pairs))
+    }
+    maps = equivalence_maps(field, n)
+    names = [name for name, _ in maps]
+    assert names[:5] == ["x*a", "x*b", "-a", "-b", "swap"]
+    assert ("frobenius" in names) == (field.k > 1)
+    assert f"x->x^{n - 1}" in names  # the reciprocal
+    for name, pair_map in maps:
+        ia, ib = pair_map(a, b)
+        images = list(zip(ia.tolist(), ib.tolist()))
+        assert sorted(images) == pairs, name  # onto the self-dual list
+        for pair, image in zip(pairs, images):
+            assert (weights[pair] == weights[image]).all(), (name, pair, image)
+
+
+def test_code_orbits_checks_closure(monkeypatch):
+    pairs = self_dual_pairs(F2, 7)
+    with pytest.raises(AssertionError, match="outside the list"):
+        code_orbits(F2, 7, pairs[1:])
+    # a multiplier on a alone does not keep self-duality
+    ring = QuotientRing(F2, 7)
+    square = np.array([ring.index(ring.mul(u, u)) for u in ring.elements()])  # x -> x^2 over F_2
+    maps = equivalence_maps(F2, 7)
+    monkeypatch.setattr(
+        census, "equivalence_maps", lambda field, n: maps + [("x->x^2 on a", lambda a, b: (square[a], b))]
+    )
+    with pytest.raises(AssertionError, match="x->x\\^2 on a"):
+        code_orbits(F2, 7, pairs)
+
+
+def test_orbit_distances_charge_the_cap_per_orbit():
+    # (2, 7): 6 orbits of 2^14 evaluations each
+    pairs = self_dual_pairs(F2, 7)
+    dists, orbits = orbit_distances(F2, 7, pairs, cap=6 * 2**14)
+    assert orbits == 6 and dists == code_distances(F2, 7, pairs)
+    with pytest.raises(CapExceeded, match="6 orbits"):
+        orbit_distances(F2, 7, pairs, cap=6 * 2**14 - 1)
+    # (2, 13): 148 orbits at 2^26 each; the parent ran 524,160 scans
+    with pytest.raises(CapExceeded, match="148 orbits"):
+        enumerate_self_dual(F2, 13, with_distances=True)
 
 
 # -- membership -----------------------------------------------------------------

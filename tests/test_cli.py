@@ -1,8 +1,17 @@
 import json
 import subprocess
 import sys
+from collections import Counter
+
+import pytest
+
+from fourcirc import cli
+from fourcirc.census import self_dual_count_formula
+from fourcirc.fields import Field
+from fourcirc.polyring import QuotientRing
 
 from helpers import ROOT, child_env
+from oracles import all_pairs_distances
 
 CLI = [sys.executable, "-m", "fourcirc"]
 
@@ -191,6 +200,15 @@ def test_exit_code_validation():
     proc = run_cli("enumerate", "--q", "4", "--n", "3", expect=2)
     assert "prime" in proc.stderr
     run_cli("check", "--q", "2", "--n", "3", "--a", "0,9,0", "--b", "0", expect=2)
+    # a code that is not an integer names its option and the expected form
+    for option, args in [
+        ("--a", ("check", "--q", "2", "--n", "3", "--a", "x", "--b", "0")),
+        ("--b", ("check", "--q", "2", "--n", "3", "--a", "0", "--b", "1,,0")),
+        ("--modulus", ("factor", "--q", "2^2", "--n", "3", "--modulus", "1,y,1")),
+    ]:
+        proc = run_cli(*args, expect=2)
+        assert f"argument {option}: expected comma-separated integer coefficient codes" in proc.stderr
+        assert "Traceback" not in proc.stderr
     run_cli("factor", "--q", "2", "--n", "4", expect=2)  # gcd(n, q) != 1
     # lengths below 1 are refused before any factoring work
     for q, n in [("2", "0"), ("2", "-1"), ("3", "-2")]:
@@ -205,6 +223,79 @@ def test_exit_code_cap():
     # the pair sweep fits the cap here, the per-code distance scans do not
     proc = run_cli("search", "--q", "2", "--n", "15", expect=3)
     assert "distance scans" in proc.stderr
+
+
+def test_search_cap_counts_orbits():
+    # (2, 10) has 72 orbits of equivalent codes at 2^20 evaluations each:
+    # about 7.5e7 units, above the default cap of 2^26
+    proc = run_cli("search", "--q", "2", "--n", "10", expect=3)
+    assert "72 orbits" in proc.stderr
+    proc = run_cli("search", "--q", "2", "--n", "10", "--top", "1", "--cap", "134217728")
+    assert "30720 self-dual codes in 72 orbits" in proc.stderr
+    rep = json.loads(proc.stdout)["report"]
+    assert rep["total_self_dual"] == 30720
+    assert rep["top"][0]["distance"] == 8
+
+
+def test_work_counters_in_manifest():
+    for q, n, pairs, orbits in [("3", "5", 2880, 7), ("2", "7", 1008, 6)]:
+        for args in (("search", "--top", "1"), ("enumerate", "--distances")):
+            manifest = run_json(args[0], "--q", q, "--n", n, *args[1:])["manifest"]
+            assert manifest["counters"] == {"self_dual_pairs": pairs, "codes_scanned": orbits}
+    assert "counters" not in run_json("enumerate", "--q", "2", "--n", "3")["manifest"]
+
+
+ORBIT_POINTS = (
+    [("2", n) for n in range(1, 9)]
+    + [("3", n) for n in range(1, 6)]
+    + [("2^2", n) for n in range(1, 5)]
+    + [("5", n) for n in (2, 3)]
+)
+
+
+def _cli_output(capsys, *args):
+    assert cli.main(list(args)) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("q, n", ORBIT_POINTS)
+def test_orbit_reports_equal_all_pairs_reports(q, n, capsys):
+    # search and enumerate --distances scan one code per orbit; their reports
+    # must equal, byte for byte, the reports built from one scan per pair
+    field = Field(*cli.parse_q(q))
+    ring = QuotientRing(field, n)
+    pairs, dists = all_pairs_distances(field, n)
+    rows = [
+        {"a": list(ring.element(ai)), "b": list(ring.element(bi)), "distance": d}
+        for (ai, bi), d in zip(pairs, dists)
+    ]
+    search = {
+        "q": field.q,
+        "n": n,
+        "total_self_dual": len(pairs),
+        "top": sorted(rows, key=lambda r: (-r["distance"], r["a"], r["b"])),
+    }
+    enum = {
+        "q": field.q,
+        "n": n,
+        "pair_count": len(pairs),
+        "formula_count": self_dual_count_formula(field, n),
+        "distinct_code_count": len(pairs),
+        "pairs": [[r["a"], r["b"]] for r in rows],
+        "pair_distances": dists,
+        "distance_histogram": [list(item) for item in sorted(Counter(dists).items())],
+    }
+    for command, body, extra in [
+        ("search", search, ["--top", str(len(pairs))]),
+        ("enumerate", enum, ["--distances"]),
+    ]:
+        for fmt in ("json", "text", "csv"):
+            out = _cli_output(capsys, command, "--q", q, "--n", str(n), *extra, "--format", fmt)
+            if fmt == "json":
+                got, want = json.dumps(json.loads(out)["report"], indent=2), json.dumps(body, indent=2)
+            else:
+                got, want = out, cli.render({"report": body}, fmt, command)
+            assert got == want, (command, fmt)
 
 
 def test_cap_env_override():
@@ -245,10 +336,12 @@ def test_tracer_runs(tmp_path):
 
 
 def test_search_builds_ring_tables_once(tmp_path):
-    # search ranks its codes in chunks; every chunk reuses one set of tables
+    # search builds one set of tables and scans one code per orbit: the
+    # 2880 self-dual pairs at (3, 5) fall into 7 orbits of equivalent codes
     payload, data = run_traced(tmp_path, ["search", "--q", "3", "--n", "5", "--top", "5"])
     assert payload["report"]["total_self_dual"] == 2880
     assert [s[0] for s in data["spans"]].count("polyring.tables") == 1
+    assert data["counters"]["codes_ranked"] == 7
 
 
 def test_extension_field_cli():
