@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .codes import DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap, message_weights
+from .codes import (DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap, message_weights,
+                    split_word)
 from .fields import Field, digits, is_prime, quad_char
 from .polyring import QuotientRing, is_primitive_root, multiplicative_order
 
@@ -98,6 +99,22 @@ class CensusReport:
 PAIR_WORDS = 8  # a listed pair: a 2-tuple (7 words of 8 bytes) and its list slot
 
 
+def _self_duality(ring: QuotientRing) -> tuple[list[int], list[int]]:
+    """Indices of u*u' and of -(1 + u*u') for every residue u: (a, b) is
+    self-dual, 1 + a*a' + b*b' = 0, exactly when the first at b is the second at a."""
+    have, need = [], []
+    for u in ring.elements():
+        v = ring.mul(u, ring.reciprocal(u))
+        have.append(ring.index(v))
+        need.append(ring.index(ring.neg(ring.add(ring.one, v))))
+    return have, need
+
+
+def _units(ring: QuotientRing) -> list[bool]:
+    """For every residue index, whether it is coprime to x^n - 1."""
+    return [ring.is_unit(u) for u in ring.elements()]
+
+
 def self_dual_pairs(field: Field, n: int, cap: int = DEFAULT_CAP) -> list[tuple[int, int]]:
     """Index pairs (a, b) with 1 + a*a' + b*b' = 0, in a-major order.
 
@@ -107,17 +124,14 @@ def self_dual_pairs(field: Field, n: int, cap: int = DEFAULT_CAP) -> list[tuple[
     before any pair is listed.
     """
     ring = QuotientRing(field, n)
-    Q = ring.size
-    work = Q * n * n
+    work = ring.size * n * n
     if work > cap:
         raise CapExceeded(f"pair sweep needs {work} coefficient products, cap is {cap}")
-    # u * u' for every element u, and the element indices grouped by that value
-    sc = [ring.mul(u, ring.reciprocal(u)) for u in map(ring.element, range(Q))]
-    groups: dict[tuple, list[int]] = {}
-    for i, v in enumerate(sc):
-        groups.setdefault(v, []).append(i)
-    one = ring.one
-    partners = [groups.get(ring.neg(ring.add(one, v)), ()) for v in sc]
+    have, need = _self_duality(ring)
+    groups: dict[int, list[int]] = {}  # the b grouped by b*b'
+    for bi, v in enumerate(have):
+        groups.setdefault(v, []).append(bi)
+    partners = [groups.get(v, ()) for v in need]
     count = sum(map(len, partners))
     if work + PAIR_WORDS * count > cap:
         raise CapExceeded(
@@ -330,23 +344,15 @@ def constant_vectors(ring: QuotientRing) -> set[tuple]:
     return {ring.scalar_mul(c, ring.all_ones) for c in ring.field.elements()}
 
 
-def _split_blocks(n: int, word) -> tuple:
-    flat = tuple(word)
-    if len(flat) == 4 and all(isinstance(b, tuple) for b in flat):
-        return flat
-    if len(flat) != 4 * n:
-        raise ValueError(f"expected 4 blocks or a flat vector of length {4 * n}")
-    return flat[:n], flat[n : 2 * n], flat[2 * n : 3 * n], flat[3 * n :]
-
-
-def membership_census(
-    field: Field, n: int, word, cap: int = DEFAULT_CAP
-) -> MembershipReport:
+def membership_census(field: Field, n: int, word, cap: int = DEFAULT_CAP) -> MembershipReport:
     """Count generator pairs (a, b) whose code contains the given word.
 
-    Scans all q^(2n) pairs, not only self-dual ones; the self-dual-restricted
-    count rides along.  When c*c' + d*d' is a unit the word pins (a, b)
-    uniquely and the explicit solution
+    Counts over all q^(2n) pairs, not only self-dual ones; the unit and
+    self-dual-restricted counts ride along.  The b are grouped by the key
+    (d*b', c*b) and each a looks up (c*a - e, f - d*a'), in O(Q) ring
+    products and memory; the cap still charges the Q^2 pairs.  When
+    c*c' + d*d' is a unit the word pins (a, b) uniquely and the explicit
+    solution
 
         a = (e*c' + d*f') / (c*c' + d*d')
         b = (f*c' - d*e') / (c*c' + d*d')
@@ -357,30 +363,23 @@ def membership_census(
     Q = ring.size
     if Q * Q > cap:
         raise CapExceeded(f"membership census covers {Q * Q} pairs, cap is {cap}")
-    c, d, e, f = _split_blocks(n, word)
-    count = 0
-    unit_count = 0
-    sd_count = 0
-    elems = [ring.element(i) for i in range(Q)]
-    recs = [ring.reciprocal(u) for u in elems]
-    units = [ring.is_unit(u) for u in elems]
-    # the products that involve b alone, computed once per b
-    d_recs = [ring.mul(d, r) for r in recs]
-    c_bs = [ring.mul(c, b) for b in elems]
-    b_recs = [ring.mul(b, r) for b, r in zip(elems, recs)]
-    one = ring.one
-    for ai, a in enumerate(elems):
-        want_e = ring.sub(ring.mul(c, a), e)  # c*a - d*b' = e
-        want_f = ring.sub(f, ring.mul(d, recs[ai]))  # c*b + d*a' = f
-        want_sd = ring.neg(ring.add(one, ring.mul(a, recs[ai])))  # 1 + a*a' + b*b' = 0
-        for bi in range(Q):
-            if d_recs[bi] != want_e or c_bs[bi] != want_f:
-                continue
-            count += 1
-            if units[ai] and units[bi]:
-                unit_count += 1
-            if b_recs[bi] == want_sd:
-                sd_count += 1
+    c, d, e, f = split_word(field.q, n, word)
+    have, need = _self_duality(ring)
+    units = _units(ring)
+
+    def key(x: tuple, y: tuple) -> int:
+        return ring.index(x) * Q + ring.index(y)
+
+    # the word lies in C_{a,b} exactly when key_a[a] == key_b[b]
+    key_b = [key(ring.mul(d, ring.reciprocal(b)), ring.mul(c, b)) for b in ring.elements()]
+    key_a = [key(ring.sub(ring.mul(c, a), e), ring.sub(f, ring.mul(d, ring.reciprocal(a))))
+             for a in ring.elements()]
+    by_key = Counter(key_b)
+    unit_by_key = Counter(k for k, u in zip(key_b, units) if u)
+    sd_by_key = Counter(k * Q + v for k, v in zip(key_b, have))
+    count = sum(by_key[k] for k in key_a)
+    unit_count = sum(unit_by_key[k] for k, u in zip(key_a, units) if u)
+    sd_count = sum(sd_by_key[k * Q + v] for k, v in zip(key_a, need))
     c_rec = ring.reciprocal(c)
     d_rec = ring.reciprocal(d)
     delta = ring.add(ring.mul(c, c_rec), ring.mul(d, d_rec))
@@ -428,33 +427,25 @@ class MembershipSweep:
     constant_indices: frozenset
 
     def word_index(self, word) -> int:
-        c, d, e, f = _split_blocks(self.n, word)
-        out = 0
-        for block in (f, e, d, c):
-            code = 0
-            for v in reversed(block):
-                code = code * self.q + v
-            out = out * self.Q + code
-        return out
+        return sum(v * self.q**i for i, v in enumerate(sum(split_word(self.q, self.n, word), ())))
 
     def max_nonconstant(self, which: str = "unit") -> tuple[int, int]:
-        """Largest count over words whose c and d blocks are both non-constant.
+        """Largest count over words whose c and d blocks are both non-constant
+        and the least word attaining it, or (-1, -1) when no word qualifies.
 
-        which selects the pair universe: "all", "unit" or "self_dual".
+        which selects the pair universe: "all", "unit" or "self_dual".  The
+        table is read one (e, f) block of Q^2 words at a time.
         """
-        table = {"all": self.counts, "unit": self.unit_counts, "self_dual": self.sd_counts}[
-            which
-        ]
+        table = {"all": self.counts, "unit": self.unit_counts, "self_dual": self.sd_counts}[which]
         Q = self.Q
+        const = np.isin(np.arange(Q), list(self.constant_indices))
+        ok = ~(const[None, :] | const[:, None]).ravel()  # at c + Q*d
         best, best_u = -1, -1
-        const = self.constant_indices
-        for u, cnt in enumerate(table):
-            ci = u % Q
-            di = (u // Q) % Q
-            if ci in const or di in const:
-                continue
-            if cnt > best:
-                best, best_u = cnt, u
+        for start in range(0, len(table), Q * Q):
+            block = np.where(ok, table[start : start + Q * Q], -1)
+            i = int(block.argmax())
+            if block[i] > best:
+                best, best_u = int(block[i]), start + i
         return best, best_u
 
 
@@ -476,15 +467,13 @@ def membership_sweep(field: Field, n: int, cap: int = DEFAULT_CAP) -> Membership
     rows = np.array([t.times(m) for m in range(Q)])  # rows[m, x]: index of m*x
     rows_rec = rows[:, t.recip]  # rows_rec[m, x]: index of m*x'
     neg_rows_rec = t.neg[rows_rec]
-    self_rec = rows_rec.diagonal()  # x*x'
-    # 1 + a*a' + b*b' = 0 exactly when b*b' = -(1 + a*a')
-    sd_need = t.neg[add[ring.index(ring.one), self_rec]]
-    units = np.array([ring.is_unit(ring.element(i)) for i in range(Q)])
+    have, need = map(np.array, _self_duality(ring))
+    units = np.array(_units(ring))
     counts, unit_counts, sd_counts = ([0] * Q**4 for _ in range(3))
     pair_sets = [
         (counts, np.ones((Q, Q), dtype=bool)),
         (unit_counts, units[:, None] & units[None, :]),
-        (sd_counts, self_rec[None, :] == sd_need[:, None]),
+        (sd_counts, have[None, :] == need[:, None]),
     ]  # masks over [a, b]
     for m in range(Q * Q):
         ci, di = m % Q, m // Q

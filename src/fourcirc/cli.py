@@ -18,6 +18,8 @@ import sys
 import time
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .asympt import entropy, entropy_inverse, expurgation_bound
 from .census import (
@@ -30,7 +32,7 @@ from .census import (
 )
 from .codes import DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap
 from .crt import decompose_report
-from .fields import Field
+from .fields import Field, digits
 from .polyring import QuotientRing, factor_xn_minus_1
 
 
@@ -205,22 +207,21 @@ def cmd_search(args):
     dists, orbits = orbit_distances(field, args.n, idx_pairs, cap=args.cap)
     print(f"search: {len(idx_pairs)} self-dual codes in {orbits} orbits, one distance scan per orbit",
           file=sys.stderr)
-    ranked = sorted(
-        zip(idx_pairs, dists),
-        key=lambda item: (-item[1], ring.element(item[0][0]), ring.element(item[0][1])),
-    )
-    top = ranked[: args.top]
+    # ring.element tuples compare as their coefficients read as base-q digits, c0 leading
+    rank = digits(np.arange(ring.size), field.q, args.n) @ field.q ** np.arange(args.n)[::-1]
+    ab = rank[np.asarray(idx_pairs, dtype=np.int64).reshape(-1, 2)]
+    order = np.lexsort((ab[:, 1], ab[:, 0], -np.asarray(dists, dtype=np.int64)))[: args.top]
     body = {
         "q": field.q,
         "n": args.n,
         "total_self_dual": len(idx_pairs),
         "top": [
             {
-                "a": list(ring.element(ai)),
-                "b": list(ring.element(bi)),
-                "distance": d,
+                "a": list(ring.element(idx_pairs[i][0])),
+                "b": list(ring.element(idx_pairs[i][1])),
+                "distance": dists[i],
             }
-            for (ai, bi), d in top
+            for i in order
         ],
     }
     counters = {"self_dual_pairs": len(idx_pairs), "codes_scanned": orbits}

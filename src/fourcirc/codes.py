@@ -33,6 +33,22 @@ def check_distance_cap(Q: int, cap: int) -> None:
         raise CapExceeded(f"distance scans need {Q * Q} codeword evaluations per code, cap is {cap}")
 
 
+def split_word(q: int, n: int, word) -> tuple:
+    """Blocks (c, d, e, f) of a word given as 4 tuples or one flat vector;
+    ValueError names the first block that is not n codes in [0, q)."""
+    flat = tuple(word)
+    if len(flat) == 4 and all(isinstance(b, tuple) for b in flat):
+        blocks = flat
+    elif len(flat) == 4 * n:
+        blocks = flat[:n], flat[n : 2 * n], flat[2 * n : 3 * n], flat[3 * n :]
+    else:
+        raise ValueError(f"expected 4 blocks or a flat vector of length {4 * n}")
+    for name, block in zip("cdef", blocks):
+        if len(block) != n or not all(isinstance(v, (int, np.integer)) and 0 <= v < q for v in block):
+            raise ValueError(f"block {name} must hold {n} codes in [0, {q}), got {block}")
+    return tuple(tuple(int(v) for v in block) for block in blocks)
+
+
 @dataclass(frozen=True)
 class Codeword:
     """Codeword split into its four length-n blocks (c, d, e, f)."""
@@ -80,16 +96,8 @@ class FourCirculantCode:
 
     def contains(self, word) -> bool:
         """Membership via the systematic form: blocks (c, d) are the message."""
-        if isinstance(word, Codeword):
-            c, d, e, f = word.blocks
-        else:
-            flat = tuple(word)
-            if len(flat) != 4 * self.n:
-                raise ValueError(f"expected a vector of length {4 * self.n}")
-            n = self.n
-            c, d, e, f = flat[:n], flat[n : 2 * n], flat[2 * n : 3 * n], flat[3 * n :]
-        expected = self.encode(c, d)
-        return expected.blocks[2] == tuple(e) and expected.blocks[3] == tuple(f)
+        c, d, e, f = split_word(self.field.q, self.n, word.blocks if isinstance(word, Codeword) else word)
+        return self.encode(c, d).blocks[2:] == (e, f)
 
     # -- duality criteria ---------------------------------------------------------
 

@@ -21,6 +21,8 @@ import ...`, the way they import `helpers`.
 | `encode_scan_distance`      | `min_distance` distance and witness                 |
 | `generator_matrix_distance` | `min_distance` above 1024 ring elements             |
 | `all_pairs_distances`       | `census.orbit_distances`, one scan per pair         |
+| `membership_scan`           | `census.membership_census`, all q^(2n) pairs        |
+| `max_nonconstant_scan`      | `MembershipSweep.max_nonconstant`, all q^(4n) words |
 | `entropy_volume_gap`        | `asympt.entropy` against `asympt.ball_volume`       |
 """
 
@@ -370,6 +372,54 @@ def all_pairs_distances(field, n):
     from one kernel scan per pair rather than one per orbit."""
     pairs = self_dual_pairs(field, n)
     return pairs, code_distances(field, n, pairs)
+
+
+# ---------------------------------------------------------------------------
+# membership
+
+def membership_scan(field, n, blocks):
+    """(count, unit_count, self_dual_count) of the pairs (a, b) whose code
+    holds the word with blocks (c, d, e, f), by testing c*a - d*b' = e and
+    c*b + d*a' = f, unit-ness and 1 + a*a' + b*b' = 0 on all q^(2n) pairs."""
+    ring = QuotientRing(field, n)
+    Q = ring.size
+    c, d, e, f = blocks
+    count = unit_count = sd_count = 0
+    elems = [ring.element(i) for i in range(Q)]
+    recs = [ring.reciprocal(u) for u in elems]
+    units = [ring.is_unit(u) for u in elems]
+    # the products that involve b alone, computed once per b
+    d_recs = [ring.mul(d, r) for r in recs]
+    c_bs = [ring.mul(c, b) for b in elems]
+    b_recs = [ring.mul(b, r) for b, r in zip(elems, recs)]
+    for ai, a in enumerate(elems):
+        want_e = ring.sub(ring.mul(c, a), e)  # c*a - d*b' = e
+        want_f = ring.sub(f, ring.mul(d, recs[ai]))  # c*b + d*a' = f
+        want_sd = ring.neg(ring.add(ring.one, ring.mul(a, recs[ai])))  # 1 + a*a' + b*b' = 0
+        for bi in range(Q):
+            if d_recs[bi] != want_e or c_bs[bi] != want_f:
+                continue
+            count += 1
+            if units[ai] and units[bi]:
+                unit_count += 1
+            if b_recs[bi] == want_sd:
+                sd_count += 1
+    return count, unit_count, sd_count
+
+
+def max_nonconstant_scan(sweep, which):
+    """Largest count of a MembershipSweep universe over words whose c and d
+    blocks are both non-constant, and the least word attaining it, by a plain
+    scan of every word; (-1, -1) when none qualifies."""
+    table = {"all": sweep.counts, "unit": sweep.unit_counts, "self_dual": sweep.sd_counts}[which]
+    Q = sweep.Q
+    best, best_u = -1, -1
+    for u, cnt in enumerate(table):
+        if u % Q in sweep.constant_indices or (u // Q) % Q in sweep.constant_indices:
+            continue
+        if cnt > best:
+            best, best_u = cnt, u
+    return best, best_u
 
 
 # ---------------------------------------------------------------------------

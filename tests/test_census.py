@@ -1,3 +1,4 @@
+import random
 import time
 
 import numpy as np
@@ -24,7 +25,13 @@ from fourcirc.codes import CapExceeded, FourCirculantCode, message_weights
 from fourcirc.fields import Field
 from fourcirc.polyring import QuotientRing
 
-from oracles import generator_matrix, is_self_dual_matrix, rref
+from oracles import (
+    generator_matrix,
+    is_self_dual_matrix,
+    max_nonconstant_scan,
+    membership_scan,
+    rref,
+)
 
 F2, F3, F5 = Field(2), Field(3), Field(5)
 
@@ -258,7 +265,8 @@ def test_membership_zero_message():
 def test_membership_sweep_matches_single():
     sw = membership_sweep(F2, 3)
     ring = QuotientRing(F2, 3)
-    # cross-check a deterministic sample of words
+    # cross-check a deterministic sample of words: the sweep, the census and
+    # the all-pairs scan
     for u_idx in range(0, len(sw.counts), 157):
         blocks = tuple(
             ring.element((u_idx // ring.size**i) % ring.size) for i in range(4)
@@ -267,6 +275,72 @@ def test_membership_sweep_matches_single():
         assert sw.counts[sw.word_index(blocks)] == rep.count
         assert sw.unit_counts[sw.word_index(blocks)] == rep.unit_count
         assert sw.sd_counts[sw.word_index(blocks)] == rep.self_dual_count
+        assert (rep.count, rep.unit_count, rep.self_dual_count) == membership_scan(F2, 3, blocks)
+
+
+def _census_counts(field, n, blocks):
+    rep = membership_census(field, n, blocks)
+    return rep.count, rep.unit_count, rep.self_dual_count
+
+
+def test_membership_census_matches_scan_every_word():
+    ring = QuotientRing(F2, 2)
+    for u_idx in range(ring.size**4):
+        blocks = tuple(ring.element((u_idx // ring.size**i) % ring.size) for i in range(4))
+        assert _census_counts(F2, 2, blocks) == membership_scan(F2, 2, blocks), blocks
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 3), (3, 1, 3), (2, 2, 2), (3, 2, 2)])
+def test_membership_census_matches_scan_sampled(p, k, n):
+    field = Field(p, k)
+    ring = QuotientRing(field, n)
+    rng = random.Random(p * 100 + k * 10 + n)
+    pairs = self_dual_pairs(field, n)
+
+    def pick():
+        return ring.element(rng.randrange(ring.size))
+
+    words = [(ring.zero,) * 4] + [tuple(pick() for _ in range(4)) for _ in range(6)]
+    # codewords of self-dual codes, where the self-dual count is nonzero
+    for ai, bi in rng.sample(pairs, 4):
+        code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
+        words.append(code.encode(pick(), pick()).blocks)
+    sd_hits = 0
+    for blocks in words:
+        got = _census_counts(field, n, blocks)
+        assert got == membership_scan(field, n, blocks), blocks
+        sd_hits += got[2] > 0
+    assert sd_hits >= 5  # the zero word and the four codewords
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 1), (3, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
+def test_max_nonconstant_matches_scan(p, k, n):
+    sw = membership_sweep(Field(p, k), n)
+    for which in ("all", "unit", "self_dual"):
+        got = sw.max_nonconstant(which)
+        assert got == max_nonconstant_scan(sw, which), which
+        assert all(type(v) is int for v in got)
+    if n == 1:  # every residue of R(1, F_q) is constant: no word qualifies
+        assert sw.max_nonconstant("all") == (-1, -1)
+
+
+def test_membership_word_validation():
+    ok = ((1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 0))
+    bad = [
+        (((1, 0), (0, 0, 0), (0, 1, 0), (0, 0, 0)), "block c"),  # 2 entries
+        (((1, 0, 0), (0, 2, 0), (0, 1, 0), (0, 0, 0)), "block d"),  # code 2 in F_2
+        (((1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 0, 1)), "block f"),  # 4 entries
+        ((1, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0), "block e"),  # flat, a negative code
+        ((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), "flat vector of length 12"),
+    ]
+    assert membership_census(F2, 3, ok).count == 1
+    for word, match in bad:
+        with pytest.raises(ValueError, match=match):
+            membership_census(F2, 3, word)
+    sw = membership_sweep(F2, 2)
+    assert sw.word_index([1, 0, 0, 0, 0, 0, 1, 1]) == 1 + 64 + 128
+    with pytest.raises(ValueError, match="block f"):
+        sw.word_index([1, 0, 0, 0, 0, 0, 0, 7])  # was index 897, past Q^4 = 256
 
 
 def test_membership_bound_unit_pairs():

@@ -310,10 +310,11 @@ def test_cap_env_override():
     assert "cap" in proc.stderr
 
 
-def run_traced(tmp_path, cli):
-    """Run one CLI job under perfbench/traced.py; return its stdout and trace."""
+def run_traced(tmp_path, cli=None, lib=None):
+    """Run one job under perfbench/traced.py, a CLI argv or a
+    perfbench/jobs.py spec; return its stdout and trace."""
     trace = tmp_path / "trace.json"
-    job = {"id": "t", "cli": cli}
+    job = {"id": "t", "cli": cli} if lib is None else {"id": "t", "lib": lib}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(trace), json.dumps(job)],
         capture_output=True,
@@ -342,6 +343,27 @@ def test_search_builds_ring_tables_once(tmp_path):
     assert payload["report"]["total_self_dual"] == 2880
     assert [s[0] for s in data["spans"]].count("polyring.tables") == 1
     assert data["counters"]["codes_ranked"] == 7
+
+
+def test_traced_sweep_workload_covers_expected_layers(tmp_path):
+    # one job of each kind the sweep workload runs; a refactor that stops
+    # calling a layer the benchmark expects there (polyring.ring_mul, say)
+    # would make the traced benchmark report correct: false
+    expected = json.loads((ROOT / "perfbench" / "coverage.json").read_text())["expected_calls"]["sweep"]
+    # a codeword of C_{1,1} over F_3 whose message does not pin (a, b), so
+    # the census builds no code of its own: 81 pairs, 27 of them self-dual
+    word = [1, 1, 1, 1, 1, 1, 0, 0, 0, 2, 2, 2]
+    jobs = [
+        {"cli": ["enumerate", "--q", "3", "--n", "3", "--workers", "1"]},
+        {"lib": {"op": "membership_census", "p": 3, "k": 1, "n": 3, "word": word}},
+        {"lib": {"op": "membership_sweep", "p": 2, "k": 1, "n": 2, "words": [[1, 0, 0, 1, 1, 1, 0, 1]]}},
+    ]
+    called = set()
+    for job in jobs:
+        _, data = run_traced(tmp_path, **job)
+        called |= {span[0] for span in data["spans"]}
+        called |= {name for name, (calls, _) in data["leaves"].items() if calls}
+    assert sorted(set(expected) - called) == []
 
 
 def test_extension_field_cli():

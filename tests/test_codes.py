@@ -166,6 +166,10 @@ def test_contains():
     assert not code.contains((1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0))  # f must be 0
     with pytest.raises(ValueError):
         code.contains((0,) * 5)
+    # the same word forms and checks as the membership census
+    assert code.contains(w.blocks)
+    with pytest.raises(ValueError, match="block e"):
+        code.contains((1, 1, 0, 0, 1, 1, 0, 2, 0, 0, 0, 0))
 
 
 def test_min_distance_example():
