@@ -21,6 +21,7 @@ import numpy as np
 
 from .codes import (DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap, message_weights,
                     split_word)
+from .crt import unit_mask
 from .fields import Field, digits, is_prime, quad_char
 from .polyring import QuotientRing, is_primitive_root, multiplicative_order
 
@@ -111,8 +112,13 @@ def _self_duality(ring: QuotientRing) -> tuple[list[int], list[int]]:
 
 
 def _units(ring: QuotientRing) -> list[bool]:
-    """For every residue index, whether it is coprime to x^n - 1."""
-    return [ring.is_unit(u) for u in ring.elements()]
+    """For every residue index, whether it is coprime to x^n - 1: from its
+    CRT images, or by one gcd per residue when x^n - 1 splits only above
+    the field order cap."""
+    try:
+        return unit_mask(ring.field, ring.n).tolist()
+    except ValueError:
+        return [ring.is_unit(u) for u in ring.elements()]
 
 
 def self_dual_pairs(field: Field, n: int, cap: int = DEFAULT_CAP) -> list[tuple[int, int]]:
@@ -350,7 +356,8 @@ def membership_census(field: Field, n: int, word, cap: int = DEFAULT_CAP) -> Mem
     Counts over all q^(2n) pairs, not only self-dual ones; the unit and
     self-dual-restricted counts ride along.  The b are grouped by the key
     (d*b', c*b) and each a looks up (c*a - e, f - d*a'), in O(Q) ring
-    products and memory; the cap still charges the Q^2 pairs.  When
+    products and memory.  The cap charges that work as self_dual_pairs
+    does, Q ring products of n^2 coefficient terms each, before any.  When
     c*c' + d*d' is a unit the word pins (a, b) uniquely and the explicit
     solution
 
@@ -361,8 +368,9 @@ def membership_census(field: Field, n: int, word, cap: int = DEFAULT_CAP) -> Mem
     """
     ring = QuotientRing(field, n)
     Q = ring.size
-    if Q * Q > cap:
-        raise CapExceeded(f"membership census covers {Q * Q} pairs, cap is {cap}")
+    work = Q * n * n
+    if work > cap:
+        raise CapExceeded(f"membership census needs {work} coefficient products, cap is {cap}")
     c, d, e, f = split_word(field.q, n, word)
     have, need = _self_duality(ring)
     units = _units(ring)

@@ -10,6 +10,13 @@ Reconstruction inverts this by interpolation at the n-th roots of unity.
 The values at the other roots of a factor are Frobenius conjugates of the
 value at the chosen root, so the sum over them is a trace, and
 a_i = n^(-1) * sum over factors f of Tr_{F_{q^d}/F_q}(a(root_f) * root_f^(-i)).
+
+Both directions are array evaluations over each extension field's log and
+antilog tables, driven by a plan built once per (field, n): the factors
+grouped by extension field, the powers root^i and root^(-i) as logarithms,
+the embedding of F_q as a forward index array, and the way back to F_q as
+one table of y -> n^(-1) * Tr(y).  The plan is the F_q-linear map between
+(a, b) and its constituents; no per-coefficient field call is left.
 """
 
 from __future__ import annotations
@@ -17,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .codes import FourCirculantCode
-from .fields import Embedding, Field
+from .fields import Embedding, Field, digits, embedding
 from .polyring import Poly, factor_xn_minus_1, first_root, poly_degree
 
 
@@ -47,7 +56,7 @@ class Constituent:
 def _extension(base: Field, d: int) -> tuple[Field, Embedding]:
     """F_{q^d} and the embedding of F_q in it, shared by all factors of degree d."""
     ext = base if d == 1 else Field(base.p, base.k * d)
-    return ext, Embedding(base, ext)
+    return ext, embedding(base, ext)
 
 
 @lru_cache(maxsize=None)
@@ -58,22 +67,125 @@ def _constituent_context(base: Field, factor: Poly) -> tuple[Field, Embedding, i
     return ext, emb, root
 
 
-def _eval_at_root(ext: Field, emb: Embedding, coeffs, root: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = ext.add(ext.mul(acc, root), emb.apply(c))
-    return acc
+CHUNK_TERMS = 1 << 20  # extension elements one array evaluation holds at once
+
+
+@dataclass(frozen=True)
+class _Group:
+    """The factors of x^n - 1 of one degree d, which share F_{q^d}.
+
+    Products are sums of logarithms in field.log_array, read back through
+    field.exp_array, whose zero sentinel makes any product with 0 come out 0.
+    """
+
+    field: Field
+    positions: tuple[int, ...]  # places of the factors in _Plan.factors
+    up: np.ndarray  # up[j, i]: log of root_j^i, for 0 <= i < n
+    down: np.ndarray  # down[j, i]: log of root_j^(-i)
+    fwd: np.ndarray  # fwd[c]: image of the base code c in field
+    trace: np.ndarray  # trace[y]: base code of n^(-1) * Tr(y), Tr from field to F_q
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Everything decompose and reconstruct need at one (field, n)."""
+
+    factors: tuple[tuple[Poly, str], ...]
+    groups: tuple[_Group, ...]
+
+
+def _trace_table(base: Field, ext: Field, fwd: np.ndarray, n: int) -> np.ndarray:
+    """Base code of n^(-1) * Tr(y) for every code y of ext = F_{q^d}.
+
+    Tr(y) = y + y^q + ... + y^(q^(d-1)) lies in the embedded F_q; y^(q^t)
+    has logarithm log(y) * q^t, and 0 stays 0.
+    """
+    m, d = ext.q - 1, ext.k // base.k
+    y = np.arange(ext.q)
+    logs = ext.log_array[y][:, None] * np.array([base.q**t % m for t in range(d)]) % m
+    tr = _field_sum(ext, ext.exp_array[logs] * (y != 0)[:, None], 1)
+    back = np.full(ext.q, -1, dtype=np.int64)
+    back[fwd] = np.arange(base.q)
+    n_inv = pow(n, -1, base.p)  # the code of n^(-1) in the prime subfield
+    return base.exp_array[base.log_array[back[tr]] + base.log_table[n_inv]]
+
+
+@lru_cache(maxsize=None)
+def _plan(base: Field, n: int) -> _Plan:
+    """The factors of x^n - 1 with their contexts, grouped by extension field."""
+    factors = tuple(factor_xn_minus_1(base, n).factors())
+    contexts = [_constituent_context(base, factor) for factor, _ in factors]
+    by_field: dict[Field, list[int]] = {}
+    for pos, (ext, _, _) in enumerate(contexts):
+        by_field.setdefault(ext, []).append(pos)
+    groups = []
+    for ext, positions in by_field.items():
+        emb = contexts[positions[0]][1]
+        logs = np.array([ext.log_table[contexts[pos][2]] for pos in positions])[:, None]
+        fwd = np.array([emb.apply(c) for c in base.elements()], dtype=np.int64)
+        group = _Group(
+            field=ext,
+            positions=tuple(positions),
+            up=logs * np.arange(n) % (ext.q - 1),
+            down=-logs * np.arange(n) % (ext.q - 1),
+            fwd=fwd,
+            trace=_trace_table(base, ext, fwd, n),
+        )
+        for arr in (group.up, group.down, group.fwd, group.trace):
+            arr.flags.writeable = False  # shared by every caller at this (field, n)
+        groups.append(group)
+    return _Plan(factors=factors, groups=tuple(groups))
+
+
+def _chunks(length: int, per_item: int) -> list[slice]:
+    """Slices that cover range(length), where one item puts per_item
+    elements in an array: as many items per slice as CHUNK_TERMS allows,
+    and at least one."""
+    step = max(1, CHUNK_TERMS // per_item)
+    return [slice(lo, lo + step) for lo in range(0, length, step)]
+
+
+@lru_cache(maxsize=None)
+def _digit_table(field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """The F_p digits of every element code, and the place values p^j."""
+    table = digits(np.arange(field.q), field.p, field.k).astype(np.int8)
+    table.flags.writeable = False
+    return table, field.p ** np.arange(field.k)
+
+
+def _field_sum(field: Field, codes: np.ndarray, axis) -> np.ndarray:
+    """Sum of element codes over axis (an int >= 0 or a tuple of them).
+
+    Addition in F_{p^k} adds the F_p digits of the codes mod p.  In
+    characteristic 2 the codes are bit vectors of their digits, and that sum
+    is their exclusive or.
+    """
+    if field.p == 2:
+        return np.bitwise_xor.reduce(codes, axis=axis)
+    table, place = _digit_table(field)
+    return table[codes].sum(axis=axis) % field.p @ place
 
 
 def decompose(code: FourCirculantCode) -> list[Constituent]:
-    """One constituent per irreducible factor of x^n - 1, deterministic order."""
+    """One constituent per irreducible factor of x^n - 1, deterministic order.
+
+    The images a(root) = sum over i of a_i * root^i are, per extension
+    field, one array of products a_i * root_j^i summed over i.
+    """
     field, n = code.field, code.n
-    fact = factor_xn_minus_1(field, n)
+    plan = _plan(field, n)
+    images = [()] * len(plan.factors)
+    coeffs = np.array([code.a, code.b], dtype=np.int64)
+    for g in plan.groups:
+        ext = g.field
+        logs = ext.log_array[g.fwd[coeffs]]  # (2, n)
+        for rows in _chunks(len(g.positions), 2 * n):
+            terms = ext.exp_array[logs[:, None, :] + g.up[rows]]  # a_i * root^i at [a or b, factor, i]
+            for pos, a_img, b_img in zip(g.positions[rows], *_field_sum(ext, terms, 2).tolist()):
+                images[pos] = (a_img, b_img)
     out = []
-    for factor, kind in fact.factors():
-        ext, emb, root = _constituent_context(field, factor)
-        a_img = _eval_at_root(ext, emb, code.a, root)
-        b_img = _eval_at_root(ext, emb, code.b, root)
+    for (factor, kind), (a_img, b_img) in zip(plan.factors, images):
+        ext, _, root = _constituent_context(field, factor)
         out.append(
             Constituent(
                 factor=factor,
@@ -124,28 +236,58 @@ def reconstruct(field: Field, n: int, constituents: list[Constituent]) -> tuple[
     n is invertible because factor_xn_minus_1 requires gcd(n, q) = 1.  The
     same holds for b.  The constituents must be exactly those of decompose
     over this field, in any order.
+
+    Per extension field, a(root_f) * root_f^(-i) is one array for all f
+    and i, and the plan's table of y -> n^(-1) * Tr(y), built from the d
+    Frobenius powers of every element, maps it to F_q in one lookup.
     """
-    expected = sorted(factor for factor, _ in factor_xn_minus_1(field, n).factors())
-    if sorted(con.factor for con in constituents) != expected:
+    plan = _plan(field, n)
+    if sorted(con.factor for con in constituents) != sorted(factor for factor, _ in plan.factors):
         raise ValueError("constituents are not exactly the factors of x^n - 1")
-    a = [field.zero] * n
-    b = [field.zero] * n
+    place = {factor: pos for pos, (factor, _) in enumerate(plan.factors)}
+    images = [()] * len(plan.factors)
     for con in constituents:
-        ext, emb, root = _constituent_context(field, con.factor)
+        ext, _, root = _constituent_context(field, con.factor)
         if (con.base, con.field, con.root) != (field, ext, root):
             raise ValueError("constituent does not match its deterministic context")
-        step = ext.inv(root)
-        for image, out in ((con.a_image, a), (con.b_image, b)):
-            y = image
-            for i in range(n):
-                trace, t = ext.zero, y
-                for _ in range(con.degree):
-                    trace = ext.add(trace, t)
-                    t = ext.pow(t, field.q)
-                out[i] = field.add(out[i], emb.preimage(trace))
-                y = ext.mul(y, step)
-    n_inv = field.element([pow(n, -1, field.p)])
-    return tuple(field.mul(n_inv, c) for c in a), tuple(field.mul(n_inv, c) for c in b)
+        images[place[con.factor]] = (con.a_image, con.b_image)
+    logs = [g.field.log_array[[images[pos] for pos in g.positions]].T[:, :, None] for g in plan.groups]
+    out = np.empty((2, n), dtype=np.int64)
+    for cols in _chunks(n, 2 * len(plan.factors)):
+        # n^(-1) * Tr(image * root^(-i)) at [a or b, factor, i]
+        traces = [g.trace[g.field.exp_array[lg + g.down[:, cols]]] for g, lg in zip(plan.groups, logs)]
+        out[:, cols] = _field_sum(field, np.concatenate(traces, axis=1), 1)
+    a, b = out.tolist()
+    return tuple(a), tuple(b)
+
+
+def unit_mask(field: Field, n: int) -> np.ndarray:
+    """Whether each residue of R(n, F_q), by index, is a unit.
+
+    A residue u is a unit exactly when it is coprime to x^n - 1.  Write
+    n = p^e * m with p not dividing m; then x^n - 1 = (x^m - 1)^(p^e), so u
+    is a unit exactly when u mod x^m - 1 has no zero constituent image over
+    R(m, F_q).  At a root r of x^m - 1, r^i = r^(i mod m), so that fold is
+    read off the plan's powers.  The images of all q^n residues are built
+    one coefficient at a time: the residues below q^(i+1) are those below
+    q^i plus c * x^i for each c in F_q.  Raises ValueError when x^m - 1
+    splits only above the field order cap.
+    """
+    m = n
+    while m % field.p == 0:
+        m //= field.p
+    plan = _plan(field, m)
+    unit = np.ones(field.q**n, dtype=bool)
+    for g in plan.groups:
+        ext = g.field
+        coeff_logs = ext.log_array[g.fwd][:, None]
+        images = np.zeros((1, len(g.positions)), dtype=np.int64)  # the zero residue
+        for i in range(n):
+            step = ext.exp_array[coeff_logs + g.up[:, i % m]]  # c * root^i at [c, factor]
+            both = np.broadcast_arrays(images[None], step[:, None])  # [c, residue below q^i, factor]
+            images = _field_sum(ext, np.stack(both), 0).reshape(-1, len(g.positions))
+        unit &= (images != 0).all(axis=1)
+    return unit
 
 
 def decompose_report(code: FourCirculantCode) -> list[dict]:

@@ -16,6 +16,7 @@ shared freely.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -337,3 +338,13 @@ class Embedding:
             return self._back[y]
         except KeyError:
             raise ValueError(f"element {y} is not in the embedded subfield") from None
+
+
+@lru_cache(maxsize=None)
+def embedding(src: Field, dst: Field) -> Embedding:
+    """The Embedding of src in dst, built once per pair of fields.
+
+    Building one costs O(|src| * k) work and memory; the factorization of
+    x^n - 1 and the CRT constituents use the same ones.
+    """
+    return Embedding(src, dst)

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fields import ORDER_CAP, Embedding, Field, digits, mul_matrices
+from .fields import ORDER_CAP, Field, digits, embedding, mul_matrices
 
 Poly = tuple  # coefficient tuple, ascending
 RingElem = tuple  # exactly n coefficients
@@ -481,7 +481,7 @@ def factor_xn_minus_1(field: Field, n: int) -> Factorization:
             f"q^m = {field.q**m} exceeds the field order cap {ORDER_CAP}"
         )
     big = field if m == 1 else Field(field.p, field.k * m)
-    emb = Embedding(field, big)
+    emb = embedding(field, big)
     beta = _find_primitive_root_of_unity(big, n)
 
     factors = []

@@ -22,6 +22,8 @@ import ...`, the way they import `helpers`.
 | `generator_matrix_distance` | `min_distance` above 1024 ring elements             |
 | `all_pairs_distances`       | `census.orbit_distances`, one scan per pair         |
 | `membership_scan`           | `census.membership_census`, all q^(2n) pairs        |
+| `horner_decompose`          | `crt.decompose`, one Horner step per coefficient    |
+| `trace_loop_reconstruct`    | `crt.reconstruct`, one trace per coefficient        |
 | `max_nonconstant_scan`      | `MembershipSweep.max_nonconstant`, all q^(4n) words |
 | `entropy_volume_gap`        | `asympt.entropy` against `asympt.ball_volume`       |
 """
@@ -35,8 +37,9 @@ import numpy as np
 
 from fourcirc.asympt import ball_volume, entropy
 from fourcirc.census import code_distances, self_dual_pairs
+from fourcirc.crt import Constituent, _constituent_context
 from fourcirc.fields import Field, digits, mul_matrices
-from fourcirc.polyring import QuotientRing, cyclotomic_cosets, monic_polys, poly_divmod
+from fourcirc.polyring import QuotientRing, cyclotomic_cosets, factor_xn_minus_1, monic_polys, poly_divmod
 
 SWEEP_CHUNK = 8192  # (a, b) pairs per batch of self_dual_matrix_sweep over F_p
 
@@ -420,6 +423,66 @@ def max_nonconstant_scan(sweep, which):
         if cnt > best:
             best, best_u = cnt, u
     return best, best_u
+
+
+# ---------------------------------------------------------------------------
+# CRT constituents
+
+def _eval_at_root(ext, emb, coeffs, root):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = ext.add(ext.mul(acc, root), emb.apply(c))
+    return acc
+
+
+def horner_decompose(code):
+    """crt.decompose by Horner evaluation at each factor's root, one field
+    operation per coefficient."""
+    field, n = code.field, code.n
+    fact = factor_xn_minus_1(field, n)
+    out = []
+    for factor, kind in fact.factors():
+        ext, emb, root = _constituent_context(field, factor)
+        a_img = _eval_at_root(ext, emb, code.a, root)
+        b_img = _eval_at_root(ext, emb, code.b, root)
+        out.append(
+            Constituent(
+                factor=factor,
+                kind=kind,
+                base=field,
+                field=ext,
+                root=root,
+                a_image=a_img,
+                b_image=b_img,
+            )
+        )
+    return out
+
+
+def trace_loop_reconstruct(field, n, constituents):
+    """crt.reconstruct by the trace formula a_i = n^(-1) * sum over f of
+    Tr(a(root_f) * root_f^(-i)), one scalar trace per coefficient and factor."""
+    expected = sorted(factor for factor, _ in factor_xn_minus_1(field, n).factors())
+    if sorted(con.factor for con in constituents) != expected:
+        raise ValueError("constituents are not exactly the factors of x^n - 1")
+    a = [field.zero] * n
+    b = [field.zero] * n
+    for con in constituents:
+        ext, emb, root = _constituent_context(field, con.factor)
+        if (con.base, con.field, con.root) != (field, ext, root):
+            raise ValueError("constituent does not match its deterministic context")
+        step = ext.inv(root)
+        for image, out in ((con.a_image, a), (con.b_image, b)):
+            y = image
+            for i in range(n):
+                trace, t = ext.zero, y
+                for _ in range(con.degree):
+                    trace = ext.add(trace, t)
+                    t = ext.pow(t, field.q)
+                out[i] = field.add(out[i], emb.preimage(trace))
+                y = ext.mul(y, step)
+    n_inv = field.element([pow(n, -1, field.p)])
+    return tuple(field.mul(n_inv, c) for c in a), tuple(field.mul(n_inv, c) for c in b)
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,31 @@ def test_membership_word_validation():
         sw.word_index([1, 0, 0, 0, 0, 0, 0, 7])  # was index 897, past Q^4 = 256
 
 
+@pytest.mark.parametrize("p,k,n", [(2, 1, 1), (2, 1, 4), (2, 1, 6), (3, 1, 5), (3, 1, 6), (2, 2, 3), (5, 1, 4)])
+def test_units_match_gcd_on_every_residue(p, k, n, monkeypatch):
+    # from the CRT images, folded mod x^m - 1 when p divides n, and by the
+    # per-residue gcd that runs when x^n - 1 splits above the field order cap
+    ring = QuotientRing(Field(p, k), n)
+    want = [ring.is_unit(u) for u in ring.elements()]
+    assert census._units(ring) == want
+    assert 0 < sum(want) < ring.size
+
+    def too_large(field, n):
+        raise ValueError("splitting field above the cap")
+
+    monkeypatch.setattr(census, "unit_mask", too_large)
+    assert census._units(ring) == want
+
+
+def test_membership_census_cap_counts_its_work():
+    # Q ring products of n^2 coefficient terms each, as for the pair sweep:
+    # 2^7 * 49 at (2, 7), where Q^2 = 2^14 was charged before
+    word = ((1,) + (0,) * 6, (0,) * 7, (0,) * 7, (0,) * 7)
+    assert membership_census(F2, 7, word, cap=2**7 * 49).count == 1
+    with pytest.raises(CapExceeded, match="6272 coefficient products"):
+        membership_census(F2, 7, word, cap=2**7 * 49 - 1)
+
+
 def test_membership_bound_unit_pairs():
     sw = membership_sweep(F2, 3)
     max_unit, _ = sw.max_nonconstant("unit")

@@ -366,6 +366,26 @@ def test_traced_sweep_workload_covers_expected_layers(tmp_path):
     assert sorted(set(expected) - called) == []
 
 
+def test_traced_extension_workload_covers_expected_layers(tmp_path):
+    # the extension workload's job kinds: CRT round trips no longer call
+    # Field.add or Field.mul per coefficient, so those leaves must still be
+    # reached by the other jobs, or the traced benchmark reports correct: false
+    expected = json.loads((ROOT / "perfbench" / "coverage.json").read_text())["expected_calls"]["extension"]
+    jobs = [
+        {"lib": {"op": "crt_round_trips", "p": 2, "k": 2, "n": 5, "pairs": [[[1, 2, 3, 0, 1], [0, 3, 3, 2, 1]]]}},
+        {"lib": {"op": "crt_round_trips", "p": 2, "k": 1, "n": 23, "pairs": [[[1, 0, 1] * 7 + [1, 1], [0, 1] * 11 + [1]]]}},
+        {"cli": ["counts", "--lemma", "4.2", "--q", "2^5"]},
+        {"cli": ["distance", "--q", "2^2", "--n", "4", "--a", "1,2", "--b", "0,1,1", "--workers", "1"]},
+        {"cli": ["enumerate", "--q", "2^2", "--n", "4", "--workers", "1"]},
+    ]
+    called = set()
+    for job in jobs:
+        _, data = run_traced(tmp_path, **job)
+        called |= {span[0] for span in data["spans"]}
+        called |= {name for name, (calls, _) in data["leaves"].items() if calls}
+    assert sorted(set(expected) - called) == []
+
+
 def test_extension_field_cli():
     rep = run_json("factor", "--q", "2^2", "--n", "3")["report"]
     # over F_4 the length-3 factorization splits into linear factors

@@ -1,15 +1,25 @@
 import dataclasses
+import json
 import random
 import time
 
 import pytest
 
+from fourcirc import cli, crt
 from fourcirc.codes import FourCirculantCode
 from fourcirc.crt import Constituent, constituent_self_dual, decompose, decompose_report, reconstruct
 from fourcirc.fields import Field
 from fourcirc.polyring import QuotientRing, factor_xn_minus_1, poly_eval
 
+from oracles import horner_decompose, trace_loop_reconstruct
+
 F2, F3, F5 = Field(2), Field(3), Field(5)
+
+ROUND_TRIP_POINTS = [
+    (F3, 5), (F2, 5), (F5, 3), (F2, 3), (F2, 7), (Field(2, 2), 3),
+    (F5, 6), (Field(7), 8), (F3, 20), (Field(2, 3), 7), (Field(3, 2), 4),
+    (Field(2, 4), 15), (F2, 1), (Field(2, 3, modulus=(1, 0, 1, 1)), 9),
+]
 
 
 def make_code(field, n, a, b):
@@ -47,18 +57,77 @@ def test_decompose_requires_coprime_length():
 
 def test_round_trip_random():
     random.seed(20240601)
-    points = [
-        (F3, 5), (F2, 5), (F5, 3), (F2, 3), (F2, 7), (Field(2, 2), 3),
-        (F5, 6), (Field(7), 8), (F3, 20), (Field(2, 3), 7), (Field(3, 2), 4),
-        (Field(2, 4), 15), (F2, 1), (Field(2, 3, modulus=(1, 0, 1, 1)), 9),
-    ]
-    for field, n in points:
+    for field, n in ROUND_TRIP_POINTS:
         ring = QuotientRing(field, n)
         for _ in range(100):
             a = ring.element(random.randrange(ring.size))
             b = ring.element(random.randrange(ring.size))
             code = FourCirculantCode(ring, a, b)
             assert reconstruct(field, n, decompose(code)) == (a, b)
+
+
+def random_codes(field, n, count, rng):
+    """The zero code, the code of (1, x) and count random codes."""
+    ring = QuotientRing(field, n)
+    x = (0, 1) + (0,) * (n - 2) if n > 1 else ring.one
+    pairs = [(ring.zero, ring.zero), (ring.one, x)]
+    pairs += [(ring.element(rng.randrange(ring.size)), ring.element(rng.randrange(ring.size)))
+              for _ in range(count)]
+    return [FourCirculantCode(ring, a, b) for a, b in pairs]
+
+
+def test_decompose_and_reconstruct_match_oracles():
+    # the array evaluations against one Horner step and one scalar trace per
+    # coefficient, at every round-trip point
+    rng = random.Random(20261018)
+    for field, n in ROUND_TRIP_POINTS:
+        for code in random_codes(field, n, 20, rng):
+            cons = decompose(code)
+            assert cons == horner_decompose(code), (field, n, code.a, code.b)
+            shuffled = rng.sample(cons, len(cons))
+            assert reconstruct(field, n, shuffled) == trace_loop_reconstruct(field, n, shuffled)
+            # images the round trip never produces: every constituent holds (1, 0)
+            ones = [dataclasses.replace(con, a_image=1, b_image=0) for con in cons]
+            assert reconstruct(field, n, ones) == trace_loop_reconstruct(field, n, ones)
+
+
+def test_evaluations_in_small_chunks(monkeypatch):
+    # one factor (decompose) or one coefficient (reconstruct) per array when
+    # the chunk budget is tiny, as for x^n - 1 with very many factors
+    monkeypatch.setattr(crt, "CHUNK_TERMS", 1)
+    rng = random.Random(7)
+    for field, n in [(F2, 7), (F3, 20), (Field(2, 4), 15)]:
+        for code in random_codes(field, n, 5, rng):
+            cons = decompose(code)
+            assert cons == horner_decompose(code)
+            assert reconstruct(field, n, cons) == (code.a, code.b)
+
+
+@pytest.mark.parametrize(
+    "q, order, n, modulus",
+    [("2", 2, 3, None), ("2^2", 4, 5, None), ("2", 2, 23, None), ("3", 3, 7, None),
+     ("3^2", 9, 4, None), ("2^3", 8, 9, "1,0,1,1")],
+)
+def test_crt_report_bodies_match_oracle(q, order, n, modulus, monkeypatch, capsys):
+    # fourcirc crt prints the same JSON (but for the wall time) and text
+    # bodies with the Horner oracle in place of decompose
+    rng = random.Random(n)
+    argv = ["crt", "--q", q, "--n", str(n),
+            "--a", ",".join(str(rng.randrange(order)) for _ in range(n)),
+            "--b", ",".join(str(rng.randrange(order)) for _ in range(n))]
+    if modulus:
+        argv += ["--modulus", modulus]
+    bodies = []
+    for decomposer in (decompose, horner_decompose):
+        monkeypatch.setattr(crt, "decompose", decomposer)
+        outs = []
+        for fmt in ("json", "text"):
+            assert cli.main(argv + ["--format", fmt]) == 0
+            outs.append(capsys.readouterr().out)
+        payload = json.loads(outs[0])
+        payload["manifest"].pop("wall_time_s")
+        bodies.append((json.dumps(payload, indent=2), outs[1]))
+    assert bodies[0] == bodies[1]
 
 
 def test_reconstruct_rejects_bad_constituents():
