@@ -13,6 +13,7 @@ two are compared by the acceptance suite.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional, Sequence
@@ -22,8 +23,8 @@ import numpy as np
 from .codes import (DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap, message_weights,
                     split_word)
 from .crt import unit_mask
-from .fields import Field, digits, is_prime, quad_char
-from .polyring import QuotientRing, is_primitive_root, multiplicative_order
+from .fields import Field, digits, field_sum, is_prime, quad_char
+from .polyring import QuotientRing, is_primitive_root, multiplicative_order, ring_times
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +101,27 @@ class CensusReport:
 PAIR_WORDS = 8  # a listed pair: a 2-tuple (7 words of 8 bytes) and its list slot
 
 
-def _self_duality(ring: QuotientRing) -> tuple[list[int], list[int]]:
+def _self_duality(ring: QuotientRing) -> tuple[np.ndarray, np.ndarray]:
     """Indices of u*u' and of -(1 + u*u') for every residue u: (a, b) is
-    self-dual, 1 + a*a' + b*b' = 0, exactly when the first at b is the second at a."""
-    have, need = [], []
-    for u in ring.elements():
-        v = ring.mul(u, ring.reciprocal(u))
-        have.append(ring.index(v))
-        need.append(ring.index(ring.neg(ring.add(ring.one, v))))
-    return have, need
+    self-dual, 1 + a*a' + b*b' = 0, exactly when the first at b is the second at a.
+
+    Coefficient k of u*u' is the sum over i of u_i * u_(i-k).  It is read
+    off the coefficient logarithms of all residues at once, one lag k at a
+    time: Q*n products per lag, in O(Q*n) memory.  u*u' is its own
+    reciprocal, so lag n - k repeats lag k.
+    """
+    field, n, Q = ring.field, ring.n, ring.size
+    qpw = field.q ** np.arange(n)
+    logs = field.log_array[digits(np.arange(Q), field.q, n)]  # logs[u, i]: log of coefficient i of u
+    i = np.arange(n)
+    prod = np.empty((Q, n), dtype=np.int64)  # prod[u, k]: coefficient k of u*u'
+    for k in range(n // 2 + 1):
+        prod[:, k] = field_sum(field, field.exp_array[logs + logs[:, i - k]], 1)
+        prod[:, -k] = prod[:, k]
+    have = prod @ qpw
+    const = prod[:, 0]
+    const += (const + 1) % field.p - const % field.p  # add 1 to the constant digit
+    return have, field.neg_array[prod] @ qpw
 
 
 def _units(ring: QuotientRing) -> list[bool]:
@@ -134,17 +147,18 @@ def self_dual_pairs(field: Field, n: int, cap: int = DEFAULT_CAP) -> list[tuple[
     if work > cap:
         raise CapExceeded(f"pair sweep needs {work} coefficient products, cap is {cap}")
     have, need = _self_duality(ring)
-    groups: dict[int, list[int]] = {}  # the b grouped by b*b'
-    for bi, v in enumerate(have):
-        groups.setdefault(v, []).append(bi)
-    partners = [groups.get(v, ()) for v in need]
-    count = sum(map(len, partners))
+    order = np.argsort(have, kind="stable")  # the b grouped by b*b', ascending within a group
+    grouped = have[order]
+    lo = np.searchsorted(grouped, need, "left")  # the partners of a are order[lo[a]:hi[a]]
+    hi = np.searchsorted(grouped, need, "right")
+    count = int((hi - lo).sum())
     if work + PAIR_WORDS * count > cap:
         raise CapExceeded(
             f"pair sweep finds {count} pairs, {work + PAIR_WORDS * count} work units with "
             f"the sweep, cap is {cap}"
         )
-    return [(ai, bi) for ai, bs in enumerate(partners) for bi in bs]
+    bs = order.tolist()
+    return [(ai, bi) for ai, (l, h) in enumerate(zip(lo.tolist(), hi.tolist())) for bi in bs[l:h]]
 
 
 def distinct_code_count(field: Field, n: int, pairs: Sequence[tuple[int, int]]) -> int:
@@ -306,7 +320,8 @@ def enumerate_self_dual(
         raise CapExceeded(f"enumeration lists up to {ring.size**2} pairs, cap is {cap}")
     idx_pairs = self_dual_pairs(field, n, cap=cap)
     dists, orbits = orbit_distances(field, n, idx_pairs, cap=cap) if with_distances else (None, None)
-    pairs = [(ring.element(ai), ring.element(bi)) for ai, bi in idx_pairs]
+    elements = list(map(tuple, digits(np.arange(ring.size), field.q, n).tolist()))
+    pairs = [(elements[ai], elements[bi]) for ai, bi in idx_pairs]
     report = CensusReport(
         q=field.q,
         n=n,
@@ -350,16 +365,23 @@ def constant_vectors(ring: QuotientRing) -> set[tuple]:
     return {ring.scalar_mul(c, ring.all_ones) for c in ring.field.elements()}
 
 
+def _matches(key_a: np.ndarray, key_b: np.ndarray) -> int:
+    """Number of index pairs (a, b) with key_a[a] == key_b[b]."""
+    key_b = np.sort(key_b)
+    return int((np.searchsorted(key_b, key_a, "right") - np.searchsorted(key_b, key_a, "left")).sum())
+
+
 def membership_census(field: Field, n: int, word, cap: int = DEFAULT_CAP) -> MembershipReport:
     """Count generator pairs (a, b) whose code contains the given word.
 
     Counts over all q^(2n) pairs, not only self-dual ones; the unit and
-    self-dual-restricted counts ride along.  The b are grouped by the key
-    (d*b', c*b) and each a looks up (c*a - e, f - d*a'), in O(Q) ring
-    products and memory.  The cap charges that work as self_dual_pairs
-    does, Q ring products of n^2 coefficient terms each, before any.  When
-    c*c' + d*d' is a unit the word pins (a, b) uniquely and the explicit
-    solution
+    self-dual-restricted counts ride along.  Every b gets the key
+    (d*b', c*b) and every a the key (c*a - e, f - d*a'), as index arrays
+    over all Q residues from the F_p digits, and the counts join equal keys
+    by sorting: O(Q) ring products and memory, and no Q x Q table.  The cap
+    charges that work as self_dual_pairs does, Q ring products of n^2
+    coefficient terms each, before any.  When c*c' + d*d' is a unit the
+    word pins (a, b) uniquely and the explicit solution
 
         a = (e*c' + d*f') / (c*c' + d*d')
         b = (f*c' - d*e') / (c*c' + d*d')
@@ -373,21 +395,25 @@ def membership_census(field: Field, n: int, word, cap: int = DEFAULT_CAP) -> Mem
         raise CapExceeded(f"membership census needs {work} coefficient products, cap is {cap}")
     c, d, e, f = split_word(field.q, n, word)
     have, need = _self_duality(ring)
-    units = _units(ring)
+    units = np.array(_units(ring))
+    p, k = field.p, field.k
+    P = digits(np.arange(Q), p, n * k)  # P[u]: the F_p digits of residue u
+    ppw = p ** np.arange(n * k)
 
-    def key(x: tuple, y: tuple) -> int:
-        return ring.index(x) * Q + ring.index(y)
+    def add(x, y):
+        return (P[x] + P[y]) % p @ ppw
 
+    recip = P.reshape(Q, n, k)[:, [(n - j) % n for j in range(n)]].reshape(Q, n * k) @ ppw
+    neg = -P % p @ ppw
+    c_times = ring_times(field, n, ring.index(c), P)  # c_times[x]: index of c*x
+    d_times_rec = ring_times(field, n, ring.index(d), P)[recip]  # d_times_rec[x]: index of d*x'
     # the word lies in C_{a,b} exactly when key_a[a] == key_b[b]
-    key_b = [key(ring.mul(d, ring.reciprocal(b)), ring.mul(c, b)) for b in ring.elements()]
-    key_a = [key(ring.sub(ring.mul(c, a), e), ring.sub(f, ring.mul(d, ring.reciprocal(a))))
-             for a in ring.elements()]
-    by_key = Counter(key_b)
-    unit_by_key = Counter(k for k, u in zip(key_b, units) if u)
-    sd_by_key = Counter(k * Q + v for k, v in zip(key_b, have))
-    count = sum(by_key[k] for k in key_a)
-    unit_count = sum(unit_by_key[k] for k, u in zip(key_a, units) if u)
-    sd_count = sum(sd_by_key[k * Q + v] for k, v in zip(key_a, need))
+    key_b = d_times_rec * Q + c_times
+    key_a = add(c_times, neg[ring.index(e)]) * Q + add(ring.index(f), neg[d_times_rec])
+    count = _matches(key_a, key_b)
+    unit_count = _matches(key_a[units], key_b[units])
+    rank = np.unique(np.concatenate([key_a, key_b]), return_inverse=True)[1]  # keys below 2Q
+    sd_count = _matches(rank[:Q] * Q + need, rank[Q:] * Q + have)
     c_rec = ring.reciprocal(c)
     d_rec = ring.reciprocal(d)
     delta = ring.add(ring.mul(c, c_rec), ring.mul(d, d_rec))
@@ -415,6 +441,9 @@ def membership_census(field: Field, n: int, word, cap: int = DEFAULT_CAP) -> Mem
     )
 
 
+SWEEP_CHUNK_WORDS = 1 << 16  # words one chunk of messages in membership_sweep tallies at once
+
+
 @dataclass
 class MembershipSweep:
     """Membership counts for every word of F_q^(4n) at once.
@@ -422,16 +451,18 @@ class MembershipSweep:
     counts[u] is the number of generator pairs whose code contains the word
     with block index u = c + Q*d + Q^2*e + Q^3*f (Q = q^n).  unit_counts
     restricts to pairs with a and b both coprime to x^n - 1 (the setting of
-    the q^n*(q-1) bound); sd_counts restricts to self-dual pairs.
+    the q^n*(q-1) bound); sd_counts restricts to self-dual pairs.  Each
+    table is an array('i') of Q^4 counts, 4 bytes per word: indexing it
+    gives a Python int, and sum() and len() read it like a list.
     """
 
     q: int
     n: int
     Q: int
     bound: int
-    counts: list
-    unit_counts: list
-    sd_counts: list
+    counts: array
+    unit_counts: array
+    sd_counts: array
     constant_indices: frozenset
 
     def word_index(self, word) -> int:
@@ -442,19 +473,17 @@ class MembershipSweep:
         and the least word attaining it, or (-1, -1) when no word qualifies.
 
         which selects the pair universe: "all", "unit" or "self_dual".  The
-        table is read one (e, f) block of Q^2 words at a time.
+        table is read once, as a numpy view of its Q^2 x Q^2 counts at
+        [e + Q*f, c + Q*d], whose flat index is the word index.
         """
         table = {"all": self.counts, "unit": self.unit_counts, "self_dual": self.sd_counts}[which]
         Q = self.Q
         const = np.isin(np.arange(Q), list(self.constant_indices))
         ok = ~(const[None, :] | const[:, None]).ravel()  # at c + Q*d
-        best, best_u = -1, -1
-        for start in range(0, len(table), Q * Q):
-            block = np.where(ok, table[start : start + Q * Q], -1)
-            i = int(block.argmax())
-            if block[i] > best:
-                best, best_u = int(block[i]), start + i
-        return best, best_u
+        block = np.where(ok, np.frombuffer(table, dtype=np.intc).reshape(Q * Q, Q * Q), -1)
+        u = int(block.argmax())  # the least word among the largest
+        best = int(block.flat[u])
+        return (best, u) if best >= 0 else (-1, -1)
 
 
 def membership_sweep(field: Field, n: int, cap: int = DEFAULT_CAP) -> MembershipSweep:
@@ -463,7 +492,10 @@ def membership_sweep(field: Field, n: int, cap: int = DEFAULT_CAP) -> Membership
     For each message (c, d) the codewords of all Q^2 generator pairs are
     tallied at once, which gives |{(a, b) : u in C_{a,b}}| for every word u
     with message blocks (c, d), since membership forces the message blocks.
-    The cap bounds Q^4, so the Q x Q index tables used here stay small.
+    Messages go in chunks that cover at most SWEEP_CHUNK_WORDS words, so a
+    chunk encodes at most that many pairs, and each chunk is tallied by one
+    bincount per table through a numpy view of the array('i') tables.  The
+    cap bounds Q^4, so the Q x Q index tables used here stay small.
     """
     ring = QuotientRing(field, n)
     Q = ring.size
@@ -475,23 +507,25 @@ def membership_sweep(field: Field, n: int, cap: int = DEFAULT_CAP) -> Membership
     rows = np.array([t.times(m) for m in range(Q)])  # rows[m, x]: index of m*x
     rows_rec = rows[:, t.recip]  # rows_rec[m, x]: index of m*x'
     neg_rows_rec = t.neg[rows_rec]
-    have, need = map(np.array, _self_duality(ring))
+    have, need = _self_duality(ring)
     units = np.array(_units(ring))
-    counts, unit_counts, sd_counts = ([0] * Q**4 for _ in range(3))
-    pair_sets = [
-        (counts, np.ones((Q, Q), dtype=bool)),
-        (unit_counts, units[:, None] & units[None, :]),
-        (sd_counts, have[None, :] == need[:, None]),
-    ]  # masks over [a, b]
-    for m in range(Q * Q):
-        ci, di = m % Q, m // Q
+    masks = (units[:, None] & units[None, :], have[None, :] == need[:, None])  # over [a, b]
+    tables = [array("i", [0]) * Q**4 for _ in range(3)]
+    # views[i][e + Q*f, c + Q*d] is tables[i][u]
+    views = [np.frombuffer(table, dtype=np.intc).reshape(Q * Q, Q * Q) for table in tables]
+    step = max(1, SWEEP_CHUNK_WORDS // (Q * Q))
+    for start in range(0, Q * Q, step):
+        msg = np.arange(start, min(start + step, Q * Q))
+        ci, di = msg % Q, msg // Q
         # the codeword of message (c, d) in C_{a,b} has index m + Q^2*(e + Q*f)
-        e = add[rows[ci][:, None], neg_rows_rec[di][None, :]]  # c*a - d*b' at [a, b]
-        f = add[rows[ci][None, :], rows_rec[di][:, None]]  # c*b + d*a'
-        key = e + Q * f
-        for out, mask in pair_sets:
-            out[m :: Q * Q] = np.bincount(key[mask], minlength=Q * Q).tolist()
+        e = add[rows[ci][:, :, None], neg_rows_rec[di][:, None, :]]  # c*a - d*b' at [m, a, b]
+        f = add[rows[ci][:, None, :], rows_rec[di][:, :, None]]  # c*b + d*a'
+        slot = (msg - start)[:, None, None] * (Q * Q) + e + Q * f  # [m, word] flattened
+        for view, sel in zip(views, (slot, slot[:, masks[0]], slot[:, masks[1]])):
+            tally = np.bincount(sel.ravel(), minlength=len(msg) * Q * Q)
+            view[:, start : start + len(msg)] = tally.reshape(len(msg), Q * Q).T
     const_idx = frozenset(ring.index(u) for u in constant_vectors(ring))
+    counts, unit_counts, sd_counts = tables
     return MembershipSweep(
         q=field.q,
         n=n,

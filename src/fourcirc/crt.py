@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import FourCirculantCode
-from .fields import Embedding, Field, digits, embedding
+from .fields import Embedding, Field, embedding, field_sum
 from .polyring import Poly, factor_xn_minus_1, first_root, poly_degree
 
 
@@ -103,7 +103,7 @@ def _trace_table(base: Field, ext: Field, fwd: np.ndarray, n: int) -> np.ndarray
     m, d = ext.q - 1, ext.k // base.k
     y = np.arange(ext.q)
     logs = ext.log_array[y][:, None] * np.array([base.q**t % m for t in range(d)]) % m
-    tr = _field_sum(ext, ext.exp_array[logs] * (y != 0)[:, None], 1)
+    tr = field_sum(ext, ext.exp_array[logs] * (y != 0)[:, None], 1)
     back = np.full(ext.q, -1, dtype=np.int64)
     back[fwd] = np.arange(base.q)
     n_inv = pow(n, -1, base.p)  # the code of n^(-1) in the prime subfield
@@ -145,27 +145,6 @@ def _chunks(length: int, per_item: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, length, step)]
 
 
-@lru_cache(maxsize=None)
-def _digit_table(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """The F_p digits of every element code, and the place values p^j."""
-    table = digits(np.arange(field.q), field.p, field.k).astype(np.int8)
-    table.flags.writeable = False
-    return table, field.p ** np.arange(field.k)
-
-
-def _field_sum(field: Field, codes: np.ndarray, axis) -> np.ndarray:
-    """Sum of element codes over axis (an int >= 0 or a tuple of them).
-
-    Addition in F_{p^k} adds the F_p digits of the codes mod p.  In
-    characteristic 2 the codes are bit vectors of their digits, and that sum
-    is their exclusive or.
-    """
-    if field.p == 2:
-        return np.bitwise_xor.reduce(codes, axis=axis)
-    table, place = _digit_table(field)
-    return table[codes].sum(axis=axis) % field.p @ place
-
-
 def decompose(code: FourCirculantCode) -> list[Constituent]:
     """One constituent per irreducible factor of x^n - 1, deterministic order.
 
@@ -181,7 +160,7 @@ def decompose(code: FourCirculantCode) -> list[Constituent]:
         logs = ext.log_array[g.fwd[coeffs]]  # (2, n)
         for rows in _chunks(len(g.positions), 2 * n):
             terms = ext.exp_array[logs[:, None, :] + g.up[rows]]  # a_i * root^i at [a or b, factor, i]
-            for pos, a_img, b_img in zip(g.positions[rows], *_field_sum(ext, terms, 2).tolist()):
+            for pos, a_img, b_img in zip(g.positions[rows], *field_sum(ext, terms, 2).tolist()):
                 images[pos] = (a_img, b_img)
     out = []
     for (factor, kind), (a_img, b_img) in zip(plan.factors, images):
@@ -256,7 +235,7 @@ def reconstruct(field: Field, n: int, constituents: list[Constituent]) -> tuple[
     for cols in _chunks(n, 2 * len(plan.factors)):
         # n^(-1) * Tr(image * root^(-i)) at [a or b, factor, i]
         traces = [g.trace[g.field.exp_array[lg + g.down[:, cols]]] for g, lg in zip(plan.groups, logs)]
-        out[:, cols] = _field_sum(field, np.concatenate(traces, axis=1), 1)
+        out[:, cols] = field_sum(field, np.concatenate(traces, axis=1), 1)
     a, b = out.tolist()
     return tuple(a), tuple(b)
 
@@ -285,7 +264,7 @@ def unit_mask(field: Field, n: int) -> np.ndarray:
         for i in range(n):
             step = ext.exp_array[coeff_logs + g.up[:, i % m]]  # c * root^i at [c, factor]
             both = np.broadcast_arrays(images[None], step[:, None])  # [c, residue below q^i, factor]
-            images = _field_sum(ext, np.stack(both), 0).reshape(-1, len(g.positions))
+            images = field_sum(ext, np.stack(both), 0).reshape(-1, len(g.positions))
         unit &= (images != 0).all(axis=1)
     return unit
 

@@ -42,6 +42,27 @@ def digits(codes: np.ndarray, base: int, width: int) -> np.ndarray:
     return np.asarray(codes, dtype=np.int64)[:, None] // base ** np.arange(width) % base
 
 
+@lru_cache(maxsize=None)
+def _digit_table(field: "Field") -> tuple[np.ndarray, np.ndarray]:
+    """The F_p digits of every element code, and the place values p^j."""
+    table = digits(np.arange(field.q), field.p, field.k).astype(np.int8)
+    table.flags.writeable = False
+    return table, field.p ** np.arange(field.k)
+
+
+def field_sum(field: "Field", codes: np.ndarray, axis) -> np.ndarray:
+    """Sum of element codes over axis (an int >= 0 or a tuple of them).
+
+    Addition in F_{p^k} adds the F_p digits of the codes mod p.  In
+    characteristic 2 the codes are bit vectors of their digits, and that sum
+    is their exclusive or.
+    """
+    if field.p == 2:
+        return np.bitwise_xor.reduce(codes, axis=axis)
+    table, place = _digit_table(field)
+    return table[codes].sum(axis=axis) % field.p @ place
+
+
 def mul_matrices(field: "Field", xs) -> np.ndarray:
     """k x k matrices over F_p of multiplication by each code in xs.
 

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fields import ORDER_CAP, Field, digits, embedding, mul_matrices
+from .fields import ORDER_CAP, Field, digits, embedding, field_sum, mul_matrices
 
 Poly = tuple  # coefficient tuple, ascending
 RingElem = tuple  # exactly n coefficients
@@ -133,13 +133,27 @@ def poly_eval(field: Field, f: Poly, x: int) -> int:
     return acc
 
 
+ROOT_CHUNK = 1 << 12  # elements first_root evaluates a polynomial at in one array
+
+
 def first_root(field: Field, f: Poly) -> int:
-    """Least element code z with f(z) = 0; every z is a root of the zero polynomial."""
+    """Least element code z with f(z) = 0; every z is a root of the zero polynomial.
+
+    f is evaluated at ROOT_CHUNK elements at a time, in code order, by
+    Horner's rule on arrays: deg(f) steps of a log/exp gather and a field
+    sum per chunk, and the scan stops at the first chunk that holds a root.
+    """
     if len(f) == 2:  # c0 + c1*x has the one root -c0/c1
         return field.div(field.neg(f[0]), f[1])
-    for z in field.elements():
-        if poly_eval(field, f, z) == 0:
-            return z
+    log, exp = field.log_array, field.exp_array
+    for start in range(0, field.q, ROOT_CHUNK):
+        z_log = log[start : start + ROOT_CHUNK]
+        values = np.zeros(len(z_log), dtype=np.int64)  # values[z - start]: f(z), so far
+        for c in reversed(f):
+            values = field_sum(field, np.stack(np.broadcast_arrays(exp[log[values] + z_log], c)), 0)
+        roots = np.flatnonzero(values == 0)
+        if len(roots):
+            return start + int(roots[0])
     raise ValueError(f"polynomial {list(f)} has no root in F_{field.q}")
 
 
@@ -397,18 +411,24 @@ class RingTables:
             arr.flags.writeable = False  # shared by every ring of the same field and n
 
     def times(self, m: int) -> np.ndarray:
-        """Index of c*m for every element index c.
+        """Index of c*m for every element index c."""
+        return ring_times(self.field, self.n, m, self.digit_vectors)
 
-        Coefficient j of c contributes coefficient (j + i) % n of c*m times
-        coefficient i of m, so on F_p digits c -> c*m is the block circulant
-        of the k x k multiplication matrices of m's coefficients.
-        """
-        n, k, p = self.n, self.field.k, self.field.p
-        m_coeffs = digits([m], self.field.q, n)[0]
-        shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # (l - j) % n at [j, l]
-        blocks = mul_matrices(self.field, m_coeffs)[shift]  # [j, l, out digit, in digit]
-        matrix = blocks.transpose(0, 3, 1, 2).reshape(n * k, n * k)
-        return self.digit_vectors @ matrix % p @ self.digit_powers
+
+def ring_times(field: Field, n: int, m: int, digit_vectors: np.ndarray) -> np.ndarray:
+    """Index of c*m in R(n, F_q) for every row of digit_vectors, the n*k F_p
+    digits of an element c, least significant first.
+
+    Coefficient j of c contributes coefficient (j + i) % n of c*m times
+    coefficient i of m, so on F_p digits c -> c*m is the block circulant
+    of the k x k multiplication matrices of m's coefficients.
+    """
+    k, p = field.k, field.p
+    m_coeffs = digits([m], field.q, n)[0]
+    shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # (l - j) % n at [j, l]
+    blocks = mul_matrices(field, m_coeffs)[shift]  # [j, l, out digit, in digit]
+    matrix = blocks.transpose(0, 3, 1, 2).reshape(n * k, n * k)
+    return digit_vectors @ matrix % p @ p ** np.arange(n * k)
 
 
 @lru_cache(maxsize=1)
@@ -455,6 +475,25 @@ def _find_primitive_root_of_unity(big: Field, n: int) -> int:
         if all(big.pow(z, n // ell) != big.one for ell in prime_divs):
             return z
     raise AssertionError(f"no element of order {n} in F_{big.q}")
+
+
+def _check_expansion(field: Field, n: int, factors: Sequence[Poly]) -> None:
+    """Raise AssertionError unless the factors multiply out to x^n - 1.
+
+    The product is kept as an array of codes; multiplying it by a factor
+    g takes one log/exp gather and one field sum per coefficient of g.
+    """
+    log, exp = field.log_array, field.exp_array
+    product = np.array([field.one])
+    for g in factors:
+        out = np.zeros(len(product) + len(g) - 1, dtype=np.int64)
+        for j, c in enumerate(g):  # out += c * x^j * product
+            part = out[j : j + len(product)]
+            part[:] = field_sum(field, np.stack([part, exp[log[product] + log[c]]]), 0)
+        product = out
+    expected = poly_trim([field.neg(1)] + [0] * (n - 1) + [1])
+    if poly_trim(product.tolist()) != expected:
+        raise AssertionError("factor product does not re-expand to x^n - 1")
 
 
 @lru_cache(maxsize=None)
@@ -507,12 +546,7 @@ def factor_xn_minus_1(field: Field, n: int) -> Factorization:
     if waiting:
         raise AssertionError("non-self-reciprocal factor without a partner")
 
-    product: Poly = (field.one,)
-    for g in factors:
-        product = poly_mul(field, product, g)
-    expected = poly_trim([field.neg(1)] + [0] * (n - 1) + [1])
-    if product != expected:
-        raise AssertionError("factor product does not re-expand to x^n - 1")
+    _check_expansion(field, n, factors)
     if len(factors) != len(cosets):
         raise AssertionError("factor count does not match coset count")
 

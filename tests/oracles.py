@@ -9,12 +9,14 @@ import ...`, the way they import `helpers`.
 | --------------------------- | --------------------------------------------------- |
 | `SchoolbookField`           | `Field` add/neg/mul/inv/frobenius tables            |
 | `brute_gcd`                 | `polyring.poly_gcd`                                 |
+| `first_root_scan`           | `polyring.first_root`, one `poly_eval` per element  |
 | `einsum_prime_tables`       | `RingTables` neg/recip/weight/times/sum_weight      |
 | `is_two_factor_case`        | `polyring.is_primitive_root`, by coset count        |
 | `circulant`                 | building block of the two below                     |
 | `generator_matrix`          | `is_self_dual_poly` (Gram of G), and feeds `rref`   |
 | `is_self_dual_matrix`       | `FourCirculantCode.is_self_dual_poly`               |
 | `self_dual_matrix_sweep`    | `census.self_dual_pairs`, all pairs at once         |
+| `self_duality_scan`         | `census._self_duality`, a ring product per residue  |
 | `poly_truth_table`          | residue side of the sweep comparison                |
 | `rref`                      | `census.distinct_code_count`                        |
 | `second_pass_distance`      | `FourCirculantCode.min_distance`                    |
@@ -39,7 +41,14 @@ from fourcirc.asympt import ball_volume, entropy
 from fourcirc.census import code_distances, self_dual_pairs
 from fourcirc.crt import Constituent, _constituent_context
 from fourcirc.fields import Field, digits, mul_matrices
-from fourcirc.polyring import QuotientRing, cyclotomic_cosets, factor_xn_minus_1, monic_polys, poly_divmod
+from fourcirc.polyring import (
+    QuotientRing,
+    cyclotomic_cosets,
+    factor_xn_minus_1,
+    monic_polys,
+    poly_divmod,
+    poly_eval,
+)
 
 SWEEP_CHUNK = 8192  # (a, b) pairs per batch of self_dual_matrix_sweep over F_p
 
@@ -130,6 +139,15 @@ def brute_gcd(field, f, g):
                 if d >= len(best) - 1:
                     best = h
     return best
+
+
+def first_root_scan(field, f):
+    """Least element code z with f(z) = 0, by one Horner evaluation per
+    element in code order; every z is a root of the zero polynomial."""
+    for z in field.elements():
+        if poly_eval(field, f, z) == 0:
+            return z
+    raise ValueError(f"polynomial {list(f)} has no root in F_{field.q}")
 
 
 def is_two_factor_case(field: Field, n: int) -> bool:
@@ -285,6 +303,17 @@ def self_dual_matrix_sweep(
         ok &= gram_is_zero(G)
         out[start:stop] = ok
     return out
+
+
+def self_duality_scan(ring):
+    """Indices of u*u' and of -(1 + u*u') for every residue u, one ring
+    product per residue."""
+    have, need = [], []
+    for u in ring.elements():
+        v = ring.mul(u, ring.reciprocal(u))
+        have.append(ring.index(v))
+        need.append(ring.index(ring.neg(ring.add(ring.one, v))))
+    return have, need
 
 
 def poly_truth_table(field, n):

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -31,6 +32,7 @@ from oracles import (
     max_nonconstant_scan,
     membership_scan,
     rref,
+    self_duality_scan,
 )
 
 F2, F3, F5 = Field(2), Field(3), Field(5)
@@ -148,6 +150,14 @@ def test_enumerate_with_distances():
     assert sum(rep.per_code_distances.values()) == 12
     # all binary self-dual codes have even distance
     assert all(d % 2 == 0 for d in rep.pair_distances)
+
+
+@pytest.mark.parametrize("field, n", [(F2, 6), (F3, 6), (Field(2, 2), 4), (F5, 2), (F2, 9)])
+def test_self_duality_matches_scan(field, n):
+    # p divides n at (2, 6) and (3, 6); an extension field at (F_4, 4)
+    ring = QuotientRing(field, n)
+    have, need = census._self_duality(ring)
+    assert (have.tolist(), need.tolist()) == self_duality_scan(ring)
 
 
 def test_code_distances_matches_min_distance():
@@ -322,6 +332,37 @@ def test_max_nonconstant_matches_scan(p, k, n):
         assert all(type(v) is int for v in got)
     if n == 1:  # every residue of R(1, F_q) is constant: no word qualifies
         assert sw.max_nonconstant("all") == (-1, -1)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
+def test_membership_sweep_tables(p, k, n, monkeypatch):
+    # array('i') tables, 4 bytes a word, whose entries are Python ints;
+    # test_max_nonconstant_matches_scan pins the maxima at these points
+    field = Field(p, k)
+    ring = QuotientRing(field, n)
+    Q = ring.size
+    sw = membership_sweep(field, n)
+    tables = (sw.counts, sw.unit_counts, sw.sd_counts)
+    for table in tables:
+        assert len(table) == Q**4 and table.itemsize == 4
+        assert type(table[-1]) is int and json.loads(json.dumps(table[-1])) == table[-1]
+    # here one chunk holds every message; chunks of 3 messages, the last one short
+    monkeypatch.setattr(census, "SWEEP_CHUNK_WORDS", 3 * Q * Q)
+    small = membership_sweep(field, n)
+    assert (small.counts, small.unit_counts, small.sd_counts) == tables
+    # every word, but at (F_4, 2), where scanning all 65536 words takes about
+    # half a minute, a seeded sample and codewords of self-dual codes
+    words = range(Q**4)
+    if k > 1:
+        rng = random.Random(Q)
+        words = rng.sample(words, 256)
+        for ai, bi in rng.sample(self_dual_pairs(field, n), 16):
+            code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
+            word = code.encode(ring.element(rng.randrange(Q)), ring.element(rng.randrange(Q)))
+            words.append(sw.word_index(word.blocks))
+    for u in words:
+        blocks = tuple(ring.element(u // Q**i % Q) for i in range(4))
+        assert tuple(table[u] for table in tables) == membership_scan(field, n, blocks), u
 
 
 def test_membership_word_validation():

@@ -1,14 +1,18 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fourcirc import polyring
 from fourcirc.fields import Field
 from fourcirc.polyring import (
     QuotientRing,
+    _check_expansion,
     cyclotomic_cosets,
     factor_xn_minus_1,
+    first_root,
     is_irreducible,
     is_primitive_root,
     monic_reciprocal,
@@ -21,7 +25,7 @@ from fourcirc.polyring import (
     poly_trim,
 )
 
-from oracles import brute_gcd, einsum_prime_tables, is_two_factor_case
+from oracles import brute_gcd, einsum_prime_tables, first_root_scan, is_two_factor_case
 
 F2, F3, F4, F5 = Field(2), Field(3), Field(2, 2), Field(5)
 
@@ -197,6 +201,25 @@ def test_two_factor_case_matches_primitive_root():
             assert is_two_factor_case(field, n) == is_primitive_root(field.q, n)
 
 
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (7, 1), (2, 11)])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_first_root_matches_scan(p, k, chunk, monkeypatch):
+    if chunk:  # several chunks, the last one short
+        monkeypatch.setattr(polyring, "ROOT_CHUNK", chunk)
+    field = Field(p, k)
+    rng = random.Random(p * 100 + k)
+    polys = [(), (1,), (0, 0, 1), (field.q - 1, 0, 1)]
+    polys += [poly_trim([rng.randrange(field.q) for _ in range(rng.randint(2, 6))]) for _ in range(30)]
+    for f in polys:
+        try:
+            want = first_root_scan(field, f)
+        except ValueError:
+            with pytest.raises(ValueError, match="has no root"):
+                first_root(field, f)
+        else:
+            assert first_root(field, f) == want, f
+
+
 # -- factorization ----------------------------------------------------------------
 
 def expand(field, factors):
@@ -225,6 +248,15 @@ def test_factor_examples():
     # x^19 - 1 splits only over F_(2^18), above the field order cap
     with pytest.raises(ValueError, match=r"n=19, q=2, m=18"):
         factor_xn_minus_1(F2, 19)
+
+
+def test_expansion_check_rejects_a_missing_factor():
+    for field, n in [(F2, 7), (F3, 8), (F4, 5), (F5, 6)]:
+        factors = [g for g, _ in factor_xn_minus_1(field, n).factors()]
+        _check_expansion(field, n, factors)
+        for i in range(len(factors)):
+            with pytest.raises(AssertionError, match="does not re-expand to x\\^n - 1"):
+                _check_expansion(field, n, factors[:i] + factors[i + 1 :])
 
 
 def test_factorization_properties():
