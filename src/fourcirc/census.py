@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -82,7 +82,7 @@ def self_dual_count_formula(field: Field, n: int) -> Optional[int]:
 
 @dataclass
 class CensusReport:
-    """Everything the self-dual pair sweep finds.
+    """Everything the self-dual pair sweep finds, pairs as the (a, b) index rows of self_dual_pairs.
 
     distinct_code_count always equals pair_count; see distinct_code_count.
     """
@@ -92,13 +92,13 @@ class CensusReport:
     pair_count: int
     formula_count: Optional[int]
     distinct_code_count: int
-    pairs: list = dataclass_field(default_factory=list)
+    pairs: np.ndarray
     pair_distances: Optional[list] = None
     per_code_distances: Optional[dict] = None
     orbit_count: Optional[int] = None  # codes scanned for pair_distances
 
 
-PAIR_WORDS = 8  # a listed pair: a 2-tuple (7 words of 8 bytes) and its list slot
+PAIR_WORDS = 2  # one pair: a row of two int64 words in the pair array
 
 
 def _self_duality(ring: QuotientRing) -> tuple[np.ndarray, np.ndarray]:
@@ -124,23 +124,23 @@ def _self_duality(ring: QuotientRing) -> tuple[np.ndarray, np.ndarray]:
     return have, field.neg_array[prod] @ qpw
 
 
-def _units(ring: QuotientRing) -> list[bool]:
+def _units(ring: QuotientRing) -> np.ndarray:
     """For every residue index, whether it is coprime to x^n - 1: from its
     CRT images, or by one gcd per residue when x^n - 1 splits only above
     the field order cap."""
     try:
-        return unit_mask(ring.field, ring.n).tolist()
+        return unit_mask(ring.field, ring.n)
     except ValueError:
-        return [ring.is_unit(u) for u in ring.elements()]
+        return np.array([ring.is_unit(u) for u in ring.elements()])
 
 
-def self_dual_pairs(field: Field, n: int, cap: int = DEFAULT_CAP) -> list[tuple[int, int]]:
-    """Index pairs (a, b) with 1 + a*a' + b*b' = 0, in a-major order.
+def self_dual_pairs(field: Field, n: int, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """Index pairs (a, b) with 1 + a*a' + b*b' = 0: rows of an (N, 2) int64 array, a-major.
 
     The cap counts work units: the sweep's Q ring products of n^2
     coefficient terms each, checked before it starts, and then PAIR_WORDS
-    memory words for each pair in the list, checked on the exact pair count
-    before any pair is listed.
+    memory words for each row of the array, checked on the exact pair count
+    before the array is allocated.
     """
     ring = QuotientRing(field, n)
     work = ring.size * n * n
@@ -149,19 +149,24 @@ def self_dual_pairs(field: Field, n: int, cap: int = DEFAULT_CAP) -> list[tuple[
     have, need = _self_duality(ring)
     order = np.argsort(have, kind="stable")  # the b grouped by b*b', ascending within a group
     grouped = have[order]
-    lo = np.searchsorted(grouped, need, "left")  # the partners of a are order[lo[a]:hi[a]]
-    hi = np.searchsorted(grouped, need, "right")
-    count = int((hi - lo).sum())
+    lo = np.searchsorted(grouped, need, "left")  # the partners of a are order[lo[a]:lo[a] + sizes[a]]
+    sizes = np.searchsorted(grouped, need, "right") - lo
+    count = int(sizes.sum())
     if work + PAIR_WORDS * count > cap:
         raise CapExceeded(
             f"pair sweep finds {count} pairs, {work + PAIR_WORDS * count} work units with "
             f"the sweep, cap is {cap}"
         )
-    bs = order.tolist()
-    return [(ai, bi) for ai, (l, h) in enumerate(zip(lo.tolist(), hi.tolist())) for bi in bs[l:h]]
+    pairs = np.empty((count, 2), dtype=np.int64)
+    pairs[:, 0] = np.repeat(np.arange(ring.size), sizes)
+    # row r is partner r - start[a] of a, where start[a] = sizes[:a].sum() is a's first row
+    at = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    at += np.arange(count)
+    pairs[:, 1] = order[at]
+    return pairs
 
 
-def distinct_code_count(field: Field, n: int, pairs: Sequence[tuple[int, int]]) -> int:
+def distinct_code_count(field: Field, n: int, pairs: np.ndarray) -> int:
     """Number of distinct codes C_{a,b} among the codes of the given pairs.
 
     The generator matrix G = [I | M] is already in reduced row echelon form,
@@ -169,16 +174,17 @@ def distinct_code_count(field: Field, n: int, pairs: Sequence[tuple[int, int]]) 
     code only when they are the same pair: the count is the number of
     distinct pairs.
     """
-    return len(set(pairs))
+    keys = np.sort(pairs[:, 0] * field.q**n + pairs[:, 1])  # not np.unique: its first call costs ~15 ms
+    return len(keys) - int(np.count_nonzero(keys[1:] == keys[:-1]))
 
 
 def code_distances(
     field: Field,
     n: int,
-    pairs: Sequence[tuple[int, int]],
+    pairs: np.ndarray,
     cap: int = DEFAULT_CAP,
 ) -> list[int]:
-    """Exact minimum distance for each (a, b) index pair."""
+    """Exact minimum distance for each (a, b) row of an index pair array."""
     ring = QuotientRing(field, n)
     check_distance_cap(ring.size, cap)
     return [int(wt.min()) for wt in message_weights(ring.tables(), pairs)]
@@ -232,19 +238,18 @@ def equivalence_maps(field: Field, n: int) -> list[tuple[str, PairMap]]:
     return maps
 
 
-def code_orbits(field: Field, n: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """For each pair of the a-major self-dual list, the position of the
-    least pair in its orbit under equivalence_maps.
+def code_orbits(field: Field, n: int, pairs: np.ndarray) -> np.ndarray:
+    """For each row of the a-major self-dual pair array, the position of
+    the least pair in its orbit under equivalence_maps.
 
-    Every map is first checked to take the list onto itself.  Labels then
+    Every map is first checked to take the pairs onto themselves.  Labels then
     start as the positions and take, until they stop changing, the least
     label over each map's image and preimage, with a pointer-jumping step
     (label of the label) per round.  A label is always a position in the
     same orbit and no larger, so the fixed point is the orbit minimum.
     """
     Q = QuotientRing(field, n).size
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    a, b = arr[:, 0], arr[:, 1]
+    a, b = pairs.T
     keys = a * Q + b
     if (np.diff(keys) <= 0).any():
         raise ValueError("pairs must be distinct and in a-major order")
@@ -273,7 +278,7 @@ def code_orbits(field: Field, n: int, pairs: Sequence[tuple[int, int]]) -> np.nd
 def orbit_distances(
     field: Field,
     n: int,
-    pairs: Sequence[tuple[int, int]],
+    pairs: np.ndarray,
     cap: int = DEFAULT_CAP,
 ) -> tuple[list[int], int]:
     """Exact minimum distance of every pair, from one scan per orbit.
@@ -293,7 +298,7 @@ def orbit_distances(
             f"need {work} codeword evaluations, {Q * Q} per orbit, cap is {cap}"
         )
     dists = np.zeros(len(labels), dtype=np.int64)
-    dists[reps] = code_distances(field, n, [pairs[r] for r in reps], cap=cap)
+    dists[reps] = code_distances(field, n, pairs[reps], cap=cap)
     return dists[labels].tolist(), len(reps)
 
 
@@ -306,28 +311,26 @@ def enumerate_self_dual(
     """Sweep all q^(2n) pairs and report every self-dual one.
 
     The closed-form count is attached when its hypotheses hold (n an odd
-    prime, q a primitive root mod n) and left as None otherwise.  Pair
-    order is a-major with coefficient vectors ascending in base-q code
-    order, so reports are deterministic.
+    prime, q a primitive root mod n) and left as None otherwise.  Pairs
+    are the index rows of self_dual_pairs, a-major and ascending, so
+    reports are deterministic.
 
-    The report spells out every pair as 2n coefficients, and a rendered
-    pair costs far more than PAIR_WORDS (about 3 KB in the CLI at n = 13),
-    so the report is bounded on its own, before the sweep starts: it may
-    list at most cap pairs, and there are up to Q^2 of them.
+    The CLI spells out every pair as 2n coefficients, and a rendered pair
+    costs far more than PAIR_WORDS (about 3 KB at n = 13), so the report is
+    bounded on its own, before the sweep starts: it may list at most cap
+    pairs, and there are up to Q^2 of them.
     """
     ring = QuotientRing(field, n)
     if ring.size**2 > cap:
         raise CapExceeded(f"enumeration lists up to {ring.size**2} pairs, cap is {cap}")
-    idx_pairs = self_dual_pairs(field, n, cap=cap)
-    dists, orbits = orbit_distances(field, n, idx_pairs, cap=cap) if with_distances else (None, None)
-    elements = list(map(tuple, digits(np.arange(ring.size), field.q, n).tolist()))
-    pairs = [(elements[ai], elements[bi]) for ai, bi in idx_pairs]
+    pairs = self_dual_pairs(field, n, cap=cap)
+    dists, orbits = orbit_distances(field, n, pairs, cap=cap) if with_distances else (None, None)
     report = CensusReport(
         q=field.q,
         n=n,
-        pair_count=len(idx_pairs),
+        pair_count=len(pairs),
         formula_count=self_dual_count_formula(field, n),
-        distinct_code_count=distinct_code_count(field, n, idx_pairs),
+        distinct_code_count=distinct_code_count(field, n, pairs),
         pairs=pairs,
         orbit_count=orbits,
     )
@@ -395,7 +398,7 @@ def membership_census(field: Field, n: int, word, cap: int = DEFAULT_CAP) -> Mem
         raise CapExceeded(f"membership census needs {work} coefficient products, cap is {cap}")
     c, d, e, f = split_word(field.q, n, word)
     have, need = _self_duality(ring)
-    units = np.array(_units(ring))
+    units = _units(ring)
     p, k = field.p, field.k
     P = digits(np.arange(Q), p, n * k)  # P[u]: the F_p digits of residue u
     ppw = p ** np.arange(n * k)
@@ -508,7 +511,7 @@ def membership_sweep(field: Field, n: int, cap: int = DEFAULT_CAP) -> Membership
     rows_rec = rows[:, t.recip]  # rows_rec[m, x]: index of m*x'
     neg_rows_rec = t.neg[rows_rec]
     have, need = _self_duality(ring)
-    units = np.array(_units(ring))
+    units = _units(ring)
     masks = (units[:, None] & units[None, :], have[None, :] == need[:, None])  # over [a, b]
     tables = [array("i", [0]) * Q**4 for _ in range(3)]
     # views[i][e + Q*f, c + Q*d] is tables[i][u]

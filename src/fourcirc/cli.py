@@ -160,13 +160,14 @@ def cmd_crt(args):
 def cmd_enumerate(args):
     field = build_field(args)
     report = enumerate_self_dual(field, args.n, with_distances=args.distances, cap=args.cap)
+    rows = digits(np.arange(field.q**args.n), field.q, args.n).tolist()  # coefficients by index
     body = {
         "q": report.q,
         "n": report.n,
         "pair_count": report.pair_count,
         "formula_count": report.formula_count,
         "distinct_code_count": report.distinct_code_count,
-        "pairs": [[list(a), list(b)] for a, b in report.pairs],
+        "pairs": [[rows[a], rows[b]] for a, b in report.pairs.tolist()],
     }
     meta = {"field": field}
     if args.distances:
@@ -203,28 +204,25 @@ def cmd_search(args):
     field = build_field(args)
     ring = QuotientRing(field, args.n)
     check_distance_cap(ring.size, args.cap)  # refuse before the sweep, not after it
-    idx_pairs = self_dual_pairs(field, args.n, cap=args.cap)
-    dists, orbits = orbit_distances(field, args.n, idx_pairs, cap=args.cap)
-    print(f"search: {len(idx_pairs)} self-dual codes in {orbits} orbits, one distance scan per orbit",
+    pairs = self_dual_pairs(field, args.n, cap=args.cap)
+    dists, orbits = orbit_distances(field, args.n, pairs, cap=args.cap)
+    print(f"search: {len(pairs)} self-dual codes in {orbits} orbits, one distance scan per orbit",
           file=sys.stderr)
-    # ring.element tuples compare as their coefficients read as base-q digits, c0 leading
-    rank = digits(np.arange(ring.size), field.q, args.n) @ field.q ** np.arange(args.n)[::-1]
-    ab = rank[np.asarray(idx_pairs, dtype=np.int64).reshape(-1, 2)]
-    order = np.lexsort((ab[:, 1], ab[:, 0], -np.asarray(dists, dtype=np.int64)))[: args.top]
+    coeffs = digits(np.arange(ring.size), field.q, args.n)
+    # coefficient lists compare as their coefficients read as base-q digits, c0 leading
+    ab = (coeffs @ field.q ** np.arange(args.n)[::-1])[pairs]
+    order = np.lexsort((ab[:, 1], ab[:, 0], -np.asarray(dists)))[: args.top]
+    rows = coeffs.tolist()
     body = {
         "q": field.q,
         "n": args.n,
-        "total_self_dual": len(idx_pairs),
+        "total_self_dual": len(pairs),
         "top": [
-            {
-                "a": list(ring.element(idx_pairs[i][0])),
-                "b": list(ring.element(idx_pairs[i][1])),
-                "distance": dists[i],
-            }
-            for i in order
+            {"a": rows[a], "b": rows[b], "distance": dists[i]}
+            for i, (a, b) in zip(order.tolist(), pairs[order].tolist())
         ],
     }
-    counters = {"self_dual_pairs": len(idx_pairs), "codes_scanned": orbits}
+    counters = {"self_dual_pairs": len(pairs), "codes_scanned": orbits}
     return body, "fourcirc/search/v1", {"field": field, "counters": counters}
 
 

@@ -129,8 +129,8 @@ class FourCirculantCode:
         ring = self.ring
         Q = ring.size
         check_distance_cap(Q, cap)
-        pair = (ring.index(self.a), ring.index(self.b))
-        wt = next(message_weights(ring.tables(), [pair]))
+        pair = np.array([[ring.index(self.a), ring.index(self.b)]])
+        wt = next(message_weights(ring.tables(), pair))
         # argmin returns the first minimum in c-major order: the least message
         best_m = int(wt.argmin())
         best_w = int(wt.flat[best_m])
@@ -142,10 +142,9 @@ class FourCirculantCode:
         return f"FourCirculantCode(q={self.field.q}, n={self.n}, a={list(self.a)}, b={list(self.b)})"
 
 
-def message_weights(
-    t: RingTables, pairs: Sequence[tuple[int, int]]
-) -> Iterator[np.ndarray]:
-    """Codeword weights of every message, one Q x Q array per (a, b) index pair.
+def message_weights(t: RingTables, pairs: np.ndarray) -> Iterator[np.ndarray]:
+    """Codeword weights of every message, one Q x Q array per (a, b) row of
+    an index pair array.
 
     Entry [ci, di] is the weight of the codeword of message (c, d) with
     c = element(ci), d = element(di); the zero message gets 4n + 1, above

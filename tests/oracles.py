@@ -400,10 +400,11 @@ def generator_matrix_distance(code, chunk=32):
 
 
 def all_pairs_distances(field, n):
-    """Self-dual pairs in a-major order and the minimum distance of each,
-    from one kernel scan per pair rather than one per orbit."""
+    """Self-dual pairs in a-major order, as lists of Python ints (json.dumps
+    rejects numpy integers), and the minimum distance of each, from one
+    kernel scan per pair rather than one per orbit."""
     pairs = self_dual_pairs(field, n)
-    return pairs, code_distances(field, n, pairs)
+    return pairs.tolist(), code_distances(field, n, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,11 +75,11 @@ def test_enumerate_example_2_3():
     assert len(rep.pairs) == 12
     ring = QuotientRing(F2, 3)
     # a-major enumeration order
-    indices = [(ring.index(a), ring.index(b)) for a, b in rep.pairs]
+    indices = rep.pairs.tolist()
     assert indices == sorted(indices)
     # every reported pair passes the matrix criterion
-    for a, b in rep.pairs:
-        assert is_self_dual_matrix(FourCirculantCode(ring, a, b))
+    for ai, bi in indices:
+        assert is_self_dual_matrix(FourCirculantCode(ring, ring.element(ai), ring.element(bi)))
 
 
 def test_enumerate_inapplicable_formula():
@@ -93,6 +94,9 @@ def test_enumerate_cap_and_gcd():
     # the sweep alone fits the cap at (2, 15), but a report of up to Q^2 pairs does not
     with pytest.raises(CapExceeded):
         enumerate_self_dual(F2, 15)
+    # (2, 16): the pair array fits the cap, the report's Q^2 = 2^32 does not
+    with pytest.raises(CapExceeded, match="up to 4294967296 pairs"):
+        enumerate_self_dual(F2, 16)
     # repeated-root length: sweep still runs, formula is inapplicable
     rep = enumerate_self_dual(F2, 4)
     assert rep.formula_count is None
@@ -102,7 +106,10 @@ def test_pair_sweep_cap_counts_its_work():
     # the sweep does Q ring products of n^2 terms: Q * n^2 = 2^15 * 225 fits
     # the default cap, though Q^2 = 2^30 does not; 2,937,600 is the product
     # of the per-factor counts for x^15 - 1 over F_2
-    assert len(self_dual_pairs(F2, 15)) == 2_937_600
+    pairs = self_dual_pairs(F2, 15)
+    assert pairs.shape == (2_937_600, 2) and pairs.dtype == np.int64
+    # a-major rows, each pair once
+    assert (np.diff(pairs[:, 0] * 2**15 + pairs[:, 1]) > 0).all()
     with pytest.raises(CapExceeded):
         self_dual_pairs(F2, 15, cap=2**15 * 225 - 1)
 
@@ -114,10 +121,18 @@ def test_pair_sweep_cap_counts_its_output():
     assert len(self_dual_pairs(F2, 7, cap=need)) == 1008
     with pytest.raises(CapExceeded, match="finds 1008 pairs"):
         self_dual_pairs(F2, 7, cap=need - 1)
-    # (2, 16) has a repeated-root length: the sweep (2^24 units) fits the
-    # default cap, but its 2^24 pairs would make a list of about 1 GB
-    with pytest.raises(CapExceeded, match="finds 16777216 pairs"):
-        self_dual_pairs(F2, 16)
+    # (2, 17) at the default cap: the sweep (2^17 * 289 units) fits, but with
+    # its 33,292,800 pairs of PAIR_WORDS words it needs 104,465,408 units; the
+    # refusal comes before the 533 MB array, or even one of its columns, is
+    # allocated (the sweep itself peaks near 71 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="finds 33292800 pairs, 104465408 work units"):
+            self_dual_pairs(F2, 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 33_292_800
 
 
 def test_enumerate_length_one():
@@ -164,7 +179,7 @@ def test_code_distances_matches_min_distance():
     pairs = self_dual_pairs(F2, 5)
     dists = code_distances(F2, 5, pairs)
     ring = QuotientRing(F2, 5)
-    for (ai, bi), d in list(zip(pairs, dists))[::7]:
+    for (ai, bi), d in list(zip(pairs.tolist(), dists))[::7]:
         code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
         assert code.min_distance()[0] == d
 
@@ -179,12 +194,14 @@ def test_distinct_codes_equal_pairs():
     for field, n, pairs in cases:
         ring = QuotientRing(field, n)
         if pairs is None:
-            pairs = [(ai, bi) for ai in range(ring.size) for bi in range(ring.size)]
+            pairs = np.array([(ai, bi) for ai in range(ring.size) for bi in range(ring.size)])
         codes = {
             rref(field, generator_matrix(FourCirculantCode(ring, ring.element(ai), ring.element(bi))))
-            for ai, bi in pairs
+            for ai, bi in pairs.tolist()
         }
         assert distinct_code_count(field, n, pairs) == len(codes) == len(pairs), (field.q, n)
+        # a repeated pair spans no new code
+        assert distinct_code_count(field, n, np.concatenate([pairs[::-1], pairs[:3]])) == len(pairs)
 
 
 # -- equivalent codes -------------------------------------------------------------
@@ -206,11 +223,12 @@ def test_orbit_counts(field, n, orbits):
 @pytest.mark.parametrize("field, n", [(F2, 6), (F2, 7), (F3, 4), (Field(2, 2), 3), (F5, 3)])
 def test_equivalence_maps_keep_self_duality_and_weights(field, n):
     pairs = self_dual_pairs(field, n)
-    a, b = np.array(pairs).T
+    a, b = pairs.T
+    listed = [tuple(pair) for pair in pairs.tolist()]
     t = QuotientRing(field, n).tables()
     weights = {
         pair: np.bincount(wt.ravel(), minlength=4 * n + 2)
-        for pair, wt in zip(pairs, message_weights(t, pairs))
+        for pair, wt in zip(listed, message_weights(t, pairs))
     }
     maps = equivalence_maps(field, n)
     names = [name for name, _ in maps]
@@ -220,8 +238,8 @@ def test_equivalence_maps_keep_self_duality_and_weights(field, n):
     for name, pair_map in maps:
         ia, ib = pair_map(a, b)
         images = list(zip(ia.tolist(), ib.tolist()))
-        assert sorted(images) == pairs, name  # onto the self-dual list
-        for pair, image in zip(pairs, images):
+        assert sorted(images) == listed, name  # onto the self-dual list
+        for pair, image in zip(listed, images):
             assert (weights[pair] == weights[image]).all(), (name, pair, image)
 
 
@@ -312,7 +330,7 @@ def test_membership_census_matches_scan_sampled(p, k, n):
 
     words = [(ring.zero,) * 4] + [tuple(pick() for _ in range(4)) for _ in range(6)]
     # codewords of self-dual codes, where the self-dual count is nonzero
-    for ai, bi in rng.sample(pairs, 4):
+    for ai, bi in rng.sample(pairs.tolist(), 4):
         code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
         words.append(code.encode(pick(), pick()).blocks)
     sd_hits = 0
@@ -356,7 +374,7 @@ def test_membership_sweep_tables(p, k, n, monkeypatch):
     if k > 1:
         rng = random.Random(Q)
         words = rng.sample(words, 256)
-        for ai, bi in rng.sample(self_dual_pairs(field, n), 16):
+        for ai, bi in rng.sample(self_dual_pairs(field, n).tolist(), 16):
             code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
             word = code.encode(ring.element(rng.randrange(Q)), ring.element(rng.randrange(Q)))
             words.append(sw.word_index(word.blocks))
@@ -389,15 +407,15 @@ def test_units_match_gcd_on_every_residue(p, k, n, monkeypatch):
     # from the CRT images, folded mod x^m - 1 when p divides n, and by the
     # per-residue gcd that runs when x^n - 1 splits above the field order cap
     ring = QuotientRing(Field(p, k), n)
-    want = [ring.is_unit(u) for u in ring.elements()]
-    assert census._units(ring) == want
-    assert 0 < sum(want) < ring.size
+    want = np.array([ring.is_unit(u) for u in ring.elements()])
+    np.testing.assert_array_equal(census._units(ring), want, strict=True)  # bool, as want
+    assert 0 < want.sum() < ring.size
 
     def too_large(field, n):
         raise ValueError("splitting field above the cap")
 
     monkeypatch.setattr(census, "unit_mask", too_large)
-    assert census._units(ring) == want
+    np.testing.assert_array_equal(census._units(ring), want, strict=True)
 
 
 def test_membership_census_cap_counts_its_work():
