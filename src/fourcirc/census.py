@@ -22,9 +22,8 @@ import numpy as np
 
 from .codes import (DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap, message_weights,
                     split_word)
-from .crt import unit_mask
-from .fields import Field, digits, field_sum, is_prime, quad_char
-from .polyring import QuotientRing, is_primitive_root, multiplicative_order, ring_times
+from .fields import Field, field_sum, is_prime, quad_char
+from .polyring import QuotientRing, is_primitive_root, multiplicative_order
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +111,7 @@ def _self_duality(ring: QuotientRing) -> tuple[np.ndarray, np.ndarray]:
     """
     field, n, Q = ring.field, ring.n, ring.size
     qpw = field.q ** np.arange(n)
-    logs = field.log_array[digits(np.arange(Q), field.q, n)]  # logs[u, i]: log of coefficient i of u
+    logs = field.log_array[ring.tables().coeffs]  # logs[u, i]: log of coefficient i of u
     i = np.arange(n)
     prod = np.empty((Q, n), dtype=np.int64)  # prod[u, k]: coefficient k of u*u'
     for k in range(n // 2 + 1):
@@ -122,16 +121,6 @@ def _self_duality(ring: QuotientRing) -> tuple[np.ndarray, np.ndarray]:
     const = prod[:, 0]
     const += (const + 1) % field.p - const % field.p  # add 1 to the constant digit
     return have, field.neg_array[prod] @ qpw
-
-
-def _units(ring: QuotientRing) -> np.ndarray:
-    """For every residue index, whether it is coprime to x^n - 1: from its
-    CRT images, or by one gcd per residue when x^n - 1 splits only above
-    the field order cap."""
-    try:
-        return unit_mask(ring.field, ring.n)
-    except ValueError:
-        return np.array([ring.is_unit(u) for u in ring.elements()])
 
 
 def self_dual_pairs(field: Field, n: int, cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -209,20 +198,21 @@ def equivalence_maps(field: Field, n: int) -> list[tuple[str, PairMap]]:
     k > 1, Frobenius on every coefficient.  A multiplier on a alone does
     not keep self-duality.
 
-    Every map acts on each residue through its coefficients, so it is
-    built from the coefficient digits alone, without the ring tables.
+    Every map is an index array over all residues, built from the ring
+    tables: negation is their neg, and the others move or map the
+    coefficient rows in their coeffs.
     """
     q = field.q
-    coeffs = digits(np.arange(q**n), q, n)  # coeffs[u, j]: coefficient j of u
+    t = QuotientRing(field, n).tables()
     powers = q ** np.arange(n)
     j = np.arange(n)
 
     def coefficient_map(src: np.ndarray, table: np.ndarray = np.arange(q)) -> np.ndarray:
         """Index of the residue whose coefficient j is table[coefficient src[j] of u], for every u."""
-        return table[coeffs[:, src]] @ powers
+        return table[t.coeffs[:, src]] @ powers
 
     maps: list[tuple[str, PairMap]] = []
-    for name, perm in (("x*", coefficient_map((j - 1) % n)), ("-", coefficient_map(j, field.neg_array))):
+    for name, perm in (("x*", coefficient_map((j - 1) % n)), ("-", t.neg)):
         maps.append((name + "a", lambda a, b, perm=perm: (perm[a], b)))
         maps.append((name + "b", lambda a, b, perm=perm: (a, perm[b])))
     maps.append(("swap", lambda a, b: (b, a)))
@@ -316,9 +306,9 @@ def enumerate_self_dual(
     reports are deterministic.
 
     The CLI spells out every pair as 2n coefficients, and a rendered pair
-    costs far more than PAIR_WORDS (about 3 KB at n = 13), so the report is
-    bounded on its own, before the sweep starts: it may list at most cap
-    pairs, and there are up to Q^2 of them.
+    costs far more than PAIR_WORDS (394 bytes of indented JSON at n = 13),
+    so the report is bounded on its own, before the sweep starts: it may
+    list at most cap pairs, and there are up to Q^2 of them.
     """
     ring = QuotientRing(field, n)
     if ring.size**2 > cap:
@@ -369,8 +359,12 @@ def constant_vectors(ring: QuotientRing) -> set[tuple]:
 
 
 def _matches(key_a: np.ndarray, key_b: np.ndarray) -> int:
-    """Number of index pairs (a, b) with key_a[a] == key_b[b]."""
-    key_b = np.sort(key_b)
+    """Number of index pairs (a, b) with key_a[a] == key_b[b].
+
+    Both are sorted: numpy's binary search is several times faster on
+    large arrays when the queries ascend.
+    """
+    key_a, key_b = np.sort(key_a), np.sort(key_b)
     return int((np.searchsorted(key_b, key_a, "right") - np.searchsorted(key_b, key_a, "left")).sum())
 
 
@@ -380,7 +374,7 @@ def membership_census(field: Field, n: int, word, cap: int = DEFAULT_CAP) -> Mem
     Counts over all q^(2n) pairs, not only self-dual ones; the unit and
     self-dual-restricted counts ride along.  Every b gets the key
     (d*b', c*b) and every a the key (c*a - e, f - d*a'), as index arrays
-    over all Q residues from the F_p digits, and the counts join equal keys
+    over all Q residues from the ring tables, and the counts join equal keys
     by sorting: O(Q) ring products and memory, and no Q x Q table.  The cap
     charges that work as self_dual_pairs does, Q ring products of n^2
     coefficient terms each, before any.  When c*c' + d*d' is a unit the
@@ -398,23 +392,14 @@ def membership_census(field: Field, n: int, word, cap: int = DEFAULT_CAP) -> Mem
         raise CapExceeded(f"membership census needs {work} coefficient products, cap is {cap}")
     c, d, e, f = split_word(field.q, n, word)
     have, need = _self_duality(ring)
-    units = _units(ring)
-    p, k = field.p, field.k
-    P = digits(np.arange(Q), p, n * k)  # P[u]: the F_p digits of residue u
-    ppw = p ** np.arange(n * k)
-
-    def add(x, y):
-        return (P[x] + P[y]) % p @ ppw
-
-    recip = P.reshape(Q, n, k)[:, [(n - j) % n for j in range(n)]].reshape(Q, n * k) @ ppw
-    neg = -P % p @ ppw
-    c_times = ring_times(field, n, ring.index(c), P)  # c_times[x]: index of c*x
-    d_times_rec = ring_times(field, n, ring.index(d), P)[recip]  # d_times_rec[x]: index of d*x'
+    t = ring.tables()
+    c_times = t.times(ring.index(c))  # c_times[x]: index of c*x
+    d_times_rec = t.times(ring.index(d))[t.recip]  # d_times_rec[x]: index of d*x'
     # the word lies in C_{a,b} exactly when key_a[a] == key_b[b]
     key_b = d_times_rec * Q + c_times
-    key_a = add(c_times, neg[ring.index(e)]) * Q + add(ring.index(f), neg[d_times_rec])
+    key_a = t.add(c_times, t.neg[ring.index(e)]) * Q + t.add(ring.index(f), t.neg[d_times_rec])
     count = _matches(key_a, key_b)
-    unit_count = _matches(key_a[units], key_b[units])
+    unit_count = _matches(key_a[t.units], key_b[t.units])
     rank = np.unique(np.concatenate([key_a, key_b]), return_inverse=True)[1]  # keys below 2Q
     sd_count = _matches(rank[:Q] * Q + need, rank[Q:] * Q + have)
     c_rec = ring.reciprocal(c)
@@ -505,14 +490,12 @@ def membership_sweep(field: Field, n: int, cap: int = DEFAULT_CAP) -> Membership
     if Q**4 > cap:
         raise CapExceeded(f"membership sweep covers {Q ** 4} encodings, cap is {cap}")
     t = ring.tables()
-    P = t.digit_vectors
-    add = (P[:, None] + P[None, :]) % field.p @ t.digit_powers  # add[u, v]: index of u + v
+    add = t.add(np.arange(Q)[:, None], np.arange(Q))  # add[u, v]: index of u + v
     rows = np.array([t.times(m) for m in range(Q)])  # rows[m, x]: index of m*x
     rows_rec = rows[:, t.recip]  # rows_rec[m, x]: index of m*x'
     neg_rows_rec = t.neg[rows_rec]
     have, need = _self_duality(ring)
-    units = _units(ring)
-    masks = (units[:, None] & units[None, :], have[None, :] == need[:, None])  # over [a, b]
+    masks = (t.units[:, None] & t.units[None, :], have[None, :] == need[:, None])  # over [a, b]
     tables = [array("i", [0]) * Q**4 for _ in range(3)]
     # views[i][e + Q*f, c + Q*d] is tables[i][u]
     views = [np.frombuffer(table, dtype=np.intc).reshape(Q * Q, Q * Q) for table in tables]

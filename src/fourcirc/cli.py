@@ -32,7 +32,7 @@ from .census import (
 )
 from .codes import DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap
 from .crt import decompose_report
-from .fields import Field, digits
+from .fields import Field
 from .polyring import QuotientRing, factor_xn_minus_1
 
 
@@ -160,7 +160,7 @@ def cmd_crt(args):
 def cmd_enumerate(args):
     field = build_field(args)
     report = enumerate_self_dual(field, args.n, with_distances=args.distances, cap=args.cap)
-    rows = digits(np.arange(field.q**args.n), field.q, args.n).tolist()  # coefficients by index
+    rows = QuotientRing(field, args.n).tables().coeffs.tolist()  # coefficients by index
     body = {
         "q": report.q,
         "n": report.n,
@@ -208,7 +208,7 @@ def cmd_search(args):
     dists, orbits = orbit_distances(field, args.n, pairs, cap=args.cap)
     print(f"search: {len(pairs)} self-dual codes in {orbits} orbits, one distance scan per orbit",
           file=sys.stderr)
-    coeffs = digits(np.arange(ring.size), field.q, args.n)
+    coeffs = ring.tables().coeffs
     # coefficient lists compare as their coefficients read as base-q digits, c0 leading
     ab = (coeffs @ field.q ** np.arange(args.n)[::-1])[pairs]
     order = np.lexsort((ab[:, 1], ab[:, 0], -np.asarray(dists)))[: args.top]

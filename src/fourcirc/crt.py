@@ -240,35 +240,6 @@ def reconstruct(field: Field, n: int, constituents: list[Constituent]) -> tuple[
     return tuple(a), tuple(b)
 
 
-def unit_mask(field: Field, n: int) -> np.ndarray:
-    """Whether each residue of R(n, F_q), by index, is a unit.
-
-    A residue u is a unit exactly when it is coprime to x^n - 1.  Write
-    n = p^e * m with p not dividing m; then x^n - 1 = (x^m - 1)^(p^e), so u
-    is a unit exactly when u mod x^m - 1 has no zero constituent image over
-    R(m, F_q).  At a root r of x^m - 1, r^i = r^(i mod m), so that fold is
-    read off the plan's powers.  The images of all q^n residues are built
-    one coefficient at a time: the residues below q^(i+1) are those below
-    q^i plus c * x^i for each c in F_q.  Raises ValueError when x^m - 1
-    splits only above the field order cap.
-    """
-    m = n
-    while m % field.p == 0:
-        m //= field.p
-    plan = _plan(field, m)
-    unit = np.ones(field.q**n, dtype=bool)
-    for g in plan.groups:
-        ext = g.field
-        coeff_logs = ext.log_array[g.fwd][:, None]
-        images = np.zeros((1, len(g.positions)), dtype=np.int64)  # the zero residue
-        for i in range(n):
-            step = ext.exp_array[coeff_logs + g.up[:, i % m]]  # c * root^i at [c, factor]
-            both = np.broadcast_arrays(images[None], step[:, None])  # [c, residue below q^i, factor]
-            images = field_sum(ext, np.stack(both), 0).reshape(-1, len(g.positions))
-        unit &= (images != 0).all(axis=1)
-    return unit
-
-
 def decompose_report(code: FourCirculantCode) -> list[dict]:
     """JSON-friendly view of the decomposition, with the Hermitian verdicts."""
     out = []

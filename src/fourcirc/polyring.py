@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -124,13 +124,6 @@ def poly_ext_gcd(field: Field, f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
         return (), s0, t0
     c = field.inv(r0[-1])
     return poly_scale(field, c, r0), poly_scale(field, c, s0), poly_scale(field, c, t0)
-
-
-def poly_eval(field: Field, f: Poly, x: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 
 ROOT_CHUNK = 1 << 12  # elements first_root evaluates a polynomial at in one array
@@ -381,54 +374,91 @@ class QuotientRing:
 class RingTables:
     """Index-space tables of a quotient ring, indexed by element code.
 
-    neg, recip and weight are flat int64 arrays; sum_weight is the size x
-    size int8 table of weight(u + v); times(m) gives the index of c*m for
-    every c.  An element code is also the base-p number of the n*k F_p
-    digits of its coefficients, held in digit_vectors, and addition and
-    multiplication by a fixed m act on those digits F_p-linearly.
+    coeffs is the size x n array of coefficient codes of every element;
+    neg, recip and weight are flat int64 arrays; add(x, y) and times(m)
+    give the indices of sums and of products c*m; units marks the
+    elements coprime to x^n - 1.  An element code is also the base-p
+    number of the n*k F_p digits of its coefficients, held in
+    digit_vectors, and addition and multiplication by a fixed m act on
+    those digits F_p-linearly.  sum_weight and units are built on first
+    use, since most callers need neither.
     """
 
     def __init__(self, ring: QuotientRing):
         field, n, Q = ring.field, ring.n, ring.size
         p, q = field.p, field.q
         self.field, self.n, self.size = field, n, Q
-        E = digits(np.arange(Q), q, n)  # E[x, j]: coefficient j of element x
-        qpw = q ** np.arange(n)
-        self.neg = field.neg_array[E] @ qpw
-        self.recip = E[:, [(n - j) % n for j in range(n)]] @ qpw
-        self.weight = (E != 0).sum(axis=1)
         self.digit_vectors = digits(np.arange(Q), p, n * field.k)
         self.digit_powers = p ** np.arange(n * field.k)
-        # weight(u + v) summed over coefficients, one digit level at a time:
-        # coefficients x and y add to a nonzero one unless y = -x
-        w1 = (np.arange(q)[None, :] != field.neg_array[:, None]).astype(np.int8)
-        sum_weight = np.zeros((1, 1), dtype=np.int8)
-        while len(sum_weight) < Q:
-            m = q * len(sum_weight)
-            sum_weight = (sum_weight[:, None, :, None] + w1[None, :, None, :]).reshape(m, m)
-        self.sum_weight = sum_weight
-        for arr in (self.neg, self.recip, self.weight, self.digit_vectors, self.digit_powers, sum_weight):
+        # coeffs[x, j]: coefficient j of element x, read off its k F_p digits
+        self.coeffs = self.digit_vectors.reshape(Q, n, field.k) @ self.digit_powers[: field.k]
+        qpw = q ** np.arange(n)
+        self.neg = field.neg_array[self.coeffs] @ qpw
+        self.recip = self.coeffs[:, [(n - j) % n for j in range(n)]] @ qpw
+        self.weight = (self.coeffs != 0).sum(axis=1)
+        for arr in (self.coeffs, self.neg, self.recip, self.weight, self.digit_vectors, self.digit_powers):
             arr.flags.writeable = False  # shared by every ring of the same field and n
 
-    def times(self, m: int) -> np.ndarray:
-        """Index of c*m for every element index c."""
-        return ring_times(self.field, self.n, m, self.digit_vectors)
+    def add(self, x, y) -> np.ndarray:
+        """Index of x + y for broadcast index arrays x and y."""
+        P = self.digit_vectors
+        return (P[x] + P[y]) % self.field.p @ self.digit_powers
 
+    def times(self, m: int, rows: Optional[int] = None) -> np.ndarray:
+        """Index of c*m for every element index c, or for the first rows of them.
 
-def ring_times(field: Field, n: int, m: int, digit_vectors: np.ndarray) -> np.ndarray:
-    """Index of c*m in R(n, F_q) for every row of digit_vectors, the n*k F_p
-    digits of an element c, least significant first.
+        Coefficient j of c contributes coefficient (j + i) % n of c*m times
+        coefficient i of m, so on F_p digits c -> c*m is the block circulant
+        of the k x k multiplication matrices of m's coefficients.
+        """
+        field, n, k = self.field, self.n, self.field.k
+        shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # (l - j) % n at [j, l]
+        blocks = mul_matrices(field, self.coeffs[m])[shift]  # [j, l, out digit, in digit]
+        matrix = blocks.transpose(0, 3, 1, 2).reshape(n * k, n * k)
+        return self.digit_vectors[:rows] @ matrix % field.p @ self.digit_powers
 
-    Coefficient j of c contributes coefficient (j + i) % n of c*m times
-    coefficient i of m, so on F_p digits c -> c*m is the block circulant
-    of the k x k multiplication matrices of m's coefficients.
-    """
-    k, p = field.k, field.p
-    m_coeffs = digits([m], field.q, n)[0]
-    shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # (l - j) % n at [j, l]
-    blocks = mul_matrices(field, m_coeffs)[shift]  # [j, l, out digit, in digit]
-    matrix = blocks.transpose(0, 3, 1, 2).reshape(n * k, n * k)
-    return digit_vectors @ matrix % p @ p ** np.arange(n * k)
+    @cached_property
+    def sum_weight(self) -> np.ndarray:
+        """The size x size int8 table of weight(u + v), for the distance scans.
+
+        Built one digit level at a time: coefficients x and y add to a
+        nonzero one unless y = -x.
+        """
+        field, Q = self.field, self.size
+        w1 = (np.arange(field.q)[None, :] != field.neg_array[:, None]).astype(np.int8)
+        sum_weight = np.zeros((1, 1), dtype=np.int8)
+        while len(sum_weight) < Q:
+            m = field.q * len(sum_weight)
+            sum_weight = (sum_weight[:, None, :, None] + w1[None, :, None, :]).reshape(m, m)
+        sum_weight.flags.writeable = False
+        return sum_weight
+
+    @cached_property
+    def units(self) -> np.ndarray:
+        """Whether each element is a unit, that is coprime to x^n - 1.
+
+        Write n = p^e * m with p not dividing m; then x^n - 1 = (x^m - 1)^(p^e),
+        and u is a non-unit exactly when an irreducible factor g of x^m - 1
+        divides it, that is when u = g*v with deg v < n - deg g.  Those v
+        are the first q^(n - deg g) element indices, so only their rows of
+        times(g) are built.  When x^m - 1 splits only above the field order
+        cap, every element gets one gcd instead.
+        """
+        field, n = self.field, self.n
+        ring = QuotientRing(field, n)
+        m = n
+        while m % field.p == 0:
+            m //= field.p
+        try:
+            factors = factor_xn_minus_1(field, m).factors()
+        except ValueError:
+            units = np.array([ring.is_unit(u) for u in ring.elements()])
+        else:
+            units = np.ones(self.size, dtype=bool)
+            for g, _ in factors:
+                units[self.times(ring.index(ring.reduce(g)), field.q ** (n - poly_degree(g)))] = False
+        units.flags.writeable = False
+        return units
 
 
 @lru_cache(maxsize=1)

@@ -9,8 +9,9 @@ import ...`, the way they import `helpers`.
 | --------------------------- | --------------------------------------------------- |
 | `SchoolbookField`           | `Field` add/neg/mul/inv/frobenius tables            |
 | `brute_gcd`                 | `polyring.poly_gcd`                                 |
+| `poly_eval`                 | `crt` roots and root-free factors, by Horner's rule |
 | `first_root_scan`           | `polyring.first_root`, one `poly_eval` per element  |
-| `einsum_prime_tables`       | `RingTables` neg/recip/weight/times/sum_weight      |
+| `einsum_prime_tables`       | `RingTables` neg/recip/weight/add/times/sum_weight  |
 | `is_two_factor_case`        | `polyring.is_primitive_root`, by coset count        |
 | `circulant`                 | building block of the two below                     |
 | `generator_matrix`          | `is_self_dual_poly` (Gram of G), and feeds `rref`   |
@@ -47,7 +48,6 @@ from fourcirc.polyring import (
     factor_xn_minus_1,
     monic_polys,
     poly_divmod,
-    poly_eval,
 )
 
 SWEEP_CHUNK = 8192  # (a, b) pairs per batch of self_dual_matrix_sweep over F_p
@@ -139,6 +139,14 @@ def brute_gcd(field, f, g):
                 if d >= len(best) - 1:
                     best = h
     return best
+
+
+def poly_eval(field: Field, f, x: int) -> int:
+    """f(x) by Horner's rule, one field call per step."""
+    acc = 0
+    for c in reversed(f):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
 
 
 def first_root_scan(field, f):

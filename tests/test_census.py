@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fourcirc import census
+from fourcirc import census, polyring
 from fourcirc.census import (
     PAIR_WORDS,
     artin_scan,
@@ -404,18 +404,24 @@ def test_membership_word_validation():
 
 @pytest.mark.parametrize("p,k,n", [(2, 1, 1), (2, 1, 4), (2, 1, 6), (3, 1, 5), (3, 1, 6), (2, 2, 3), (5, 1, 4)])
 def test_units_match_gcd_on_every_residue(p, k, n, monkeypatch):
-    # from the CRT images, folded mod x^m - 1 when p divides n, and by the
-    # per-residue gcd that runs when x^n - 1 splits above the field order cap
+    # from the multiples of the factors of x^m - 1, folded when p divides n,
+    # and by the per-residue gcd that runs when x^m - 1 splits above the
+    # field order cap
     ring = QuotientRing(Field(p, k), n)
     want = np.array([ring.is_unit(u) for u in ring.elements()])
-    np.testing.assert_array_equal(census._units(ring), want, strict=True)  # bool, as want
+    polyring._ring_tables.cache_clear()
+    np.testing.assert_array_equal(ring.tables().units, want, strict=True)  # bool, as want
     assert 0 < want.sum() < ring.size
 
     def too_large(field, n):
         raise ValueError("splitting field above the cap")
 
-    monkeypatch.setattr(census, "unit_mask", too_large)
-    np.testing.assert_array_equal(census._units(ring), want, strict=True)
+    monkeypatch.setattr(polyring, "factor_xn_minus_1", too_large)
+    polyring._ring_tables.cache_clear()
+    try:
+        np.testing.assert_array_equal(ring.tables().units, want, strict=True)
+    finally:
+        polyring._ring_tables.cache_clear()
 
 
 def test_membership_census_cap_counts_its_work():
@@ -425,6 +431,22 @@ def test_membership_census_cap_counts_its_work():
     assert membership_census(F2, 7, word, cap=2**7 * 49).count == 1
     with pytest.raises(CapExceeded, match="6272 coefficient products"):
         membership_census(F2, 7, word, cap=2**7 * 49 - 1)
+
+
+def test_membership_census_builds_no_weight_table():
+    # the census reads only the O(Q*n) ring tables; the Q x Q sum_weight
+    # table is for the distance scans, and at (2, 13) building it peaks
+    # near 84 MB
+    word = ((1, 1) + (0,) * 11, (0, 1) + (0,) * 11, (0,) * 13, (1,) + (0,) * 12)
+    polyring._ring_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        membership_census(F2, 13, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert "sum_weight" not in vars(QuotientRing(F2, 13).tables())
 
 
 def test_membership_bound_unit_pairs():

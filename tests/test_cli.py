@@ -337,12 +337,38 @@ def test_tracer_runs(tmp_path):
 
 
 def test_search_builds_ring_tables_once(tmp_path):
-    # search builds one set of tables and scans one code per orbit: the
-    # 2880 self-dual pairs at (3, 5) fall into 7 orbits of equivalent codes
-    payload, data = run_traced(tmp_path, ["search", "--q", "3", "--n", "5", "--top", "5"])
-    assert payload["report"]["total_self_dual"] == 2880
-    assert [s[0] for s in data["spans"]].count("polyring.tables") == 1
-    assert data["counters"]["codes_ranked"] == 7
+    # search and enumerate --distances build one set of tables, which the
+    # sweep, the orbits and the distance scans share, and scan one code per
+    # orbit: the 2880 self-dual pairs at (3, 5) fall into 7 orbits of
+    # equivalent codes
+    for argv in (["search", "--q", "3", "--n", "5", "--top", "5"],
+                 ["enumerate", "--q", "3", "--n", "5", "--distances"]):
+        payload, data = run_traced(tmp_path, argv)
+        assert payload["manifest"]["counters"] == {"self_dual_pairs": 2880, "codes_scanned": 7}, argv
+        assert [s[0] for s in data["spans"]].count("polyring.tables") == 1, argv
+        assert data["counters"]["codes_ranked"] == 7, argv
+
+
+def traced_layers(tmp_path, jobs) -> set:
+    """Names of the spans and leaves that record calls over the given jobs."""
+    called = set()
+    for job in jobs:
+        _, data = run_traced(tmp_path, **job)
+        called |= {span[0] for span in data["spans"]}
+        called |= {name for name, (calls, _) in data["leaves"].items() if calls}
+    return called
+
+
+def test_traced_distance_workload_covers_expected_layers(tmp_path):
+    # the distance workload's job kinds, with --workers 2 as it passes them;
+    # a refactor that stops calling a layer the benchmark expects there
+    # (polyring.tables, say) would make the traced benchmark report correct: false
+    expected = json.loads((ROOT / "perfbench" / "coverage.json").read_text())["expected_calls"]["distance"]
+    jobs = [
+        {"cli": ["distance", "--q", "2", "--n", "10", "--a", "1,1,0,1", "--b", "0,1,1,0,0,1", "--workers", "2"]},
+        {"cli": ["search", "--q", "3", "--n", "5", "--top", "5", "--workers", "2"]},
+    ]
+    assert sorted(set(expected) - traced_layers(tmp_path, jobs)) == []
 
 
 def test_traced_sweep_workload_covers_expected_layers(tmp_path):
@@ -358,12 +384,7 @@ def test_traced_sweep_workload_covers_expected_layers(tmp_path):
         {"lib": {"op": "membership_census", "p": 3, "k": 1, "n": 3, "word": word}},
         {"lib": {"op": "membership_sweep", "p": 2, "k": 1, "n": 2, "words": [[1, 0, 0, 1, 1, 1, 0, 1]]}},
     ]
-    called = set()
-    for job in jobs:
-        _, data = run_traced(tmp_path, **job)
-        called |= {span[0] for span in data["spans"]}
-        called |= {name for name, (calls, _) in data["leaves"].items() if calls}
-    assert sorted(set(expected) - called) == []
+    assert sorted(set(expected) - traced_layers(tmp_path, jobs)) == []
 
 
 def test_traced_extension_workload_covers_expected_layers(tmp_path):
@@ -378,12 +399,7 @@ def test_traced_extension_workload_covers_expected_layers(tmp_path):
         {"cli": ["distance", "--q", "2^2", "--n", "4", "--a", "1,2", "--b", "0,1,1", "--workers", "1"]},
         {"cli": ["enumerate", "--q", "2^2", "--n", "4", "--workers", "1"]},
     ]
-    called = set()
-    for job in jobs:
-        _, data = run_traced(tmp_path, **job)
-        called |= {span[0] for span in data["spans"]}
-        called |= {name for name, (calls, _) in data["leaves"].items() if calls}
-    assert sorted(set(expected) - called) == []
+    assert sorted(set(expected) - traced_layers(tmp_path, jobs)) == []
 
 
 def test_extension_field_cli():

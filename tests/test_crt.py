@@ -9,9 +9,9 @@ from fourcirc import cli, crt
 from fourcirc.codes import FourCirculantCode
 from fourcirc.crt import Constituent, constituent_self_dual, decompose, decompose_report, reconstruct
 from fourcirc.fields import Field
-from fourcirc.polyring import QuotientRing, factor_xn_minus_1, poly_eval
+from fourcirc.polyring import QuotientRing, factor_xn_minus_1
 
-from oracles import horner_decompose, trace_loop_reconstruct
+from oracles import horner_decompose, poly_eval, trace_loop_reconstruct
 
 F2, F3, F5 = Field(2), Field(3), Field(5)
 

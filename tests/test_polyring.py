@@ -18,14 +18,13 @@ from fourcirc.polyring import (
     monic_reciprocal,
     multiplicative_order,
     poly_divmod,
-    poly_eval,
     poly_ext_gcd,
     poly_gcd,
     poly_mul,
     poly_trim,
 )
 
-from oracles import brute_gcd, einsum_prime_tables, first_root_scan, is_two_factor_case
+from oracles import brute_gcd, einsum_prime_tables, first_root_scan, is_two_factor_case, poly_eval
 
 F2, F3, F4, F5 = Field(2), Field(3), Field(2, 2), Field(5)
 
@@ -146,11 +145,14 @@ def test_ring_tables_agree_with_ops():
         R = QuotientRing(field, n)
         t = R.tables()
         elems = [R.element(i) for i in range(R.size)]
+        assert t.coeffs.tolist() == [list(u) for u in elems]
+        assert t.units.tolist() == [R.is_unit(u) for u in elems]
         assert t.neg.tolist() == [R.index(R.neg(u)) for u in elems]
         assert t.recip.tolist() == [R.index(R.reciprocal(u)) for u in elems]
         assert t.weight.tolist() == [R.weight(u) for u in elems]
         for i, m in enumerate(elems):
             assert t.times(i).tolist() == [R.index(R.mul(u, m)) for u in elems], (field.q, n, i)
+            assert t.add(i, np.arange(R.size)).tolist() == [R.index(R.add(m, v)) for v in elems]
             sums = [R.weight(R.add(m, v)) for v in elems]
             assert t.sum_weight[i].tolist() == sums, (field.q, n, i)
 
@@ -163,6 +165,7 @@ def test_ring_tables_match_einsum_reference(p, n):
         assert np.array_equal(getattr(t, name), ref[name]), name
     for m in range(p**n):
         assert np.array_equal(t.times(m), ref["mul"][:, m]), m
+    assert np.array_equal(t.add(np.arange(p**n)[:, None], np.arange(p**n)), ref["add"])
     assert np.array_equal(t.sum_weight, ref["weight"][ref["add"]])
 
 
