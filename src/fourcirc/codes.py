@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .polyring import QuotientRing, RingTables, poly_degree, poly_gcd
+from .polyring import QuotientRing, RingTables
 
 DEFAULT_CAP = 1 << 26
 
@@ -114,8 +114,7 @@ class FourCirculantCode:
 
     def is_lcd(self) -> bool:
         """Complementary dual: the criterion residue is a unit mod x^n - 1."""
-        g = poly_gcd(self.field, self.ring.lift(self.criterion_residue()), self.ring.modulus_poly)
-        return poly_degree(g) == 0
+        return self.ring.is_unit(self.criterion_residue())
 
     # -- minimum distance ------------------------------------------------------------
 

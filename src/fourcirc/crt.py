@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import FourCirculantCode
-from .fields import Embedding, Field, embedding, field_sum
+from .fields import Field, embedding, field_sum
 from .polyring import Poly, factor_xn_minus_1, first_root, poly_degree
 
 
@@ -50,21 +50,6 @@ class Constituent:
     @property
     def degree(self) -> int:
         return poly_degree(self.factor)
-
-
-@lru_cache(maxsize=None)
-def _extension(base: Field, d: int) -> tuple[Field, Embedding]:
-    """F_{q^d} and the embedding of F_q in it, shared by all factors of degree d."""
-    ext = base if d == 1 else Field(base.p, base.k * d)
-    return ext, embedding(base, ext)
-
-
-@lru_cache(maxsize=None)
-def _constituent_context(base: Field, factor: Poly) -> tuple[Field, Embedding, int]:
-    """Extension field, embedding and deterministic root for one factor."""
-    ext, emb = _extension(base, poly_degree(factor))
-    root = first_root(ext, tuple(emb.apply(c) for c in factor))
-    return ext, emb, root
 
 
 CHUNK_TERMS = 1 << 20  # extension elements one array evaluation holds at once
@@ -91,50 +76,57 @@ class _Plan:
     """Everything decompose and reconstruct need at one (field, n)."""
 
     factors: tuple[tuple[Poly, str], ...]
+    contexts: tuple[tuple[Field, int], ...]  # per factor: its extension field and root there
     groups: tuple[_Group, ...]
 
 
-def _trace_table(base: Field, ext: Field, fwd: np.ndarray, n: int) -> np.ndarray:
+def _trace_table(base: Field, ext: Field, back: np.ndarray, n: int) -> np.ndarray:
     """Base code of n^(-1) * Tr(y) for every code y of ext = F_{q^d}.
 
-    Tr(y) = y + y^q + ... + y^(q^(d-1)) lies in the embedded F_q; y^(q^t)
-    has logarithm log(y) * q^t, and 0 stays 0.
+    Tr(y) = y + y^q + ... + y^(q^(d-1)) lies in the embedded F_q, which back
+    maps to base codes; y^(q^t) has logarithm log(y) * q^t, and 0 stays 0.
     """
     m, d = ext.q - 1, ext.k // base.k
     y = np.arange(ext.q)
     logs = ext.log_array[y][:, None] * np.array([base.q**t % m for t in range(d)]) % m
     tr = field_sum(ext, ext.exp_array[logs] * (y != 0)[:, None], 1)
-    back = np.full(ext.q, -1, dtype=np.int64)
-    back[fwd] = np.arange(base.q)
     n_inv = pow(n, -1, base.p)  # the code of n^(-1) in the prime subfield
     return base.exp_array[base.log_array[back[tr]] + base.log_table[n_inv]]
 
 
 @lru_cache(maxsize=None)
 def _plan(base: Field, n: int) -> _Plan:
-    """The factors of x^n - 1 with their contexts, grouped by extension field."""
+    """The factors of x^n - 1 with their contexts, grouped by extension field.
+
+    The factors of degree d share F_{q^d} = F_{p^(k*d)} and the embedding of
+    F_q in it, built once here; each factor's root is the least zero of its
+    embedded coefficients, and its context is that field and root.
+    """
     factors = tuple(factor_xn_minus_1(base, n).factors())
-    contexts = [_constituent_context(base, factor) for factor, _ in factors]
-    by_field: dict[Field, list[int]] = {}
-    for pos, (ext, _, _) in enumerate(contexts):
-        by_field.setdefault(ext, []).append(pos)
+    by_degree: dict[int, list[int]] = {}
+    for pos, (factor, _) in enumerate(factors):
+        by_degree.setdefault(poly_degree(factor), []).append(pos)
+    contexts = [None] * len(factors)
     groups = []
-    for ext, positions in by_field.items():
-        emb = contexts[positions[0]][1]
-        logs = np.array([ext.log_table[contexts[pos][2]] for pos in positions])[:, None]
-        fwd = np.array([emb.apply(c) for c in base.elements()], dtype=np.int64)
+    for d, positions in by_degree.items():
+        ext = base if d == 1 else Field(base.p, base.k * d)
+        emb = embedding(base, ext)
+        roots = [first_root(ext, tuple(emb.fwd[list(factors[pos][0])].tolist())) for pos in positions]
+        for pos, root in zip(positions, roots):
+            contexts[pos] = (ext, root)
+        logs = ext.log_array[roots][:, None]
         group = _Group(
             field=ext,
             positions=tuple(positions),
             up=logs * np.arange(n) % (ext.q - 1),
             down=-logs * np.arange(n) % (ext.q - 1),
-            fwd=fwd,
-            trace=_trace_table(base, ext, fwd, n),
+            fwd=emb.fwd,
+            trace=_trace_table(base, ext, emb.back, n),
         )
-        for arr in (group.up, group.down, group.fwd, group.trace):
+        for arr in (group.up, group.down, group.trace):
             arr.flags.writeable = False  # shared by every caller at this (field, n)
         groups.append(group)
-    return _Plan(factors=factors, groups=tuple(groups))
+    return _Plan(factors=factors, contexts=tuple(contexts), groups=tuple(groups))
 
 
 def _chunks(length: int, per_item: int) -> list[slice]:
@@ -163,8 +155,7 @@ def decompose(code: FourCirculantCode) -> list[Constituent]:
             for pos, a_img, b_img in zip(g.positions[rows], *field_sum(ext, terms, 2).tolist()):
                 images[pos] = (a_img, b_img)
     out = []
-    for (factor, kind), (a_img, b_img) in zip(plan.factors, images):
-        ext, _, root = _constituent_context(field, factor)
+    for (factor, kind), (ext, root), (a_img, b_img) in zip(plan.factors, plan.contexts, images):
         out.append(
             Constituent(
                 factor=factor,
@@ -226,10 +217,10 @@ def reconstruct(field: Field, n: int, constituents: list[Constituent]) -> tuple[
     place = {factor: pos for pos, (factor, _) in enumerate(plan.factors)}
     images = [()] * len(plan.factors)
     for con in constituents:
-        ext, _, root = _constituent_context(field, con.factor)
-        if (con.base, con.field, con.root) != (field, ext, root):
+        pos = place[con.factor]
+        if (con.base, con.field, con.root) != (field, *plan.contexts[pos]):
             raise ValueError("constituent does not match its deterministic context")
-        images[place[con.factor]] = (con.a_image, con.b_image)
+        images[pos] = (con.a_image, con.b_image)
     logs = [g.field.log_array[[images[pos] for pos in g.positions]].T[:, :, None] for g in plan.groups]
     out = np.empty((2, n), dtype=np.int64)
     for cols in _chunks(n, 2 * len(plan.factors)):

@@ -7,11 +7,11 @@ their own residues.
 
 Every field, prime or not, computes through the same tables, built once at
 construction: logarithms and antilogarithms to the base g, the least
-primitive element in code order, and Zech logarithms log(1 + g^d) for
-addition (Lidl and Niederreiter, Finite Fields, ch. 9).  The base is
-internal and appears in no output.  Field objects are immutable after
-construction and every operation is a pure function, so contexts can be
-shared freely.
+primitive element in code order, Zech logarithms log(1 + g^d) for
+addition (Lidl and Niederreiter, Finite Fields, ch. 9), and the F_p digits
+of every code.  The base is internal and appears in no output.  Field
+objects are immutable after construction and every operation is a pure
+function, so contexts can be shared freely.
 """
 
 from __future__ import annotations
@@ -42,14 +42,6 @@ def digits(codes: np.ndarray, base: int, width: int) -> np.ndarray:
     return np.asarray(codes, dtype=np.int64)[:, None] // base ** np.arange(width) % base
 
 
-@lru_cache(maxsize=None)
-def _digit_table(field: "Field") -> tuple[np.ndarray, np.ndarray]:
-    """The F_p digits of every element code, and the place values p^j."""
-    table = digits(np.arange(field.q), field.p, field.k).astype(np.int8)
-    table.flags.writeable = False
-    return table, field.p ** np.arange(field.k)
-
-
 def field_sum(field: "Field", codes: np.ndarray, axis) -> np.ndarray:
     """Sum of element codes over axis (an int >= 0 or a tuple of them).
 
@@ -59,8 +51,7 @@ def field_sum(field: "Field", codes: np.ndarray, axis) -> np.ndarray:
     """
     if field.p == 2:
         return np.bitwise_xor.reduce(codes, axis=axis)
-    table, place = _digit_table(field)
-    return table[codes].sum(axis=axis) % field.p @ place
+    return field.digit_array[codes].sum(axis=axis) % field.p @ (field.p ** np.arange(field.k))
 
 
 def mul_matrices(field: "Field", xs) -> np.ndarray:
@@ -112,13 +103,14 @@ class Field:
                      indexes it directly;
       neg_table[x]   -x.
     log_array, exp_array and neg_array hold the same values as numpy arrays,
-    for the table builders that gather from them.
+    for the table builders that gather from them, and digit_array[x] is the
+    int64 row of the k F_p coefficients of x that coeffs(x) returns.
     """
 
     __slots__ = (
         "p", "k", "q", "modulus",
         "log_table", "exp_table", "zech_table", "neg_table",
-        "log_array", "exp_array", "neg_array",
+        "log_array", "exp_array", "neg_array", "digit_array",
     )
 
     def __init__(self, p: int, k: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -183,8 +175,9 @@ class Field:
         one_plus = exp - exp % p + (exp + 1) % p  # add 1 to the constant digit
         self.log_array = log
         self.exp_array = np.concatenate([exp, exp, np.zeros(2 * m + 1, np.int64)])
-        self.neg_array = -digits(np.arange(q), p, k) % p @ (p ** np.arange(k))
-        for arr in (self.log_array, self.exp_array, self.neg_array):
+        self.digit_array = digits(np.arange(q), p, k)
+        self.neg_array = -self.digit_array % p @ (p ** np.arange(k))
+        for arr in (self.log_array, self.exp_array, self.neg_array, self.digit_array):
             arr.flags.writeable = False  # shared by every user of the field
         # Python lists for the scalar operations, which index one entry at a time
         self.log_table = log.tolist()
@@ -196,8 +189,7 @@ class Field:
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         """Coefficient vector of an element code, length k, ascending."""
-        p = self.p
-        return tuple(x // p**j % p for j in range(self.k))
+        return tuple(self.digit_array[x].tolist())
 
     def element(self, coeffs: Iterable[int]) -> int:
         """Code of the element with the given F_p coefficient vector."""
@@ -307,19 +299,14 @@ def field_of_order(q: int) -> Field:
 def quad_char(field: Field, x: int) -> int:
     """Quadratic character: +1 on nonzero squares, -1 on nonsquares, 0 at 0.
 
-    Only defined for odd q.  Computed by Euler's criterion,
-    x^((q-1)/2) in {1, -1}.
+    Only defined for odd q.  Read off the log table: q - 1 is even, so
+    x = g^L is a square exactly when L is even.
     """
     if field.q % 2 == 0:
         raise ValueError("quadratic character requires odd field order")
     if x == 0:
         return 0
-    s = field.pow(x, (field.q - 1) // 2)
-    if s == field.one:
-        return 1
-    if s == field.neg(field.one):
-        return -1
-    raise AssertionError("Euler criterion produced a value other than +-1")
+    return -1 if field.log_table[x] % 2 else 1
 
 
 class Embedding:
@@ -328,10 +315,12 @@ class Embedding:
     The source modulus root goes to root, the first root of the source
     modulus in code order (0 for a prime source, whose modulus is empty), so
     embeddings are deterministic.  The map is F_p-linear: c_0 + c_1 y + ...
-    goes to c_0 + c_1 root + ...
+    goes to c_0 + c_1 root + ..., one product of the two fields' digit
+    arrays.  fwd[x] is the image of x, and back[y] the preimage of y, or -1
+    off the embedded subfield; both are read-only index arrays.
     """
 
-    __slots__ = ("src", "dst", "_fwd", "_back", "root")
+    __slots__ = ("src", "dst", "fwd", "back", "root")
 
     def __init__(self, src: Field, dst: Field):
         from .polyring import first_root
@@ -347,18 +336,20 @@ class Embedding:
         for _ in range(src.k - 1):
             powers.append(dst.mul(powers[-1], self.root))
         p = src.p
-        images = digits(np.arange(src.q), p, src.k) @ digits(powers, p, dst.k) % p
-        self._fwd = (images @ p ** np.arange(dst.k)).tolist()
-        self._back = {v: i for i, v in enumerate(self._fwd)}
+        self.fwd = src.digit_array @ dst.digit_array[powers] % p @ p ** np.arange(dst.k)
+        self.back = np.full(dst.q, -1, dtype=np.int64)
+        self.back[self.fwd] = np.arange(src.q)
+        for arr in (self.fwd, self.back):
+            arr.flags.writeable = False  # shared through embedding()
 
     def apply(self, x: int) -> int:
-        return self._fwd[x]
+        return int(self.fwd[x])
 
     def preimage(self, y: int) -> int:
-        try:
-            return self._back[y]
-        except KeyError:
-            raise ValueError(f"element {y} is not in the embedded subfield") from None
+        x = int(self.back[y]) if 0 <= y < self.dst.q else -1
+        if x < 0:
+            raise ValueError(f"element {y} is not in the embedded subfield")
+        return x
 
 
 @lru_cache(maxsize=None)

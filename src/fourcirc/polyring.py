@@ -186,20 +186,6 @@ def is_irreducible(field: Field, f: Poly) -> bool:
 # ---------------------------------------------------------------------------
 # integer-side machinery: orders, cosets
 
-def prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def multiplicative_order(q: int, n: int) -> int:
     if n == 1:
         return 1
@@ -495,16 +481,13 @@ class Factorization:
 
 
 def _find_primitive_root_of_unity(big: Field, n: int) -> int:
-    """First element of multiplicative order exactly n, in code order."""
-    if n == 1:
-        return big.one
-    prime_divs = prime_factors(n)
-    for z in range(1, big.q):
-        if big.pow(z, n) != big.one:
-            continue
-        if all(big.pow(z, n // ell) != big.one for ell in prime_divs):
-            return z
-    raise AssertionError(f"no element of order {n} in F_{big.q}")
+    """First element of multiplicative order exactly n, in code order.
+
+    With m = |big| - 1, the element g^L has order m / gcd(L, m).
+    """
+    m = big.q - 1
+    orders = m // np.gcd(big.log_array[1:], m)
+    return 1 + int(np.flatnonzero(orders == n)[0])
 
 
 def _check_expansion(field: Field, n: int, factors: Sequence[Poly]) -> None:

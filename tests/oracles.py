@@ -11,6 +11,7 @@ import ...`, the way they import `helpers`.
 | `brute_gcd`                 | `polyring.poly_gcd`                                 |
 | `poly_eval`                 | `crt` roots and root-free factors, by Horner's rule |
 | `first_root_scan`           | `polyring.first_root`, one `poly_eval` per element  |
+| `root_of_unity_scan`        | the log-table root of unity of `factor_xn_minus_1`  |
 | `einsum_prime_tables`       | `RingTables` neg/recip/weight/add/times/sum_weight  |
 | `is_two_factor_case`        | `polyring.is_primitive_root`, by coset count        |
 | `circulant`                 | building block of the two below                     |
@@ -25,7 +26,8 @@ import ...`, the way they import `helpers`.
 | `generator_matrix_distance` | `min_distance` above 1024 ring elements             |
 | `all_pairs_distances`       | `census.orbit_distances`, one scan per pair         |
 | `membership_scan`           | `census.membership_census`, all q^(2n) pairs        |
-| `horner_decompose`          | `crt.decompose`, one Horner step per coefficient    |
+| `horner_decompose`          | `crt.decompose`, one Horner step per coefficient,   |
+|                             | at roots found by `first_root_scan`                 |
 | `trace_loop_reconstruct`    | `crt.reconstruct`, one trace per coefficient        |
 | `max_nonconstant_scan`      | `MembershipSweep.max_nonconstant`, all q^(4n) words |
 | `entropy_volume_gap`        | `asympt.entropy` against `asympt.ball_volume`       |
@@ -40,8 +42,8 @@ import numpy as np
 
 from fourcirc.asympt import ball_volume, entropy
 from fourcirc.census import code_distances, self_dual_pairs
-from fourcirc.crt import Constituent, _constituent_context
-from fourcirc.fields import Field, digits, mul_matrices
+from fourcirc.crt import Constituent
+from fourcirc.fields import Field, digits, embedding, mul_matrices
 from fourcirc.polyring import (
     QuotientRing,
     cyclotomic_cosets,
@@ -156,6 +158,16 @@ def first_root_scan(field, f):
         if poly_eval(field, f, z) == 0:
             return z
     raise ValueError(f"polynomial {list(f)} has no root in F_{field.q}")
+
+
+def root_of_unity_scan(field, n):
+    """Least element code of multiplicative order exactly n, by scalar
+    powers: z^n = 1 and z^(n/l) != 1 for every prime l dividing n."""
+    primes = [l for l in range(2, n + 1) if n % l == 0 and all(l % f for f in range(2, l))]
+    for z in range(1, field.q):
+        if field.pow(z, n) == 1 and all(field.pow(z, n // l) != 1 for l in primes):
+            return z
+    raise ValueError(f"no element of order {n} in F_{field.q}")
 
 
 def is_two_factor_case(field: Field, n: int) -> bool:
@@ -465,6 +477,15 @@ def max_nonconstant_scan(sweep, which):
 
 # ---------------------------------------------------------------------------
 # CRT constituents
+
+def _constituent_context(field, factor):
+    """Extension field F_{q^d} of a factor of degree d, the embedding of
+    F_q in it and the least root of the embedded factor, by a plain scan."""
+    d = len(factor) - 1
+    ext = field if d == 1 else Field(field.p, field.k * d)
+    emb = embedding(field, ext)
+    return ext, emb, first_root_scan(ext, [emb.apply(c) for c in factor])
+
 
 def _eval_at_root(ext, emb, coeffs, root):
     acc = 0

@@ -144,6 +144,18 @@ def test_enumerate_length_one():
     assert rep.per_code_distances == {3: 4}
 
 
+@pytest.mark.parametrize(
+    "p, n, count",
+    [(3, 1, 4), (131, 1, 132), (257, 1, 256), (65521, 1, 65520), (131, 2, 17424), (257, 2, 65536)],
+)
+def test_short_lengths_count_lemma_4_1_solutions(p, n, count):
+    # for n <= 2, x^n - 1 has n linear factors, each fixed by reciprocation,
+    # and each constituent pair solves 1 + a^2 + b^2 = 0 (Lemma 4.1); the
+    # primes above 127 have F_p digits that an 8-bit table would wrap
+    field = Field(p)
+    assert len(self_dual_pairs(field, n)) == count == count_sum_of_squares(field)[0] ** n
+
+
 def test_enumerate_2_13_matches_formula():
     # the length where the expurgation inequality first bites; the sweep is
     # at the default cap boundary

@@ -225,6 +225,37 @@ def test_exit_code_cap():
     assert "distance scans" in proc.stderr
 
 
+ABOVE_127 = [
+    ["factor", "--n", "2"],
+    ["factor", "--n", "5"],
+    ["check", "--n", "2", "--a", "1,100", "--b", "5,120"],
+    ["distance", "--n", "1", "--a", "3", "--b", "100"],
+    ["crt", "--n", "2", "--a", "1,100", "--b", "5,120"],
+    ["crt", "--n", "5", "--a", "1,2,3,4,5", "--b", "100,0,7,9,120"],
+    ["enumerate", "--n", "1"],
+    ["search", "--n", "1"],
+    ["counts", "--lemma", "4.1"],
+    ["counts", "--lemma", "4.2"],
+    ["bound", "--n", "3"],
+]
+
+
+@pytest.mark.parametrize("q", ["131", "257"])
+def test_exit_contract_above_127(q):
+    # F_p digits above 127: every command succeeds or refuses, never crashes
+    for args in ABOVE_127:
+        argv = args[:1] + ["--q", q] + args[1:]
+        proc = subprocess.run(CLI + argv, capture_output=True, text=True, timeout=300, env=child_env())
+        assert proc.returncode in (0, 2, 3), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
+
+
+def test_length_one_counts_above_127():
+    # 131 = 3 mod 4, so 1 + a^2 + b^2 = 0 has 131 + 1 solutions (Lemma 4.1)
+    assert run_json("enumerate", "--q", "131", "--n", "1")["report"]["pair_count"] == 132
+    assert run_json("search", "--q", "131", "--n", "1")["report"]["total_self_dual"] == 132
+
+
 def test_search_cap_counts_orbits():
     # (2, 10) has 72 orbits of equivalent codes at 2^20 evaluations each:
     # about 7.5e7 units, above the default cap of 2^26

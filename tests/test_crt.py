@@ -19,6 +19,7 @@ ROUND_TRIP_POINTS = [
     (F3, 5), (F2, 5), (F5, 3), (F2, 3), (F2, 7), (Field(2, 2), 3),
     (F5, 6), (Field(7), 8), (F3, 20), (Field(2, 3), 7), (Field(3, 2), 4),
     (Field(2, 4), 15), (F2, 1), (Field(2, 3, modulus=(1, 0, 1, 1)), 9),
+    (Field(131), 5), (Field(257), 2),
 ]
 
 

@@ -1,6 +1,9 @@
+from functools import reduce
+
+import numpy as np
 import pytest
 
-from fourcirc.fields import Embedding, Field, field_of_order, is_prime, quad_char
+from fourcirc.fields import Embedding, Field, field_of_order, field_sum, is_prime, quad_char
 
 from oracles import SchoolbookField
 
@@ -126,8 +129,11 @@ def test_quad_char_examples():
         quad_char(Field(2, 2), 1)
 
 
-@pytest.mark.parametrize("F", [Field(3), Field(5), Field(7), Field(11), Field(13), Field(3, 2)],
-                         ids=lambda F: f"q{F.q}")
+@pytest.mark.parametrize(
+    "F",
+    [Field(3), Field(5), Field(7), Field(11), Field(13), Field(3, 2), Field(131), Field(257)],
+    ids=lambda F: f"q{F.q}",
+)
 def test_quad_char_against_square_sets(F):
     squares = {F.mul(x, x) for x in F.elements() if x}
     plus = 0
@@ -145,6 +151,20 @@ def test_quad_char_against_square_sets(F):
         for y in F.elements():
             if x and y:
                 assert quad_char(F, F.mul(x, y)) == quad_char(F, x) * quad_char(F, y)
+
+
+@pytest.mark.parametrize(
+    "F", [Field(2, 3), Field(3), Field(3, 2), Field(11, 2), Field(131), Field(257)],
+    ids=lambda F: f"q{F.q}",
+)
+def test_field_sum_matches_add(F):
+    rng = np.random.default_rng(F.q)
+    codes = rng.integers(0, F.q, size=(64, 5))
+    assert field_sum(F, codes, 1).tolist() == [reduce(F.add, row) for row in codes.tolist()]
+    assert field_sum(F, codes, 0).tolist() == [reduce(F.add, col) for col in codes.T.tolist()]
+    # F_p digits above 127 must not wrap: over F_257, 200 + 0 is 200
+    x = min(200, F.q - 1)
+    assert field_sum(F, np.array([x, 0]), 0) == x
 
 
 def test_frobenius():
@@ -184,16 +204,22 @@ def test_embedding_prime_subfield():
 
 def test_embedding_proper_subfield():
     F4, F16 = Field(2, 2), Field(2, 4)
-    emb = Embedding(F4, F16)
-    # ring homomorphism, exhaustively
-    for x in F4.elements():
-        assert emb.preimage(emb.apply(x)) == x
-        for y in F4.elements():
-            assert emb.apply(F4.add(x, y)) == F16.add(emb.apply(x), emb.apply(y))
-            assert emb.apply(F4.mul(x, y)) == F16.mul(emb.apply(x), emb.apply(y))
-    # image elements are exactly the solutions of z^4 = z
-    image = {emb.apply(x) for x in F4.elements()}
-    assert image == {z for z in F16.elements() if F16.pow(z, 4) == z}
+    # F_121 -> F_(11^4) sums products of F_11 digits past 127
+    for src, dst in [(F4, F16), (Field(11, 2), Field(11, 4))]:
+        emb = Embedding(src, dst)
+        # ring homomorphism, exhaustively
+        for x in src.elements():
+            assert emb.preimage(emb.apply(x)) == x
+            for y in src.elements():
+                assert emb.apply(src.add(x, y)) == dst.add(emb.apply(x), emb.apply(y))
+                assert emb.apply(src.mul(x, y)) == dst.mul(emb.apply(x), emb.apply(y))
+        # image elements are exactly the solutions of z^|src| = z
+        image = {emb.apply(x) for x in src.elements()}
+        assert image == {z for z in dst.elements() if dst.pow(z, src.q) == z}
+        # preimage refuses every element off the subfield, and codes outside dst
+        for y in [z for z in dst.elements() if z not in image][:50] + [-1, dst.q]:
+            with pytest.raises(ValueError):
+                emb.preimage(y)
     with pytest.raises(ValueError):
         Embedding(F4, Field(2, 3))
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourcirc import polyring
-from fourcirc.fields import Field
+from fourcirc.fields import Field, field_of_order
 from fourcirc.polyring import (
     QuotientRing,
     _check_expansion,
@@ -24,7 +24,14 @@ from fourcirc.polyring import (
     poly_trim,
 )
 
-from oracles import brute_gcd, einsum_prime_tables, first_root_scan, is_two_factor_case, poly_eval
+from oracles import (
+    brute_gcd,
+    einsum_prime_tables,
+    first_root_scan,
+    is_two_factor_case,
+    poly_eval,
+    root_of_unity_scan,
+)
 
 F2, F3, F4, F5 = Field(2), Field(3), Field(2, 2), Field(5)
 
@@ -269,6 +276,8 @@ def test_factorization_properties():
         (F4, [3, 5, 7, 9]),
         (F5, [2, 3, 4, 6, 7, 8]),
         (Field(3, 2), [2, 4, 5, 7]),
+        (Field(131), [2, 5]),
+        (Field(257), [2, 4]),
     ]
     for field, lengths in cases:
         for n in lengths:
@@ -295,3 +304,14 @@ def test_factorization_properties():
                 if len(g) - 1 > 1:
                     for x in field.elements():
                         assert poly_eval(field, g, x) != 0
+
+
+@pytest.mark.parametrize(
+    "q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 49, 64, 81, 121, 128, 131, 243, 256, 257]
+)
+def test_root_of_unity_matches_scan(q):
+    # the least element of order n, read off the log table, at every n | q - 1
+    big = field_of_order(q)
+    for n in range(1, q):
+        if (q - 1) % n == 0:
+            assert polyring._find_primitive_root_of_unity(big, n) == root_of_unity_scan(big, n), n
