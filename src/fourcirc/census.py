@@ -22,7 +22,7 @@ import numpy as np
 
 from .codes import (DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap, message_weights,
                     split_word)
-from .fields import Field, field_sum, is_prime, quad_char
+from .fields import Field, default_field, field_sum, is_prime, quad_char
 from .polyring import QuotientRing, is_primitive_root, multiplicative_order
 
 
@@ -55,9 +55,10 @@ def count_hermitian(field: Field) -> tuple[int, int]:
     Valid for every prime power q, even characteristic included.
     """
     q = field.q
-    big = Field(field.p, 2 * field.k)
-    norms = [big.pow(x, 1 + q) for x in big.elements()]
-    brute = _pair_count(big, norms, big.neg(big.one))
+    big = default_field(field.p, 2 * field.k)
+    norms = big.exp_array[(1 + q) * big.log_array % (q * q - 1)]  # log N(x) = (1 + q) log x
+    norms[0] = 0
+    brute = _pair_count(big, norms.tolist(), big.neg(big.one))
     formula = (q + 1) * (q * q - q)
     return brute, formula
 
@@ -305,9 +306,10 @@ def enumerate_self_dual(
     are the index rows of self_dual_pairs, a-major and ascending, so
     reports are deterministic.
 
-    The CLI spells out every pair as 2n coefficients, and a rendered pair
-    costs far more than PAIR_WORDS (394 bytes of indented JSON at n = 13),
-    so the report is bounded on its own, before the sweep starts: it may
+    The CLI writes every pair as 2n coefficients, from the index array in
+    chunks, so its memory is the pair array and one chunk; its output
+    still grows with pair_count * n (206 MB of indented JSON at (2, 13)).
+    So the report is bounded on its own, before the sweep starts: it may
     list at most cap pairs, and there are up to Q^2 of them.
     """
     ring = QuotientRing(field, n)

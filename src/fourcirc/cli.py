@@ -5,18 +5,23 @@ report body is deterministic for fixed arguments and caps, while the
 manifest carries run metadata (wall time included).  Every job runs
 sequentially in this process; --workers is accepted and recorded only.
 Exit codes: 0 success, 2 validation error, 3 workload cap refusal.
+
+render writes a report in chunks to stdout and to --output, whose file
+is opened before the first chunk.  An enumerate report keeps its pairs as
+the sweep's (N, 2) index array into the ring's coefficient rows
+(PairRows), and each format writes them CHUNK_PAIRS pairs at a time from
+strings built once per row; the JSON is byte for byte json.dumps(...,
+indent=2) of the nested coefficient lists, which are never built.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -160,14 +165,13 @@ def cmd_crt(args):
 def cmd_enumerate(args):
     field = build_field(args)
     report = enumerate_self_dual(field, args.n, with_distances=args.distances, cap=args.cap)
-    rows = QuotientRing(field, args.n).tables().coeffs.tolist()  # coefficients by index
     body = {
         "q": report.q,
         "n": report.n,
         "pair_count": report.pair_count,
         "formula_count": report.formula_count,
         "distinct_code_count": report.distinct_code_count,
-        "pairs": [[rows[a], rows[b]] for a, b in report.pairs.tolist()],
+        "pairs": PairRows(report.pairs, QuotientRing(field, args.n).tables().coeffs),
     }
     meta = {"field": field}
     if args.distances:
@@ -259,19 +263,59 @@ def cmd_entropy(args):
 # ---------------------------------------------------------------------------
 # output
 
-def _csv_text(body: dict, command: str) -> str:
+CHUNK_PAIRS = 4096  # pairs rendered per write
+
+
+class PairRows(NamedTuple):
+    """A pair list as index pairs into coefficient rows: pair i is
+    (rows[index[i, 0]], rows[index[i, 1]]), rendered as two coefficient lists."""
+
+    index: np.ndarray  # (N, 2)
+    rows: np.ndarray  # (Q, n) coefficient rows of the ring elements
+
+
+def _pair_chunks(pairs: PairRows, row_text, lead: str, trail: str, ends=None) -> Iterator[str]:
+    """The pairs as text, CHUNK_PAIRS at a time.
+
+    Pair i = (a, b) is lead.format(row_text(a)) + trail.format(row_text(b)),
+    then ends[i] when ends is given.  Both strings are built once for each
+    row that the pairs use, so a pair costs two lookups.
+    """
+    used = np.zeros(len(pairs.rows), dtype=bool)
+    used[pairs.index] = True
+    texts = [row_text(r) for r in pairs.rows[used].tolist()]
+    first = np.empty(len(pairs.rows), dtype=object)
+    second = np.empty(len(pairs.rows), dtype=object)
+    first[used] = [lead.format(t) for t in texts]
+    second[used] = [trail.format(t) for t in texts]
+    for lo in range(0, len(pairs.index), CHUNK_PAIRS):
+        part = pairs.index[lo : lo + CHUNK_PAIRS]
+        tokens = np.empty((len(part), 2 if ends is None else 3), dtype=object)
+        tokens[:, 0] = first[part[:, 0]]
+        tokens[:, 1] = second[part[:, 1]]
+        if ends is not None:
+            tokens[:, 2] = ends[lo : lo + CHUNK_PAIRS]
+        yield "".join(tokens.ravel().tolist())
+
+
+def _csv_cell(row) -> str:
+    """A coefficient list as one CSV field, quoted when it holds a comma,
+    as the csv module's minimal quoting does."""
+    text = ",".join(map(str, row))
+    return f'"{text}"' if "," in text else text
+
+
+def _csv_chunks(body: dict, command: str) -> Iterator[str]:
     """Rows (a, b, distance) of an enumerate or a search report."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["a", "b", "distance"])
-    if command == "enumerate":
-        dists = body.get("pair_distances")
-        rows = [(a, b, dists[i] if dists else "") for i, (a, b) in enumerate(body["pairs"])]
+    yield "a,b,distance\n"
+    if command == "search":
+        yield "".join(f"{_csv_cell(r['a'])},{_csv_cell(r['b'])},{r['distance']}\n" for r in body["top"])
+        return
+    dists = body.get("pair_distances")
+    if dists is None:
+        yield from _pair_chunks(body["pairs"], _csv_cell, "{},", "{},\n")
     else:
-        rows = [(r["a"], r["b"], r["distance"]) for r in body["top"]]
-    for a, b, d in rows:
-        writer.writerow([",".join(map(str, a)), ",".join(map(str, b)), d])
-    return out.getvalue()
+        yield from _pair_chunks(body["pairs"], _csv_cell, "{},", "{},", [f"{d}\n" for d in dists])
 
 
 def _text_lines(value, indent: str = "") -> list[str]:
@@ -307,14 +351,52 @@ def _flat(v) -> str:
     return str(v)
 
 
-def render(payload: dict, fmt: str, command: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+def render(payload: dict, fmt: str, command: str, write: Callable[[str], object]) -> None:
+    """Write payload in fmt to write, in chunks.
+
+    An enumerate report's pairs are PairRows.  The report is rendered
+    with an empty pair list, which json.dumps and the text lines spell as
+    one known marker, and the pairs are written in its place from strings
+    built once per row, CHUNK_PAIRS pairs per chunk, so the whole text
+    never exists at once.
+    """
     if fmt == "csv":
-        return _csv_text(payload["report"], command)
-    if fmt == "text":
-        return "\n".join(_text_lines(payload["report"])) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+        for chunk in _csv_chunks(payload["report"], command):
+            write(chunk)
+        return
+    pairs = None
+    if command == "enumerate":
+        pairs = payload["report"]["pairs"]
+        payload = {**payload, "report": {**payload["report"], "pairs": []}}
+    if fmt == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+        marker = '"pairs": []'  # the one key "pairs"; a quote inside a string is escaped
+    elif fmt == "text":
+        text = "\n".join(_text_lines(payload["report"])) + "\n"
+        marker = "\npairs: \n"  # pairs is never the first key
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    if pairs is None or not len(pairs.index):
+        write(text)
+        return
+    head, _, tail = text.partition(marker)
+    if fmt == "json":  # items one level below the key, rows two, coefficients three
+        key_pad = head[head.rfind("\n") + 1 :]
+        pad = key_pad + "  "
+        inner = f",\n{pad}    "
+
+        def row_text(row) -> str:
+            return f"{pad}  [\n{pad}    {inner.join(map(str, row))}\n{pad}  ]"
+
+        write(head + '"pairs": [')
+        for i, chunk in enumerate(_pair_chunks(pairs, row_text, f",\n{pad}[\n{{}},\n", f"{{}}\n{pad}]")):
+            write(chunk[1:] if i == 0 else chunk)  # no comma before the first item
+        write(f"\n{key_pad}]{tail}")
+    else:
+        write(head + "\npairs:\n")
+        for chunk in _pair_chunks(pairs, _flat, "  -\n    - {}\n", "    - {}\n"):
+            write(chunk)
+        write(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +517,18 @@ def _manifest(args, argv, meta, wall: float) -> dict:
     return manifest
 
 
+def _to_stdout(chunk: str) -> None:
+    """Write chunk to stdout.  A reader that stops early (| head) closes
+    the pipe; the rest of the report then goes to os.devnull, with no
+    traceback, and a --output copy is still written in full."""
+    try:
+        sys.stdout.write(chunk)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -465,15 +559,20 @@ def main(argv=None) -> int:
         "manifest": _manifest(args, argv, meta, wall),
         "report": body,
     }
-    text = render(payload, args.format, args.command)
-    sys.stdout.write(text)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"fourcirc: cannot write --output: {exc}", file=sys.stderr)
-            return 2
+    if not args.output:
+        render(payload, args.format, args.command, _to_stdout)
+        return 0
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:  # before the first chunk
+
+            def tee(chunk: str) -> None:
+                _to_stdout(chunk)
+                handle.write(chunk)
+
+            render(payload, args.format, args.command, tee)
+    except OSError as exc:
+        print(f"fourcirc: cannot write --output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

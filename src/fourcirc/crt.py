@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import FourCirculantCode
-from .fields import Field, embedding, field_sum
+from .fields import Field, default_field, embedding, field_sum
 from .polyring import Poly, factor_xn_minus_1, first_root, poly_degree
 
 
@@ -109,7 +109,7 @@ def _plan(base: Field, n: int) -> _Plan:
     contexts = [None] * len(factors)
     groups = []
     for d, positions in by_degree.items():
-        ext = base if d == 1 else Field(base.p, base.k * d)
+        ext = base if d == 1 else default_field(base.p, base.k * d)
         emb = embedding(base, ext)
         roots = [first_root(ext, tuple(emb.fwd[list(factors[pos][0])].tolist())) for pos in positions]
         for pos, root in zip(positions, roots):

@@ -275,6 +275,17 @@ class Field:
         return f"Field(p={self.p}, k={self.k}, modulus={list(self.modulus)})"
 
 
+@lru_cache(maxsize=None)
+def default_field(p: int, k: int = 1) -> Field:
+    """F_{p^k} with its default modulus, built once per (p, k).
+
+    The splitting field of x^n - 1, the extension fields of the CRT
+    constituents and F_{q^2} of the Hermitian count are all fields of this
+    kind; building one costs O(p^k) table work, so they are shared.
+    """
+    return Field(p, k)
+
+
 def field_of_order(q: int) -> Field:
     """Build F_q from its order alone (q must be a prime power)."""
     if q < 2:

@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .fields import ORDER_CAP, Field, digits, embedding, field_sum, mul_matrices
+from .fields import ORDER_CAP, Field, default_field, digits, embedding, field_sum, mul_matrices
 
 Poly = tuple  # coefficient tuple, ascending
 RingElem = tuple  # exactly n coefficients
@@ -532,7 +532,7 @@ def factor_xn_minus_1(field: Field, n: int) -> Factorization:
             f"x^n - 1 splits only over F_(q^m) with n={n}, q={field.q}, m={m}: "
             f"q^m = {field.q**m} exceeds the field order cap {ORDER_CAP}"
         )
-    big = field if m == 1 else Field(field.p, field.k * m)
+    big = field if m == 1 else default_field(field.p, field.k * m)
     emb = embedding(field, big)
     beta = _find_primitive_root_of_unity(big, n)
 

@@ -31,10 +31,15 @@ import ...`, the way they import `helpers`.
 | `trace_loop_reconstruct`    | `crt.reconstruct`, one trace per coefficient        |
 | `max_nonconstant_scan`      | `MembershipSweep.max_nonconstant`, all q^(4n) words |
 | `entropy_volume_gap`        | `asympt.entropy` against `asympt.ball_volume`       |
+| `nested_render`             | `cli.render` of pair lists, whole-text json.dumps   |
+|                             | (indent 2), csv module rows and text lines          |
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from typing import Optional, Sequence
 
@@ -556,3 +561,54 @@ def entropy_volume_gap(q: int, t: float, N: int) -> float:
     r = math.floor(t * N)
     vol = ball_volume(q, N, r)
     return math.log(vol) / (N * math.log(q)) - entropy(q, t)
+
+
+# ---------------------------------------------------------------------------
+# report rendering
+
+def nested_render(payload: dict, fmt: str, command: str) -> str:
+    """The whole text of an enumerate or search report whose pairs are
+    nested coefficient lists [[a, b], ...], built in one piece."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    body = payload["report"]
+    if fmt == "text":
+        return "\n".join(_text_lines(body)) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["a", "b", "distance"])
+    if command == "enumerate":
+        dists = body.get("pair_distances")
+        rows = [(a, b, dists[i] if dists else "") for i, (a, b) in enumerate(body["pairs"])]
+    else:
+        rows = [(r["a"], r["b"], r["distance"]) for r in body["top"]]
+    for a, b, d in rows:
+        writer.writerow([",".join(map(str, a)), ",".join(map(str, b)), d])
+    return out.getvalue()
+
+
+def _text_lines(value, indent: str = "") -> list[str]:
+    def nested(v):
+        return isinstance(v, (dict, list)) and v and not (
+            isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
+        )
+
+    def flat(v):
+        return ",".join(str(x) for x in v) if isinstance(v, list) else str(v)
+
+    lines = []
+    if isinstance(value, dict):
+        for k, v in value.items():
+            if nested(v):
+                lines.append(f"{indent}{k}:")
+                lines.extend(_text_lines(v, indent + "  "))
+            else:
+                lines.append(f"{indent}{k}: {flat(v)}")
+    else:
+        for v in value:
+            if nested(v):
+                lines.append(f"{indent}-")
+                lines.extend(_text_lines(v, indent + "  "))
+            else:
+                lines.append(f"{indent}- {flat(v)}")
+    return lines

@@ -57,6 +57,9 @@ def test_count_hermitian_examples():
     assert count_hermitian(F2) == (6, 6)
     assert count_hermitian(F3) == (24, 24)
     assert count_hermitian(Field(2, 2)) == (60, 60)
+    for field in (Field(7), Field(3, 2), Field(2, 8)):  # F_{q^2} up to 2^16 elements
+        brute, formula = count_hermitian(field)
+        assert brute == formula
 
 
 def test_formula_hypotheses():

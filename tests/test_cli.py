@@ -1,17 +1,20 @@
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from fourcirc import cli
-from fourcirc.census import self_dual_count_formula
+from fourcirc.census import enumerate_self_dual, self_dual_count_formula
 from fourcirc.fields import Field
 from fourcirc.polyring import QuotientRing
 
 from helpers import ROOT, child_env
-from oracles import all_pairs_distances
+from oracles import all_pairs_distances, nested_render
 
 CLI = [sys.executable, "-m", "fourcirc"]
 
@@ -325,8 +328,93 @@ def test_orbit_reports_equal_all_pairs_reports(q, n, capsys):
             if fmt == "json":
                 got, want = json.dumps(json.loads(out)["report"], indent=2), json.dumps(body, indent=2)
             else:
-                got, want = out, cli.render({"report": body}, fmt, command)
+                got, want = out, nested_render({"report": body}, fmt, command)
             assert got == want, (command, fmt)
+
+
+@pytest.mark.parametrize("q, n", [("2", 3), ("3", 5), ("2^2", 4), ("7", 3)])
+def test_enumerate_writer_matches_nested_render(q, n, capsys, tmp_path):
+    # the streamed pair writer against whole-text rendering of nested lists
+    field = Field(*cli.parse_q(q))
+    ring = QuotientRing(field, n)
+    pairs = enumerate_self_dual(field, n).pairs.tolist()
+    nested = [[list(ring.element(a)), list(ring.element(b))] for a, b in pairs]
+    for extra in ([], ["--distances"]):
+        payload = json.loads(_cli_output(capsys, "enumerate", "--q", q, "--n", str(n), *extra))
+        assert payload["report"]["pair_count"] == len(nested)
+        payload["report"]["pairs"] = nested
+        for fmt in ("json", "text", "csv"):
+            out = tmp_path / f"report.{fmt}"
+            args = ["enumerate", "--q", q, "--n", str(n), *extra, "--format", fmt, "--output", str(out)]
+            got = _cli_output(capsys, *args)
+            if fmt == "json":  # only the manifest's wall time differs between runs
+                payload["manifest"] = json.loads(got)["manifest"]
+            assert got == nested_render(payload, fmt, "enumerate"), (extra, fmt)
+            assert out.read_text(encoding="utf-8") == got, (extra, fmt)
+
+
+def test_writer_on_no_pairs():
+    ring = QuotientRing(Field(3), 2)
+    body = {"q": 3, "n": 2, "pair_count": 0, "pairs": cli.PairRows(np.empty((0, 2), np.int64),
+                                                                   ring.tables().coeffs)}
+    nested = {**body, "pairs": []}
+    for fmt in ("json", "text", "csv"):
+        buf = io.StringIO()
+        cli.render({"schema": "s", "report": body}, fmt, "enumerate", buf.write)
+        assert buf.getvalue() == nested_render({"schema": "s", "report": nested}, fmt, "enumerate")
+        if fmt == "json":
+            assert '"pairs": []' in buf.getvalue()
+
+
+class _Sink:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, chunk):
+        self.size += len(chunk)
+
+
+def test_enumerate_streams_in_bounded_memory(monkeypatch):
+    # the (2, 11) report is 22.4 MB of JSON; a writer that holds the whole
+    # text or nested pair lists at once peaks above half of it
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert cli.main(["enumerate", "--q", "2", "--n", "11"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 22_000_000
+    assert peak < sink.size / 2, (peak, sink.size)
+
+
+def test_output_open_failure_exits_2(monkeypatch, tmp_path, capsys):
+    # the directory checked at parse time is gone when the file is opened
+    monkeypatch.setattr(cli, "_output_problem", lambda path: None)
+    target = tmp_path / "gone" / "report.json"
+    assert cli.main(["enumerate", "--q", "2", "--n", "3", "--output", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert "cannot write --output" in err
+    assert out == ""  # the file is opened before the first chunk
+    assert not target.exists()
+
+
+def test_reader_closing_stdout_early(tmp_path):
+    # | head: the reader goes away after a few bytes of a 22.4 MB report
+    out = tmp_path / "report.json"
+    for extra in ([], ["--output", str(out)]):
+        with subprocess.Popen(CLI + ["enumerate", "--q", "2", "--n", "11", *extra],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
+            assert proc.stdout.read(100).startswith(b"{")
+            proc.stdout.close()
+            code = proc.wait(timeout=300)  # stderr holds a traceback at most
+            err = proc.stderr.read().decode()
+        assert code == 0, err
+        assert "Traceback" not in err
+    assert json.loads(out.read_text(encoding="utf-8"))["report"]["pair_count"] == 65472
 
 
 def test_cap_env_override():

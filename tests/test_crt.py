@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from fourcirc import cli, crt
+from fourcirc import cli, crt, fields, polyring
 from fourcirc.codes import FourCirculantCode
 from fourcirc.crt import Constituent, constituent_self_dual, decompose, decompose_report, reconstruct
 from fourcirc.fields import Field
@@ -129,6 +129,31 @@ def test_crt_report_bodies_match_oracle(q, order, n, modulus, monkeypatch, capsy
         payload["manifest"].pop("wall_time_s")
         bodies.append((json.dumps(payload, indent=2), outs[1]))
     assert bodies[0] == bodies[1]
+
+
+def test_plan_and_factorization_share_extension_field(monkeypatch):
+    # x^23 - 1 over F_2 has two factors of degree 11, both over F_2^11, the
+    # splitting field that factor_xn_minus_1 builds first
+    caches = (fields.default_field, polyring.factor_xn_minus_1, crt._plan)
+    built = []
+    init = Field.__init__
+
+    def counting_init(self, p, k=1, modulus=None):
+        built.append((p, k))
+        init(self, p, k, modulus)
+
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(Field, "__init__", counting_init)
+    try:
+        plan = crt._plan(Field(2), 23)
+        shared = fields.default_field(2, 11)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert built.count((2, 11)) == 1
+    assert [g.field is shared for g in plan.groups] == [False, True]  # degrees 1 and 11
+    assert all(ext is shared for ext, _ in plan.contexts if ext.k == 11)
 
 
 def test_reconstruct_rejects_bad_constituents():
