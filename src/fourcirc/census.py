@@ -99,6 +99,7 @@ class CensusReport:
 
 
 PAIR_WORDS = 2  # one pair: a row of two int64 words in the pair array
+PAIR_CHUNK_ROWS = 1 << 16  # rows of the pair array self_dual_pairs fills at once
 
 
 def _self_duality(ring: QuotientRing) -> tuple[np.ndarray, np.ndarray]:
@@ -148,11 +149,21 @@ def self_dual_pairs(field: Field, n: int, cap: int = DEFAULT_CAP) -> np.ndarray:
             f"the sweep, cap is {cap}"
         )
     pairs = np.empty((count, 2), dtype=np.int64)
-    pairs[:, 0] = np.repeat(np.arange(ring.size), sizes)
-    # row r is partner r - start[a] of a, where start[a] = sizes[:a].sum() is a's first row
-    at = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-    at += np.arange(count)
-    pairs[:, 1] = order[at]
+    ends = np.cumsum(sizes)  # a's rows are [ends[a] - sizes[a], ends[a])
+    # whole runs of a, about PAIR_CHUNK_ROWS rows each, so no temporary is a full column
+    cuts = np.searchsorted(ends, np.arange(PAIR_CHUNK_ROWS, count, PAIR_CHUNK_ROWS)).tolist()
+    cuts = [0, *cuts, ring.size]
+    for a0, a1 in zip(cuts, cuts[1:]):
+        if a1 == a0:
+            continue
+        part = sizes[a0:a1]
+        start, stop = int(ends[a0] - part[0]), int(ends[a1 - 1])
+        block = pairs[start:stop]
+        block[:, 0] = np.repeat(np.arange(a0, a1), part)
+        # row r is partner r - start[a] of a
+        at = np.repeat(lo[a0:a1] - (ends[a0:a1] - part), part)
+        at += np.arange(start, stop)
+        block[:, 1] = order[at]
     return pairs
 
 

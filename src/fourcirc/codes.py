@@ -21,6 +21,7 @@ import numpy as np
 from .polyring import QuotientRing, RingTables
 
 DEFAULT_CAP = 1 << 26
+KERNEL_BLOCK_ENTRIES = 1 << 20  # weight-table entries message_weights gathers per row block
 
 
 class CapExceeded(RuntimeError):
@@ -148,11 +149,17 @@ def message_weights(t: RingTables, pairs: np.ndarray) -> Iterator[np.ndarray]:
     Entry [ci, di] is the weight of the codeword of message (c, d) with
     c = element(ci), d = element(di); the zero message gets 4n + 1, above
     every real weight.  Weights are int8, which holds 4n + 1 for n <= 31,
-    far beyond any ring whose Q x Q arrays fit in memory.
+    far beyond any ring whose Q x Q arrays fit in memory.  The array is
+    filled in row blocks of about KERNEL_BLOCK_ENTRIES entries, so the
+    gathers need two blocks of scratch beside it, not Q x Q temporaries.
     """
+    Q = t.size
     W = t.weight.astype(np.int8)
     SW, NEG, REC = t.sum_weight, t.neg, t.recip
     big = np.int8(4 * t.n + 1)
+    step = max(1, KERNEL_BLOCK_ENTRIES // Q)
+    gathered = np.empty((min(step, Q), Q), dtype=np.int8)
+    term = np.empty_like(gathered)
     maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def times_pair(m):
@@ -162,14 +169,32 @@ def message_weights(t: RingTables, pairs: np.ndarray) -> Iterator[np.ndarray]:
             maps[m] = (row, REC[row[REC]])
         return maps[m]
 
+    def sum_weights(rows, cols, out):
+        """out[i, j] = SW[rows[i], cols[j]]: rows of SW, then their columns.
+
+        take(axis=1) gathers one row at a time, while the fancy index
+        [:, cols] walks down the rows for each column and misses the cache
+        once the rows outgrow it: at Q = 4096 on a 2-core x86-64 host, 40 ms
+        against 390 ms.  The indices are in range, so mode="clip" changes
+        nothing but lets take write straight into out, which mode="raise"
+        would buffer.
+        """
+        block = gathered[: len(rows)]
+        SW.take(rows, axis=0, out=block, mode="clip")
+        block.take(cols, axis=1, out=out, mode="clip")
+
     for ai, bi in pairs:
         row_a, row_ap = times_pair(ai)
         row_b, row_bp = times_pair(bi)
-        # gathering rows, then columns, beats one broadcast 2-d gather
-        wt = SW[row_a][:, NEG[row_bp]]  # weight(c*a - d*b')
-        wt += SW[row_b][:, row_ap]  # weight(c*b + d*a')
-        wt += W[:, None]  # weight(c)
-        wt += W  # weight(d)
+        row_nbp = NEG[row_bp]
+        wt = np.empty((Q, Q), dtype=np.int8)
+        for lo in range(0, Q, step):
+            block = wt[lo : lo + step]
+            extra = term[: len(block)]
+            sum_weights(row_a[lo : lo + step], row_nbp, block)  # weight(c*a - d*b')
+            sum_weights(row_b[lo : lo + step], row_ap, extra)  # weight(c*b + d*a')
+            block += extra
+            block += W[lo : lo + step, None]  # weight(c)
+            block += W  # weight(d)
         wt[0, 0] = big
         yield wt
-

@@ -407,15 +407,25 @@ class RingTables:
     def sum_weight(self) -> np.ndarray:
         """The size x size int8 table of weight(u + v), for the distance scans.
 
-        Built one digit level at a time: coefficients x and y add to a
-        nonzero one unless y = -x.
+        An element code is the base-q number of its coefficients, so
+        weight(u + v) is the sum of the tables of the high and the low
+        coefficient blocks: reshaped to (Qh, Ql, Qh, Ql), the table is
+        hi[:, None, :, None] + lo[None, :, None, :].  The halves split the
+        same way down to one coefficient, where x and y add to a nonzero
+        one unless y = -x; the last step writes the Q^2 bytes once, with a
+        contiguous inner dimension.
         """
-        field, Q = self.field, self.size
+        field = self.field
         w1 = (np.arange(field.q)[None, :] != field.neg_array[:, None]).astype(np.int8)
-        sum_weight = np.zeros((1, 1), dtype=np.int8)
-        while len(sum_weight) < Q:
-            m = field.q * len(sum_weight)
-            sum_weight = (sum_weight[:, None, :, None] + w1[None, :, None, :]).reshape(m, m)
+
+        def table(m: int) -> np.ndarray:
+            if m == 1:
+                return w1
+            hi, lo = table(m - m // 2), table(m // 2)
+            size = len(hi) * len(lo)
+            return (hi[:, None, :, None] + lo[None, :, None, :]).reshape(size, size)
+
+        sum_weight = table(self.n)
         sum_weight.flags.writeable = False
         return sum_weight
 

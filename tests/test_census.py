@@ -117,6 +117,29 @@ def test_pair_sweep_cap_counts_its_work():
         self_dual_pairs(F2, 15, cap=2**15 * 225 - 1)
 
 
+def test_pair_array_is_filled_without_column_temporaries():
+    # (2, 15): the 2,937,600 pairs take 47 MB; a column-wide np.repeat or
+    # arange beside them would lift the peak to about twice that
+    QuotientRing(F2, 15).tables()  # the cached ring tables are not the sweep's to count
+    tracemalloc.start()
+    try:
+        pairs = self_dual_pairs(F2, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * pairs.nbytes, peak / pairs.nbytes
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1000])
+def test_pair_array_chunks_keep_pairs(monkeypatch, rows):
+    # chunk bounds fall inside a's run of partners, and one chunk can hold many runs
+    cases = [(F3, 5), (F2, 7), (Field(2, 2), 4)]
+    whole = [self_dual_pairs(field, n) for field, n in cases]
+    monkeypatch.setattr(census, "PAIR_CHUNK_ROWS", rows)
+    for (field, n), expect in zip(cases, whole):
+        assert np.array_equal(self_dual_pairs(field, n), expect), (field.q, n)
+
+
 def test_pair_sweep_cap_counts_its_output():
     # (2, 7): the sweep costs 2^7 * 49 = 6272 units and lists 1008 pairs of
     # PAIR_WORDS words each
@@ -451,7 +474,7 @@ def test_membership_census_cap_counts_its_work():
 def test_membership_census_builds_no_weight_table():
     # the census reads only the O(Q*n) ring tables; the Q x Q sum_weight
     # table is for the distance scans, and at (2, 13) building it peaks
-    # near 84 MB
+    # near 67 MB
     word = ((1, 1) + (0,) * 11, (0, 1) + (0,) * 11, (0,) * 13, (1,) + (0,) * 12)
     polyring._ring_tables.cache_clear()
     tracemalloc.start()

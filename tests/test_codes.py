@@ -3,7 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from fourcirc.codes import CapExceeded, FourCirculantCode
+from fourcirc import codes
+from fourcirc.census import self_dual_pairs
+from fourcirc.codes import CapExceeded, FourCirculantCode, message_weights
 from fourcirc.fields import Field
 from fourcirc.polyring import QuotientRing
 
@@ -199,8 +201,6 @@ def test_min_distance_second_pass_oracle():
 
 def test_min_distance_matches_encode_scan():
     # the table kernel against a per-message encode scan: distance and witness agree
-    from fourcirc.census import self_dual_pairs
-
     r33 = QuotientRing(F3, 3)
     cases = [
         (F3, 3, [(r33.index((1, 1, 0)), r33.index((1, 0, 2)))]),
@@ -236,6 +236,38 @@ def test_min_distance_above_1024_elements(p, n, a, b):
     assert (d, witness.blocks[:2]) == (d_ref, (ring.element(ci), ring.element(di)))
     assert witness.weight == d
     assert elapsed < 20, f"min_distance took {elapsed:.1f} s at Q = {ring.size}"
+
+
+def test_message_weights_above_1024_elements_match_generator_matrix():
+    # Q = 4096, where the kernel fills 16 row blocks: 16 random message rows
+    # c of two self-dual codes against [c d] G mod 2 for every d, without tables
+    n = 12
+    ring = QuotientRing(F2, n)
+    rng = np.random.default_rng(12)
+    pairs = self_dual_pairs(F2, n)
+    pairs = pairs[rng.choice(len(pairs), 2, replace=False)]
+    msgs = (np.arange(ring.size)[:, None] // 2 ** np.arange(n) % 2).astype(np.int32)
+    for (ai, bi), wt in zip(pairs.tolist(), message_weights(ring.tables(), pairs)):
+        code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
+        assert code.is_self_dual_poly()
+        G = np.array(generator_matrix(code), dtype=np.int32)
+        from_d = msgs @ G[n:]
+        for ci in rng.choice(ring.size, 16, replace=False):
+            expect = np.count_nonzero((msgs[ci] @ G[:n] + from_d) % 2, axis=1)
+            if ci == 0:
+                expect[0] = 4 * n + 1
+            assert np.array_equal(wt[ci], expect), (ai, bi, ci)
+
+
+@pytest.mark.parametrize("entries", [1, 1000, 4096])
+def test_message_weights_row_blocks_keep_weights(monkeypatch, entries):
+    # Q = 243 in blocks of 1, 4 and 16 rows; the last two leave a short last block
+    t = QuotientRing(F3, 5).tables()
+    pairs = self_dual_pairs(F3, 5)[::97]
+    whole = list(message_weights(t, pairs))
+    monkeypatch.setattr(codes, "KERNEL_BLOCK_ENTRIES", entries)
+    for expect, wt in zip(whole, message_weights(t, pairs)):
+        assert np.array_equal(wt, expect)
 
 
 def test_min_distance_cap():

@@ -176,6 +176,16 @@ def test_ring_tables_match_einsum_reference(p, n):
     assert np.array_equal(t.sum_weight, ref["weight"][ref["add"]])
 
 
+@pytest.mark.parametrize("field, n", [(F2, 11), (F3, 7), (F5, 3), (F4, 5), (Field(2, 3), 3)])
+def test_sum_weight_matches_weight_of_sums(field, n):
+    # halves of unequal size: odd n, and coefficients of k > 1 F_p digits
+    t = QuotientRing(field, n).tables()
+    elems = np.arange(t.size)
+    for lo in range(0, t.size, 128):
+        rows = elems[lo : lo + 128]
+        assert np.array_equal(t.sum_weight[rows], t.weight[t.add(rows[:, None], elems)]), lo
+
+
 # -- orders and cosets ---------------------------------------------------------
 
 def test_multiplicative_order():
