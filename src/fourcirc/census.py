@@ -22,8 +22,8 @@ import numpy as np
 
 from .codes import (DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap, message_weights,
                     split_word)
-from .fields import Field, default_field, field_sum, is_prime, quad_char
-from .polyring import QuotientRing, is_primitive_root, multiplicative_order
+from .fields import Field, default_field, field_sum, is_prime, power_text, quad_char
+from .polyring import QuotientRing, is_primitive_root
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,9 @@ def self_dual_pairs(field: Field, n: int, cap: int = DEFAULT_CAP) -> np.ndarray:
     ring = QuotientRing(field, n)
     work = ring.size * n * n
     if work > cap:
-        raise CapExceeded(f"pair sweep needs {work} coefficient products, cap is {cap}")
+        raise CapExceeded(
+            f"pair sweep needs {power_text(field.q, n, n * n)} coefficient products, cap is {cap}"
+        )
     have, need = _self_duality(ring)
     order = np.argsort(have, kind="stable")  # the b grouped by b*b', ascending within a group
     grouped = have[order]
@@ -187,7 +189,7 @@ def code_distances(
 ) -> list[int]:
     """Exact minimum distance for each (a, b) row of an index pair array."""
     ring = QuotientRing(field, n)
-    check_distance_cap(ring.size, cap)
+    check_distance_cap(ring, cap)
     return [int(wt.min()) for wt in message_weights(ring.tables(), pairs)]
 
 
@@ -325,7 +327,7 @@ def enumerate_self_dual(
     """
     ring = QuotientRing(field, n)
     if ring.size**2 > cap:
-        raise CapExceeded(f"enumeration lists up to {ring.size**2} pairs, cap is {cap}")
+        raise CapExceeded(f"enumeration lists up to {power_text(field.q, 2 * n)} pairs, cap is {cap}")
     pairs = self_dual_pairs(field, n, cap=cap)
     dists, orbits = orbit_distances(field, n, pairs, cap=cap) if with_distances else (None, None)
     report = CensusReport(
@@ -402,7 +404,9 @@ def membership_census(field: Field, n: int, word, cap: int = DEFAULT_CAP) -> Mem
     Q = ring.size
     work = Q * n * n
     if work > cap:
-        raise CapExceeded(f"membership census needs {work} coefficient products, cap is {cap}")
+        raise CapExceeded(
+            f"membership census needs {power_text(field.q, n, n * n)} coefficient products, cap is {cap}"
+        )
     c, d, e, f = split_word(field.q, n, word)
     have, need = _self_duality(ring)
     t = ring.tables()
@@ -501,7 +505,7 @@ def membership_sweep(field: Field, n: int, cap: int = DEFAULT_CAP) -> Membership
     ring = QuotientRing(field, n)
     Q = ring.size
     if Q**4 > cap:
-        raise CapExceeded(f"membership sweep covers {Q ** 4} encodings, cap is {cap}")
+        raise CapExceeded(f"membership sweep covers {power_text(field.q, 4 * n)} encodings, cap is {cap}")
     t = ring.tables()
     add = t.add(np.arange(Q)[:, None], np.arange(Q))  # add[u, v]: index of u + v
     rows = np.array([t.times(m) for m in range(Q)])  # rows[m, x]: index of m*x
@@ -573,7 +577,7 @@ def artin_scan(q: int, limit: int) -> ArtinReport:
     if limit > 10**6:
         raise ValueError(f"scan limit {limit} is above the supported 10^6")
     candidates = [n for n in _primes_up_to(limit) if n % 2 == 1 and q % n != 0]
-    hits = tuple(n for n in candidates if multiplicative_order(q, n) == n - 1)
+    hits = tuple(n for n in candidates if is_primitive_root(q, n))
     note = ""
     root = math.isqrt(q)
     if root * root == q:

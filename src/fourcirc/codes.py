@@ -18,6 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from .fields import power_text
 from .polyring import QuotientRing, RingTables
 
 DEFAULT_CAP = 1 << 26
@@ -28,10 +29,11 @@ class CapExceeded(RuntimeError):
     """An exhaustive scan would exceed its workload cap."""
 
 
-def check_distance_cap(Q: int, cap: int) -> None:
-    """Refuse exhaustive distance scans of Q^2 messages per code above the cap."""
-    if Q * Q > cap:
-        raise CapExceeded(f"distance scans need {Q * Q} codeword evaluations per code, cap is {cap}")
+def check_distance_cap(ring: QuotientRing, cap: int) -> None:
+    """Refuse exhaustive distance scans of Q^2 = q^(2n) messages per code above the cap."""
+    if ring.size**2 > cap:
+        need = power_text(ring.field.q, 2 * ring.n)
+        raise CapExceeded(f"distance scans need {need} codeword evaluations per code, cap is {cap}")
 
 
 def split_word(q: int, n: int, word) -> tuple:
@@ -128,7 +130,7 @@ class FourCirculantCode:
         """
         ring = self.ring
         Q = ring.size
-        check_distance_cap(Q, cap)
+        check_distance_cap(ring, cap)
         pair = np.array([[ring.index(self.a), ring.index(self.b)]])
         wt = next(message_weights(ring.tables(), pair))
         # argmin returns the first minimum in c-major order: the least message

@@ -16,12 +16,14 @@ function, so contexts can be shared freely.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 ORDER_CAP = 1 << 16
+POWER_DIGITS = 30  # power_text writes longer numbers as powers
 
 
 def is_prime(n: int) -> bool:
@@ -35,6 +37,19 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def power_text(base: int, exp: int, times: int = 1) -> str:
+    """times * base^exp for a message: its decimal digits when there are at
+    most POWER_DIGITS of them, else the power, as in 2^200000 or 100*3^5000.
+
+    Work sizes such as q^(2n) can have millions of digits; Python refuses
+    to write an int of more than 4300 digits in decimal, and the power is
+    never computed here.
+    """
+    if exp * math.log10(base) + math.log10(times) < POWER_DIGITS:
+        return str(times * base**exp)
+    return f"{base}^{exp}" if times == 1 else f"{times}*{base}^{exp}"
 
 
 def digits(codes: np.ndarray, base: int, width: int) -> np.ndarray:

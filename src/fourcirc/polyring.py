@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .fields import ORDER_CAP, Field, default_field, digits, embedding, field_sum, mul_matrices
+from .fields import ORDER_CAP, Field, default_field, digits, embedding, field_sum, mul_matrices, power_text
 
 Poly = tuple  # coefficient tuple, ascending
 RingElem = tuple  # exactly n coefficients
@@ -186,17 +186,40 @@ def is_irreducible(field: Field, f: Poly) -> bool:
 # ---------------------------------------------------------------------------
 # integer-side machinery: orders, cosets
 
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def multiplicative_order(q: int, n: int) -> int:
+    """The least d >= 1 with q^d = 1 mod n, in O(sqrt(n)) steps.
+
+    The order divides phi(n), so it is phi(n) divided by each prime p of
+    phi(n) for as long as q^(d/p) stays 1: two trial factorizations and
+    a few modular powers, where stepping through q^i mod n takes up to n
+    multiplications.
+    """
     if n == 1:
         return 1
     if math.gcd(q, n) != 1:
         raise ValueError(f"{q} is not invertible modulo {n}")
-    r = q % n
-    order = 1
-    acc = r
-    while acc != 1:
-        acc = acc * r % n
-        order += 1
+    phi = n
+    for p in _prime_divisors(n):
+        phi -= phi // p
+    order = phi
+    for p in _prime_divisors(phi):
+        while order % p == 0 and pow(q, order // p, n) == 1:
+            order //= p
     return order
 
 
@@ -535,13 +558,14 @@ def factor_xn_minus_1(field: Field, n: int) -> Factorization:
         raise ValueError(f"ring length must be >= 1, got {n}")
     if math.gcd(n, field.p) != 1:
         raise ValueError(f"x^n - 1 has repeated roots when gcd(n, q) != 1 (n={n}, q={field.q})")
-    cosets = cyclotomic_cosets(field.q, n)
-    m = multiplicative_order(field.q, n) if n > 1 else 1
-    if field.q**m > ORDER_CAP:
+    m = multiplicative_order(field.q, n)
+    # q >= 2, so q^m > ORDER_CAP once 2^m is, and q^m is never formed at large m
+    if m >= ORDER_CAP.bit_length() or field.q**m > ORDER_CAP:
         raise ValueError(
             f"x^n - 1 splits only over F_(q^m) with n={n}, q={field.q}, m={m}: "
-            f"q^m = {field.q**m} exceeds the field order cap {ORDER_CAP}"
+            f"q^m = {power_text(field.q, m)} exceeds the field order cap {ORDER_CAP}"
         )
+    cosets = cyclotomic_cosets(field.q, n)
     big = field if m == 1 else default_field(field.p, field.k * m)
     emb = embedding(field, big)
     beta = _find_primitive_root_of_unity(big, n)

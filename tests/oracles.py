@@ -14,6 +14,7 @@ import ...`, the way they import `helpers`.
 | `root_of_unity_scan`        | the log-table root of unity of `factor_xn_minus_1`  |
 | `einsum_prime_tables`       | `RingTables` neg/recip/weight/add/times/sum_weight  |
 | `is_two_factor_case`        | `polyring.is_primitive_root`, by coset count        |
+| `order_scan`                | `polyring.multiplicative_order`, q^i mod n in turn  |
 | `circulant`                 | building block of the two below                     |
 | `generator_matrix`          | `is_self_dual_poly` (Gram of G), and feeds `rref`   |
 | `is_self_dual_matrix`       | `FourCirculantCode.is_self_dual_poly`               |
@@ -178,6 +179,21 @@ def root_of_unity_scan(field, n):
 def is_two_factor_case(field: Field, n: int) -> bool:
     """True when x^n - 1 splits into exactly two irreducible factors over F_q."""
     return len(cyclotomic_cosets(field.q, n)) == 2
+
+
+def order_scan(q: int, n: int) -> int:
+    """The multiplicative order of q mod n, by stepping through q^i mod n."""
+    if n == 1:
+        return 1
+    if math.gcd(q, n) != 1:
+        raise ValueError(f"{q} is not invertible modulo {n}")
+    r = q % n
+    order = 1
+    acc = r
+    while acc != 1:
+        acc = acc * r % n
+        order += 1
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,9 @@ def test_enumerate_cap_and_gcd():
     # (2, 16): the pair array fits the cap, the report's Q^2 = 2^32 does not
     with pytest.raises(CapExceeded, match="up to 4294967296 pairs"):
         enumerate_self_dual(F2, 16)
+    # q^(2n) of 60,206 digits is written as a power
+    with pytest.raises(CapExceeded, match=r"up to 2\^200000 pairs"):
+        enumerate_self_dual(F2, 100000)
     # repeated-root length: sweep still runs, formula is inapplicable
     rep = enumerate_self_dual(F2, 4)
     assert rep.formula_count is None
@@ -469,6 +472,17 @@ def test_membership_census_cap_counts_its_work():
     assert membership_census(F2, 7, word, cap=2**7 * 49).count == 1
     with pytest.raises(CapExceeded, match="6272 coefficient products"):
         membership_census(F2, 7, word, cap=2**7 * 49 - 1)
+
+
+def test_refusals_at_huge_n_write_powers():
+    # q^n of 30,103 digits: each message writes it as a power
+    word = ((0,) * 100000,) * 4
+    with pytest.raises(CapExceeded, match=r"needs 10000000000\*2\^100000 coefficient products"):
+        membership_census(F2, 100000, word)
+    with pytest.raises(CapExceeded, match=r"needs 10000000000\*2\^100000 coefficient products"):
+        self_dual_pairs(F2, 100000)
+    with pytest.raises(CapExceeded, match=r"covers 2\^400000 encodings"):
+        membership_sweep(F2, 100000)
 
 
 def test_membership_census_builds_no_weight_table():

@@ -228,6 +228,22 @@ def test_exit_code_cap():
     assert "distance scans" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, code, need",
+    [
+        (["distance", "--q", "2", "--n", "100000", "--a", "1", "--b", "0"], 3, "2^200000 codeword"),
+        (["enumerate", "--q", "2", "--n", "100000"], 3, "2^200000 pairs"),
+        (["factor", "--q", "2", "--n", "10000019"], 2, "q^m = 2^1428574 exceeds"),
+    ],
+)
+def test_refusals_write_huge_sizes_as_powers(args, code, need):
+    # q^(2n) has 60,206 digits here, past Python's int-to-str limit of 4300
+    proc = run_cli(*args, expect=code)
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 300, proc.stderr
+    assert need in proc.stderr
+
+
 ABOVE_127 = [
     ["factor", "--n", "2"],
     ["factor", "--n", "5"],

@@ -3,9 +3,18 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from fourcirc.fields import Embedding, Field, field_of_order, field_sum, is_prime, quad_char
+from fourcirc.fields import Embedding, Field, field_of_order, field_sum, is_prime, power_text, quad_char
 
 from oracles import SchoolbookField
+
+
+def test_power_text_writes_digits_or_powers():
+    assert power_text(2, 32) == "4294967296"
+    assert power_text(7, 5, 49) == str(49 * 7**5)
+    assert power_text(10, 29) == str(10**29)  # 30 digits
+    assert power_text(10, 30) == "10^30"
+    assert power_text(2, 200000) == "2^200000"
+    assert power_text(3, 5000, 100) == "100*3^5000"
 
 
 def _prime_powers(limit):

@@ -28,6 +28,7 @@ from oracles import (
     brute_gcd,
     einsum_prime_tables,
     first_root_scan,
+    order_scan,
     is_two_factor_case,
     poly_eval,
     root_of_unity_scan,
@@ -195,6 +196,20 @@ def test_multiplicative_order():
     assert multiplicative_order(2, 1) == 1
     with pytest.raises(ValueError):
         multiplicative_order(3, 9)
+
+
+def test_multiplicative_order_matches_scan():
+    # every coprime q <= 60 at every n <= 3000
+    for n in range(1, 3001):
+        for q in range(1, 61):
+            if math.gcd(q, n) == 1:
+                assert multiplicative_order(q, n) == order_scan(q, n), (q, n)
+
+
+def test_multiplicative_order_at_large_n():
+    # 10000019 is prime; the scan takes 1428574 steps
+    assert multiplicative_order(2, 10000019) == order_scan(2, 10000019) == 1428574
+    assert not is_primitive_root(2, 10000019)
 
 
 def test_is_primitive_root_examples():
