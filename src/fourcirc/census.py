@@ -20,8 +20,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .codes import (DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap, message_weights,
-                    split_word)
+from .codes import (DEFAULT_CAP, CapExceeded, FourCirculantCode, check_distance_cap, count_messages,
+                    least_weight_messages, split_word)
 from .fields import Field, default_field, field_sum, is_prime, power_text, quad_char
 from .polyring import QuotientRing, is_primitive_root
 
@@ -96,6 +96,7 @@ class CensusReport:
     pair_distances: Optional[list] = None
     per_code_distances: Optional[dict] = None
     orbit_count: Optional[int] = None  # codes scanned for pair_distances
+    messages_enumerated: Optional[int] = None  # messages evaluated for pair_distances
 
 
 PAIR_WORDS = 2  # one pair: a row of two int64 words in the pair array
@@ -186,11 +187,16 @@ def code_distances(
     n: int,
     pairs: np.ndarray,
     cap: int = DEFAULT_CAP,
+    counters: Optional[dict] = None,
 ) -> list[int]:
-    """Exact minimum distance for each (a, b) row of an index pair array."""
+    """Exact minimum distance for each (a, b) row of an index pair array,
+    from least_weight_messages with no witness.  Adds the messages
+    evaluated to counters["messages_enumerated"] when counters is given."""
     ring = QuotientRing(field, n)
     check_distance_cap(ring, cap)
-    return [int(wt.min()) for wt in message_weights(ring.tables(), pairs)]
+    found = list(least_weight_messages(ring.tables(), pairs, witness=False))
+    count_messages(counters, sum(m.messages for m in found))
+    return [m.weight for m in found]
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +290,15 @@ def orbit_distances(
     n: int,
     pairs: np.ndarray,
     cap: int = DEFAULT_CAP,
+    counters: Optional[dict] = None,
 ) -> tuple[list[int], int]:
     """Exact minimum distance of every pair, from one scan per orbit.
 
     Returns the distances and the number of orbits.  Equivalent codes
     share their weight enumerator, so only the least pair of each orbit
-    is scanned.  The cap is charged Q^2 codeword evaluations per orbit,
-    after labelling and before any scan.
+    is scanned, by code_distances (which fills counters).  The cap is
+    charged Q^2 codeword evaluations per orbit, what an exhaustive scan
+    would evaluate, after labelling and before any scan.
     """
     Q = QuotientRing(field, n).size
     labels = code_orbits(field, n, pairs)
@@ -302,7 +310,7 @@ def orbit_distances(
             f"need {work} codeword evaluations, {Q * Q} per orbit, cap is {cap}"
         )
     dists = np.zeros(len(labels), dtype=np.int64)
-    dists[reps] = code_distances(field, n, pairs[reps], cap=cap)
+    dists[reps] = code_distances(field, n, pairs[reps], cap=cap, counters=counters)
     return dists[labels].tolist(), len(reps)
 
 
@@ -329,7 +337,8 @@ def enumerate_self_dual(
     if ring.size**2 > cap:
         raise CapExceeded(f"enumeration lists up to {power_text(field.q, 2 * n)} pairs, cap is {cap}")
     pairs = self_dual_pairs(field, n, cap=cap)
-    dists, orbits = orbit_distances(field, n, pairs, cap=cap) if with_distances else (None, None)
+    work: dict = {}
+    dists, orbits = orbit_distances(field, n, pairs, cap=cap, counters=work) if with_distances else (None, None)
     report = CensusReport(
         q=field.q,
         n=n,
@@ -338,6 +347,7 @@ def enumerate_self_dual(
         distinct_code_count=distinct_code_count(field, n, pairs),
         pairs=pairs,
         orbit_count=orbits,
+        messages_enumerated=work.get("messages_enumerated"),
     )
     if with_distances:
         report.pair_distances = dists
@@ -554,15 +564,18 @@ class ArtinReport:
     note: str
 
 
-def _primes_up_to(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(limit**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [i for i in range(2, limit + 1) if sieve[i]]
+def _smallest_prime_factors(limit: int) -> np.ndarray:
+    """spf[m] = the least prime dividing m, for 2 <= m <= limit (0 at 0 and
+    1): a sieve of Eratosthenes that marks each composite with the first
+    prime to strike it, so m is prime exactly when spf[m] == m."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for i in range(2, math.isqrt(limit) + 1):
+        if not spf[i]:
+            multiples = spf[i * i :: i]
+            multiples[multiples == 0] = i
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
+    return spf
 
 
 def artin_scan(q: int, limit: int) -> ArtinReport:
@@ -570,14 +583,29 @@ def artin_scan(q: int, limit: int) -> ArtinReport:
 
     These are exactly the lengths where x^n - 1 splits into two irreducible
     factors over F_q.  A perfect-square q is flagged, since squares can
-    never be primitive roots for n > 3.
+    never be primitive roots for n > 3.  For a prime n not dividing q, q
+    has order n - 1 unless q^((n-1)/r) = 1 for some prime r dividing
+    n - 1; one smallest-prime-factor sieve gives both the primes n and the
+    primes of every n - 1.
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
     if limit > 10**6:
         raise ValueError(f"scan limit {limit} is above the supported 10^6")
-    candidates = [n for n in _primes_up_to(limit) if n % 2 == 1 and q % n != 0]
-    hits = tuple(n for n in candidates if is_primitive_root(q, n))
+    spf = _smallest_prime_factors(max(limit, 1)).tolist()
+
+    def generates(n: int) -> bool:
+        m = n - 1
+        while m > 1:
+            r = spf[m]
+            if pow(q, (n - 1) // r, n) == 1:
+                return False
+            while m % r == 0:
+                m //= r
+        return True
+
+    candidates = [n for n in range(3, limit + 1, 2) if spf[n] == n and q % n != 0]
+    hits = tuple(n for n in candidates if generates(n))
     note = ""
     root = math.isqrt(q)
     if root * root == q:

@@ -132,7 +132,8 @@ def cmd_check(args):
 
 def cmd_distance(args):
     code = _code_from_args(args)
-    d, witness = code.min_distance(cap=args.cap)
+    counters: dict = {}
+    d, witness = code.min_distance(cap=args.cap, counters=counters)
     body = {
         "q": code.field.q,
         "n": code.n,
@@ -145,7 +146,7 @@ def cmd_distance(args):
         },
         "witness_weight": witness.weight,
     }
-    return body, "fourcirc/distance/v1", {"field": code.field}
+    return body, "fourcirc/distance/v1", {"field": code.field, "counters": counters}
 
 
 def cmd_crt(args):
@@ -179,7 +180,11 @@ def cmd_enumerate(args):
     if args.distances:
         body["pair_distances"] = report.pair_distances
         body["distance_histogram"] = [[d, c] for d, c in report.per_code_distances.items()]
-        meta["counters"] = {"self_dual_pairs": report.pair_count, "codes_scanned": report.orbit_count}
+        meta["counters"] = {
+            "self_dual_pairs": report.pair_count,
+            "codes_scanned": report.orbit_count,
+            "messages_enumerated": report.messages_enumerated,
+        }
     return body, "fourcirc/enumerate/v2", meta
 
 
@@ -217,7 +222,8 @@ def cmd_search(args):
     ring = QuotientRing(field, args.n)
     check_distance_cap(ring, args.cap)  # refuse before the sweep, not after it
     pairs = self_dual_pairs(field, args.n, cap=args.cap)
-    dists, orbits = orbit_distances(field, args.n, pairs, cap=args.cap)
+    work: dict = {}
+    dists, orbits = orbit_distances(field, args.n, pairs, cap=args.cap, counters=work)
     print(f"search: {len(pairs)} self-dual codes in {orbits} orbits, one distance scan per orbit",
           file=sys.stderr)
     coeffs = ring.tables().coeffs
@@ -234,7 +240,7 @@ def cmd_search(args):
             for i, (a, b) in zip(order.tolist(), pairs[order].tolist())
         ],
     }
-    counters = {"self_dual_pairs": len(pairs), "codes_scanned": orbits}
+    counters = {"self_dual_pairs": len(pairs), "codes_scanned": orbits, **work}
     return body, "fourcirc/search/v1", {"field": field, "counters": counters}
 
 
@@ -525,7 +531,7 @@ def _manifest(args, argv, meta, wall: float) -> dict:
         "workers": getattr(args, "workers", None),
         "wall_time_s": round(wall, 6),
     }
-    if "counters" in meta:  # work counts of search and enumerate --distances
+    if "counters" in meta:  # work counts of distance, search and enumerate --distances
         manifest["counters"] = meta["counters"]
     return manifest
 

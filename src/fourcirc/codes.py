@@ -14,7 +14,7 @@ make the first two length-n blocks of any codeword equal to its message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,12 @@ def check_distance_cap(ring: QuotientRing, cap: int) -> None:
     if ring.size**2 > cap:
         need = power_text(ring.field.q, 2 * ring.n)
         raise CapExceeded(f"distance scans need {need} codeword evaluations per code, cap is {cap}")
+
+
+def count_messages(counters: Optional[dict], messages: int) -> None:
+    """Add messages to counters["messages_enumerated"], if counters is given."""
+    if counters is not None:
+        counters["messages_enumerated"] = counters.get("messages_enumerated", 0) + messages
 
 
 def split_word(q: int, n: int, word) -> tuple:
@@ -121,24 +127,23 @@ class FourCirculantCode:
 
     # -- minimum distance ------------------------------------------------------------
 
-    def min_distance(self, cap: int = DEFAULT_CAP) -> tuple[int, Codeword]:
-        """Exact minimum distance by scanning all q^(2n) messages.
+    def min_distance(self, cap: int = DEFAULT_CAP, counters: Optional[dict] = None) -> tuple[int, Codeword]:
+        """Exact minimum distance, from the messages of least weight on
+        either half of the code (least_weight_messages).
 
-        Returns the distance and the codeword of the lexicographically least
-        message attaining it (message index = c_index * q^n + d_index).
-        Raises CapExceeded when q^(2n) > cap.
+        Returns the distance and the codeword of the least message attaining
+        it (message index = c_index * q^n + d_index), as a scan of all
+        q^(2n) messages would.  Adds the messages evaluated to
+        counters["messages_enumerated"] when counters is given.  Raises
+        CapExceeded when q^(2n) > cap, as the scan would.
         """
         ring = self.ring
-        Q = ring.size
         check_distance_cap(ring, cap)
         pair = np.array([[ring.index(self.a), ring.index(self.b)]])
-        wt = next(message_weights(ring.tables(), pair))
-        # argmin returns the first minimum in c-major order: the least message
-        best_m = int(wt.argmin())
-        best_w = int(wt.flat[best_m])
-        ci, di = divmod(best_m, Q)
-        witness = self.encode(ring.element(ci), ring.element(di))
-        return best_w, witness
+        best = next(least_weight_messages(ring.tables(), pair))
+        count_messages(counters, best.messages)
+        ci, di = divmod(best.message, ring.size)
+        return best.weight, self.encode(ring.element(ci), ring.element(di))
 
     def __repr__(self) -> str:
         return f"FourCirculantCode(q={self.field.q}, n={self.n}, a={list(self.a)}, b={list(self.b)})"
@@ -177,9 +182,11 @@ def message_weights(t: RingTables, pairs: np.ndarray) -> Iterator[np.ndarray]:
         take(axis=1) gathers one row at a time, while the fancy index
         [:, cols] walks down the rows for each column and misses the cache
         once the rows outgrow it: at Q = 4096 on a 2-core x86-64 host, 40 ms
-        against 390 ms.  The indices are in range, so mode="clip" changes
-        nothing but lets take write straight into out, which mode="raise"
-        would buffer.
+        against 390 ms.  While the table is cache-resident the two are
+        within noise there (Q = 81 to 343), and take is the faster at
+        Q = 64, 256 and 512, so it serves every size.  The indices are in
+        range, so mode="clip" changes nothing but lets take write straight
+        into out, which mode="raise" would buffer.
         """
         block = gathered[: len(rows)]
         SW.take(rows, axis=0, out=block, mode="clip")
@@ -200,3 +207,98 @@ def message_weights(t: RingTables, pairs: np.ndarray) -> Iterator[np.ndarray]:
             block += W  # weight(d)
         wt[0, 0] = big
         yield wt
+
+
+class MinWeight(NamedTuple):
+    """A code's least nonzero codeword weight, the least message index
+    c_index * Q + d_index of a codeword of that weight, and the number of
+    messages evaluated to find them."""
+
+    weight: int
+    message: int
+    messages: int
+
+
+def least_weight_messages(t: RingTables, pairs: np.ndarray, witness: bool = True) -> Iterator[MinWeight]:
+    """The least codeword weight of each (a, b) row of an index pair array,
+    from its messages of least weight on either half of the code.
+
+    Both halves are information sets when Delta = a*a' + b*b' is a unit.
+    The message (c, d) on the left half has e = c*a - d*b' and
+    f = c*b + d*a' on the right, and the right half (e, f) comes back as
+    (c, d) = Delta^-1 * (e*a' + f*b', f*a - e*b); a self-dual pair has
+    Delta = -1.  Level w holds the messages of weight w (message_level),
+    and a weight is read as weight(u + v) = hi[u // L, v // L] +
+    lo[u % L, v % L] from the half tables, with no Q x Q table.
+
+    A codeword of weight at most d weighs at most d // 2 on one half, so
+    after level w on both halves every codeword of weight <= 2w + 1 has
+    been seen.  With witness the search stops after level best // 2, so
+    every codeword of the least weight has been seen and message is the
+    least index among them, as an argmin over all Q^2 messages gives.
+    Without it, it stops at the bound 2(w + 1) >= best (Zimmermann), one
+    level sooner for even weights: the weight is final, and message is
+    the least index seen.  A pair whose Delta is not a unit falls back on
+    message_weights and counts Q^2 messages.
+    """
+    Q, n = t.size, t.n
+    ring = QuotientRing(t.field, n)
+    NEG, REC = t.neg, t.recip
+    hi, lo = t.half_weights
+    L, Qh = len(lo), len(hi)
+    table = np.concatenate([hi.ravel(), lo.ravel()])
+    # weight(u + v) = table[row_at[0, u] + col_at[0, v]] + table[row_at[1, u] + col_at[1, v]]
+    col_at = np.stack(divmod(np.arange(Q), L))
+    row_at = np.stack([col_at[0] * Qh, col_at[1] * L + Qh * Qh])
+    maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def times_pair(m):
+        """c -> c*m and c -> c*m', the second as c'*m reflected: c*m' = (c'*m)'."""
+        if m not in maps:
+            row = t.times(m)
+            maps[m] = (row, REC[row[REC]])
+        return maps[m]
+
+    for ai, bi in pairs:
+        row_a, row_ap = times_pair(ai)
+        row_b, row_bp = times_pair(bi)
+        delta = int(t.add(row_a[REC[ai]], row_b[REC[bi]]))
+        if delta == NEG[1]:
+            times_inv = NEG
+        elif ring.is_unit(ring.element(delta)):
+            times_inv = t.times(ring.index(ring.inv(ring.element(delta))))
+        else:
+            wt = next(message_weights(t, np.array([[ai, bi]])))
+            m = int(wt.argmin())
+            yield MinWeight(int(wt.flat[m]), m, Q * Q)
+            continue
+        # block i of the other half of (x, y) is firsts[i][x] + seconds[i][y]: the left
+        # half's (e, f) = (c*a - d*b', c*b + d*a') and the right half's
+        # (c, d) = ((e*a' + f*b')/Delta, (f*a - e*b)/Delta)
+        firsts = np.stack([row_a, row_b, times_inv[row_ap], NEG[times_inv[row_b]]])
+        seconds = np.stack([NEG[row_bp], row_ap, times_inv[row_bp], times_inv[row_a]])
+        rows, cols = row_at.take(firsts, axis=1), col_at.take(seconds, axis=1)
+        best, count, w = 4 * n + 1, 0, 0
+        found = []  # (half, x, y) of the messages seen at weight best
+        while not (w >= best // 2 if witness else 2 * (w + 1) >= best):
+            w += 1
+            x, y = t.message_level(w)
+            count += 2 * len(x)
+            index = rows.take(x, axis=2)  # take: [..., x] is several times slower here
+            index += cols.take(y, axis=2)
+            blocks = table.take(index)
+            blocks = blocks[0] + blocks[1]  # high plus low coefficients, per block
+            sums = blocks[0::2] + blocks[1::2]  # per half
+            lightest = int(sums.min()) + w
+            if lightest > best:
+                continue
+            if lightest < best:
+                best, found = lightest, []
+            half, hits = np.nonzero(sums == lightest - w)
+            found.append((half, x[hits], y[hits]))
+        half, x, y = (np.concatenate(v) for v in zip(*found))
+        messages = x * Q + y
+        right = half == 1
+        x, y = x[right], y[right]
+        messages[right] = t.add(firsts[2, x], seconds[2, y]) * Q + t.add(firsts[3, x], seconds[3, y])
+        yield MinWeight(best, int(messages.min()), count)

@@ -389,8 +389,9 @@ class RingTables:
     elements coprime to x^n - 1.  An element code is also the base-p
     number of the n*k F_p digits of its coefficients, held in
     digit_vectors, and addition and multiplication by a fixed m act on
-    those digits F_p-linearly.  sum_weight and units are built on first
-    use, since most callers need neither.
+    those digits F_p-linearly.  half_weights, sum_weight, units and the
+    message levels are built on first use, since most callers need none
+    of them.
     """
 
     def __init__(self, ring: QuotientRing):
@@ -407,6 +408,7 @@ class RingTables:
         self.weight = (self.coeffs != 0).sum(axis=1)
         for arr in (self.coeffs, self.neg, self.recip, self.weight, self.digit_vectors, self.digit_powers):
             arr.flags.writeable = False  # shared by every ring of the same field and n
+        self._levels: dict[int, np.ndarray] = {}
 
     def add(self, x, y) -> np.ndarray:
         """Index of x + y for broadcast index arrays x and y."""
@@ -427,30 +429,67 @@ class RingTables:
         return self.digit_vectors[:rows] @ matrix % field.p @ self.digit_powers
 
     @cached_property
-    def sum_weight(self) -> np.ndarray:
-        """The size x size int8 table of weight(u + v), for the distance scans.
+    def half_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The int8 tables of weight(u + v) on the high and the low
+        coefficient blocks of u and v.
 
-        An element code is the base-q number of its coefficients, so
-        weight(u + v) is the sum of the tables of the high and the low
-        coefficient blocks: reshaped to (Qh, Ql, Qh, Ql), the table is
-        hi[:, None, :, None] + lo[None, :, None, :].  The halves split the
-        same way down to one coefficient, where x and y add to a nonzero
-        one unless y = -x; the last step writes the Q^2 bytes once, with a
-        contiguous inner dimension.
+        An element code is the base-q number of its coefficients, so with
+        L = q^(n // 2) the low block of u is u % L and the high block u // L,
+        and weight(u + v) = hi[u // L, v // L] + lo[u % L, v % L].  Each
+        table has about Q entries.  The halves split the same way down to
+        one coefficient, where x and y add to a nonzero one unless y = -x;
+        each step writes its table once, with a contiguous inner dimension.
         """
         field = self.field
         w1 = (np.arange(field.q)[None, :] != field.neg_array[:, None]).astype(np.int8)
 
         def table(m: int) -> np.ndarray:
-            if m == 1:
-                return w1
-            hi, lo = table(m - m // 2), table(m // 2)
-            size = len(hi) * len(lo)
-            return (hi[:, None, :, None] + lo[None, :, None, :]).reshape(size, size)
+            if m <= 1:
+                return w1 if m else np.zeros((1, 1), dtype=np.int8)
+            return _join_weights(table(m - m // 2), table(m // 2))
 
-        sum_weight = table(self.n)
+        hi, lo = table(self.n - self.n // 2), table(self.n // 2)
+        hi.flags.writeable = lo.flags.writeable = False
+        return hi, lo
+
+    @cached_property
+    def sum_weight(self) -> np.ndarray:
+        """The size x size int8 table of weight(u + v), for the kernel scan.
+
+        Reshaped to (Qh, Ql, Qh, Ql), it is hi[:, None, :, None] +
+        lo[None, :, None, :] of half_weights; that last step writes the Q^2
+        bytes once, with a contiguous inner dimension.
+        """
+        sum_weight = _join_weights(*self.half_weights)
         sum_weight.flags.writeable = False
         return sum_weight
+
+    @cached_property
+    def by_weight(self) -> list[np.ndarray]:
+        """The ascending indices of the elements of each weight 0..n."""
+        order = np.argsort(self.weight, kind="stable")
+        order.flags.writeable = False
+        return np.split(order, np.cumsum(np.bincount(self.weight))[:-1])
+
+    def message_level(self, w: int) -> np.ndarray:
+        """The (2, N) index array of every message (c, d) with
+        weight(c) + weight(d) = w, built once per w.
+
+        Row 0 holds c and row 1 holds d; the messages come in blocks of
+        weight(c) = 0..w, each block the product of the elements of those
+        two weights, c-major.
+        """
+        if w not in self._levels:
+            blocks = []
+            for i in range(max(0, w - self.n), min(w, self.n) + 1):
+                c, d = self.by_weight[i], self.by_weight[w - i]
+                block = np.empty((2, len(c), len(d)), dtype=np.int64)
+                block[0], block[1] = c[:, None], d
+                blocks.append(block.reshape(2, -1))
+            level = np.concatenate(blocks, axis=1)
+            level.flags.writeable = False
+            self._levels[w] = level
+        return self._levels[w]
 
     @cached_property
     def units(self) -> np.ndarray:
@@ -478,6 +517,13 @@ class RingTables:
                 units[self.times(ring.index(ring.reduce(g)), field.q ** (n - poly_degree(g)))] = False
         units.flags.writeable = False
         return units
+
+
+def _join_weights(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The weight(u + v) table of elements whose high block is one of hi's
+    and whose low block is one of lo's."""
+    size = len(hi) * len(lo)
+    return (hi[:, None, :, None] + lo[None, :, None, :]).reshape(size, size)
 
 
 @lru_cache(maxsize=1)

@@ -24,8 +24,8 @@ from fourcirc.census import (
     self_dual_pairs,
 )
 from fourcirc.codes import CapExceeded, FourCirculantCode, message_weights
-from fourcirc.fields import Field
-from fourcirc.polyring import QuotientRing
+from fourcirc.fields import Field, is_prime
+from fourcirc.polyring import QuotientRing, is_primitive_root
 
 from oracles import (
     generator_matrix,
@@ -541,3 +541,21 @@ def test_artin_examples():
         artin_scan(1, 100)
     with pytest.raises(ValueError):
         artin_scan(2, 10**7)
+
+
+def test_smallest_prime_factors():
+    spf = census._smallest_prime_factors(5000)
+    assert spf[:2].tolist() == [0, 0]
+    for m in range(2, 5001):
+        assert spf[m] == next(p for p in range(2, m + 1) if m % p == 0), m
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 10])
+def test_artin_scan_matches_trial_division(q):
+    # the sieve's primes of each n - 1 against is_primitive_root, which
+    # trial-divides n and n - 1
+    limit = 10**5
+    odd_primes = [n for n in range(3, limit + 1, 2) if is_prime(n) and q % n]
+    rep = artin_scan(q, limit)
+    assert rep.primes == tuple(n for n in odd_primes if is_primitive_root(q, n))
+    assert rep.candidates == len(odd_primes)

@@ -288,11 +288,27 @@ def test_search_cap_counts_orbits():
 
 
 def test_work_counters_in_manifest():
-    for q, n, pairs, orbits in [("3", "5", 2880, 7), ("2", "7", 1008, 6)]:
+    # messages_enumerated: the distance engine's message levels on both
+    # halves, against 7 * 3^10 and 6 * 2^14 for one kernel scan per orbit
+    for q, n, pairs, orbits, messages in [("3", "5", 2880, 7, 2440), ("2", "7", 1008, 6, 1806)]:
         for args in (("search", "--top", "1"), ("enumerate", "--distances")):
             manifest = run_json(args[0], "--q", q, "--n", n, *args[1:])["manifest"]
-            assert manifest["counters"] == {"self_dual_pairs": pairs, "codes_scanned": orbits}
+            assert manifest["counters"] == {
+                "self_dual_pairs": pairs,
+                "codes_scanned": orbits,
+                "messages_enumerated": messages,
+            }
     assert "counters" not in run_json("enumerate", "--q", "2", "--n", "3")["manifest"]
+
+
+def test_distance_counts_its_messages():
+    # a self-dual code: levels 1 and 2 of 2 * 3 digits on both halves; a pair
+    # whose a*a' + b*b' is not a unit: the kernel's 8^2 messages
+    sd = run_json("distance", "--q", "2", "--n", "3", "--a", "1,1,0", "--b", "1,1,1")
+    assert sd["report"]["d"] == 4
+    assert sd["manifest"]["counters"] == {"messages_enumerated": 2 * (6 + 15)}
+    kernel = run_json("distance", "--q", "2", "--n", "3", "--a", "1,1,1", "--b", "0,0,0")
+    assert kernel["manifest"]["counters"] == {"messages_enumerated": 64}
 
 
 ORBIT_POINTS = (
@@ -479,9 +495,24 @@ def test_search_builds_ring_tables_once(tmp_path):
     for argv in (["search", "--q", "3", "--n", "5", "--top", "5"],
                  ["enumerate", "--q", "3", "--n", "5", "--distances"]):
         payload, data = run_traced(tmp_path, argv)
-        assert payload["manifest"]["counters"] == {"self_dual_pairs": 2880, "codes_scanned": 7}, argv
+        counters = {"self_dual_pairs": 2880, "codes_scanned": 7, "messages_enumerated": 2440}
+        assert payload["manifest"]["counters"] == counters, argv
         assert [s[0] for s in data["spans"]].count("polyring.tables") == 1, argv
         assert data["counters"]["codes_ranked"] == 7, argv
+
+
+def test_traced_benchmark_hooks_see_the_distance_engine(tmp_path):
+    # perfbench/traced.py times the distance workload through the spans
+    # codes.min_distance and census.code_distances, which it binds by name;
+    # a rename or a call path around them fails the traced benchmark's check
+    a, b = "0,0,1,0,1,0,1,0,1,0", "1,1,1,1,0,0,0,0,0,1"  # self-dual at (2, 10)
+    for argv, span in (
+        (["distance", "--q", "2", "--n", "10", "--a", a, "--b", b], "codes.min_distance"),
+        (["search", "--q", "3", "--n", "5", "--top", "5"], "census.code_distances"),
+    ):
+        payload, data = run_traced(tmp_path, argv)
+        assert payload["report"], argv
+        assert span in [s[0] for s in data["spans"]], argv
 
 
 def traced_layers(tmp_path, jobs) -> set:

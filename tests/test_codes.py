@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fourcirc import codes
-from fourcirc.census import self_dual_pairs
-from fourcirc.codes import CapExceeded, FourCirculantCode, message_weights
+from fourcirc.census import code_orbits, self_dual_pairs
+from fourcirc.codes import CapExceeded, FourCirculantCode, least_weight_messages, message_weights
 from fourcirc.fields import Field
 from fourcirc.polyring import QuotientRing
 
@@ -20,7 +20,7 @@ from oracles import (
     self_dual_matrix_sweep,
 )
 
-F2, F3, F4 = Field(2), Field(3), Field(2, 2)
+F2, F3, F4, F5, F8 = Field(2), Field(3), Field(2, 2), Field(5), Field(2, 3)
 R23 = QuotientRing(F2, 3)
 
 X = (0, 1, 0)
@@ -290,3 +290,89 @@ def test_validation():
         FourCirculantCode(R23, (0, 1), ZERO)
     with pytest.raises(ValueError):
         FourCirculantCode(R23, (0, 5, 0), ZERO)
+
+
+def kernel_least(t, pairs):
+    """(weight, least message index) of each pair from the Q x Q kernel."""
+    out = []
+    for wt in message_weights(t, pairs):
+        m = int(wt.argmin())
+        out.append((int(wt.flat[m]), m))
+    return out
+
+
+def engine_least(t, pairs, witness=True):
+    return [(m.weight, m.message) for m in least_weight_messages(t, pairs, witness=witness)]
+
+
+def orbit_representatives(field, n):
+    pairs = self_dual_pairs(field, n)
+    labels = code_orbits(field, n, pairs)
+    return pairs[labels == np.arange(len(labels))]
+
+
+@pytest.mark.parametrize(
+    "field, n", [(F2, 5), (F2, 7), (F3, 5), (F4, 4), (F5, 3), (F2, 9)], ids=["2,5", "2,7", "3,5", "4,4", "5,3", "2,9"]
+)
+def test_engine_matches_kernel_on_every_orbit(field, n):
+    # the distance and the least message of that weight, on every orbit
+    # representative; without the witness level the distance still agrees
+    t = QuotientRing(field, n).tables()
+    reps = orbit_representatives(field, n)
+    expect = kernel_least(t, reps)
+    assert engine_least(t, reps) == expect
+    assert [w for w, _ in engine_least(t, reps, witness=False)] == [w for w, _ in expect]
+
+
+@pytest.mark.parametrize(
+    "field, n, count", [(F3, 6, 12), (F2, 10, 8), (F8, 3, 12), (F2, 12, 2)], ids=["3,6", "2,10", "8,3", "2,12"]
+)
+def test_engine_matches_kernel_on_samples(field, n, count):
+    t = QuotientRing(field, n).tables()
+    pairs = self_dual_pairs(field, n)
+    pairs = pairs[np.random.default_rng(n).choice(len(pairs), count, replace=False)]
+    assert engine_least(t, pairs) == kernel_least(t, pairs)
+
+
+@pytest.mark.parametrize(
+    "field, n", [(F2, 6), (F2, 7), (F3, 5), (F4, 4), (F5, 3), (F8, 3)], ids=["2,6", "2,7", "3,5", "4,4", "5,3", "8,3"]
+)
+def test_engine_on_pairs_that_are_not_self_dual(field, n):
+    # Delta = a*a' + b*b' is a unit: both halves with Delta^-1; not a unit:
+    # the kernel, counting Q^2 messages
+    ring = QuotientRing(field, n)
+    t = ring.tables()
+    pairs = np.random.default_rng(7).integers(0, ring.size, size=(60, 2))
+    units = []
+    for ai, bi in pairs:
+        code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
+        units.append(ring.is_unit(ring.add(code.criterion_residue(), ring.neg(ring.one))))
+    assert 0 < sum(units) < len(units)
+    assert engine_least(t, pairs) == kernel_least(t, pairs)
+    counts = [m.messages for m in least_weight_messages(t, pairs)]
+    assert all((c < ring.size**2) == unit for c, unit in zip(counts, units))
+    assert all(c == ring.size**2 for c, unit in zip(counts, units) if not unit)
+
+
+def test_zimmermann_stop_misses_the_least_witness():
+    # Stopping at the bound 2(w + 1) >= best finds the distance but can miss
+    # the least message of that weight: at (3, 5), d = 6, the pair (41, 43)
+    # has its least weight-6 word at weight 3 on both halves, so only the
+    # witness level w = 3 sees message 14 (the bound stops at w = 2)
+    t = QuotientRing(F3, 5).tables()
+    pair = np.array([[41, 43]])
+    assert kernel_least(t, pair) == [(6, 14)] == engine_least(t, pair)
+    weight, message = engine_least(t, pair, witness=False)[0]
+    assert weight == 6 and message != 14
+
+
+def test_min_distance_counts_the_messages_it_evaluates():
+    # levels 1..d // 2 on both halves of a self-dual code
+    ring = QuotientRing(F2, 7)
+    ai, bi = self_dual_pairs(F2, 7)[100]
+    code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
+    t = ring.tables()
+    levels = sum(t.message_level(w).shape[1] for w in range(1, code.min_distance()[0] // 2 + 1))
+    counters = {"messages_enumerated": 5}
+    code.min_distance(counters=counters)
+    assert counters == {"messages_enumerated": 5 + 2 * levels}

@@ -187,6 +187,35 @@ def test_sum_weight_matches_weight_of_sums(field, n):
         assert np.array_equal(t.sum_weight[rows], t.weight[t.add(rows[:, None], elems)]), lo
 
 
+@pytest.mark.parametrize("field, n", [(F2, 1), (F3, 2), (F2, 11), (F3, 7), (F4, 5), (Field(2, 3), 3)])
+def test_half_weights_read_weight_of_sums(field, n):
+    # weight(u + v) = hi[u // L, v // L] + lo[u % L, v % L] with L = q^(n // 2),
+    # against the weights of the sums themselves; n = 1 has an empty low half
+    t = polyring.RingTables(QuotientRing(field, n))  # not the shared tables
+    hi, lo = t.half_weights
+    L = field.q ** (n // 2)
+    assert hi.shape == (t.size // L,) * 2 and lo.shape == (L, L)
+    u = np.random.default_rng(n).integers(0, t.size, size=(2, 4000))
+    u[:, :2] = [[0, t.size - 1], [0, t.size - 1]]
+    expect = t.weight[t.add(u[0], u[1])]
+    assert np.array_equal(hi[u[0] // L, u[1] // L] + lo[u[0] % L, u[1] % L], expect)
+    assert "sum_weight" not in vars(t)  # the engine's tables build no Q x Q table
+
+
+@pytest.mark.parametrize("field, n", [(F2, 5), (F3, 3), (F4, 3)])
+def test_message_levels_partition_the_messages(field, n):
+    # every nonzero message (c, d) lies in level weight(c) + weight(d), once
+    t = QuotientRing(field, n).tables()
+    seen = np.zeros((t.size, t.size), dtype=int)
+    for w in range(1, 2 * n + 1):
+        c, d = t.message_level(w)
+        assert (t.weight[c] + t.weight[d] == w).all(), w
+        np.add.at(seen, (c, d), 1)
+    seen[0, 0] += 1
+    assert (seen == 1).all()
+    assert t.message_level(2) is t.message_level(2)
+
+
 # -- orders and cosets ---------------------------------------------------------
 
 def test_multiplicative_order():
