@@ -22,7 +22,6 @@ from .fields import power_text
 from .polyring import QuotientRing, RingTables
 
 DEFAULT_CAP = 1 << 26
-KERNEL_BLOCK_ENTRIES = 1 << 20  # weight-table entries message_weights gathers per row block
 
 
 class CapExceeded(RuntimeError):
@@ -30,7 +29,10 @@ class CapExceeded(RuntimeError):
 
 
 def check_distance_cap(ring: QuotientRing, cap: int) -> None:
-    """Refuse exhaustive distance scans of Q^2 = q^(2n) messages per code above the cap."""
+    """Refuse distance runs above the cap, charging Q^2 = q^(2n) messages
+    per code, the work of an exhaustive scan.  least_weight_messages
+    evaluates only its level sizes, but the charge is kept, so the same
+    runs are refused as under the scan."""
     if ring.size**2 > cap:
         need = power_text(ring.field.q, 2 * ring.n)
         raise CapExceeded(f"distance scans need {need} codeword evaluations per code, cap is {cap}")
@@ -149,66 +151,6 @@ class FourCirculantCode:
         return f"FourCirculantCode(q={self.field.q}, n={self.n}, a={list(self.a)}, b={list(self.b)})"
 
 
-def message_weights(t: RingTables, pairs: np.ndarray) -> Iterator[np.ndarray]:
-    """Codeword weights of every message, one Q x Q array per (a, b) row of
-    an index pair array.
-
-    Entry [ci, di] is the weight of the codeword of message (c, d) with
-    c = element(ci), d = element(di); the zero message gets 4n + 1, above
-    every real weight.  Weights are int8, which holds 4n + 1 for n <= 31,
-    far beyond any ring whose Q x Q arrays fit in memory.  The array is
-    filled in row blocks of about KERNEL_BLOCK_ENTRIES entries, so the
-    gathers need two blocks of scratch beside it, not Q x Q temporaries.
-    """
-    Q = t.size
-    W = t.weight.astype(np.int8)
-    SW, NEG, REC = t.sum_weight, t.neg, t.recip
-    big = np.int8(4 * t.n + 1)
-    step = max(1, KERNEL_BLOCK_ENTRIES // Q)
-    gathered = np.empty((min(step, Q), Q), dtype=np.int8)
-    term = np.empty_like(gathered)
-    maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def times_pair(m):
-        """c -> c*m and c -> c*m', the second as c'*m reflected: c*m' = (c'*m)'."""
-        if m not in maps:
-            row = t.times(m)
-            maps[m] = (row, REC[row[REC]])
-        return maps[m]
-
-    def sum_weights(rows, cols, out):
-        """out[i, j] = SW[rows[i], cols[j]]: rows of SW, then their columns.
-
-        take(axis=1) gathers one row at a time, while the fancy index
-        [:, cols] walks down the rows for each column and misses the cache
-        once the rows outgrow it: at Q = 4096 on a 2-core x86-64 host, 40 ms
-        against 390 ms.  While the table is cache-resident the two are
-        within noise there (Q = 81 to 343), and take is the faster at
-        Q = 64, 256 and 512, so it serves every size.  The indices are in
-        range, so mode="clip" changes nothing but lets take write straight
-        into out, which mode="raise" would buffer.
-        """
-        block = gathered[: len(rows)]
-        SW.take(rows, axis=0, out=block, mode="clip")
-        block.take(cols, axis=1, out=out, mode="clip")
-
-    for ai, bi in pairs:
-        row_a, row_ap = times_pair(ai)
-        row_b, row_bp = times_pair(bi)
-        row_nbp = NEG[row_bp]
-        wt = np.empty((Q, Q), dtype=np.int8)
-        for lo in range(0, Q, step):
-            block = wt[lo : lo + step]
-            extra = term[: len(block)]
-            sum_weights(row_a[lo : lo + step], row_nbp, block)  # weight(c*a - d*b')
-            sum_weights(row_b[lo : lo + step], row_ap, extra)  # weight(c*b + d*a')
-            block += extra
-            block += W[lo : lo + step, None]  # weight(c)
-            block += W  # weight(d)
-        wt[0, 0] = big
-        yield wt
-
-
 class MinWeight(NamedTuple):
     """A code's least nonzero codeword weight, the least message index
     c_index * Q + d_index of a codeword of that weight, and the number of
@@ -221,25 +163,28 @@ class MinWeight(NamedTuple):
 
 def least_weight_messages(t: RingTables, pairs: np.ndarray, witness: bool = True) -> Iterator[MinWeight]:
     """The least codeword weight of each (a, b) row of an index pair array,
-    from its messages of least weight on either half of the code.
+    from its messages of least weight on h information sets of the code.
 
-    Both halves are information sets when Delta = a*a' + b*b' is a unit.
-    The message (c, d) on the left half has e = c*a - d*b' and
-    f = c*b + d*a' on the right, and the right half (e, f) comes back as
+    The left half is always one: the message (c, d) has e = c*a - d*b' and
+    f = c*b + d*a' on the right.  When Delta = a*a' + b*b' is a unit the
+    right half is one too (h = 2), and (e, f) comes back as
     (c, d) = Delta^-1 * (e*a' + f*b', f*a - e*b); a self-dual pair has
-    Delta = -1.  Level w holds the messages of weight w (message_level),
-    and a weight is read as weight(u + v) = hi[u // L, v // L] +
-    lo[u % L, v % L] from the half tables, with no Q x Q table.
+    Delta = -1.  Otherwise the left half is searched alone (h = 1).  Level
+    w holds the messages of weight w, walked as its splits (i, w - i): the
+    elements of weight i against those of weight w - i (by_weight), at
+    most Q messages at a time.  A weight is read as weight(u + v) =
+    hi[u // L, v // L] + lo[u % L, v % L] from the half tables, so no level
+    array and no Q x Q table is built.
 
-    A codeword of weight at most d weighs at most d // 2 on one half, so
-    after level w on both halves every codeword of weight <= 2w + 1 has
-    been seen.  With witness the search stops after level best // 2, so
-    every codeword of the least weight has been seen and message is the
-    least index among them, as an argmin over all Q^2 messages gives.
-    Without it, it stops at the bound 2(w + 1) >= best (Zimmermann), one
-    level sooner for even weights: the weight is final, and message is
-    the least index seen.  A pair whose Delta is not a unit falls back on
-    message_weights and counts Q^2 messages.
+    A codeword of weight at most h*w + h - 1 weighs at most w on one of
+    the h halves, so after level w it has been seen.  With witness the
+    search stops once h*w + h - 1 >= best: every codeword of the least
+    weight has been seen and message is the least index among them, as an
+    argmin over all Q^2 messages gives.  Without it, it stops at the bound
+    h*(w + 1) >= best (Zimmermann), sooner by a level at h = 1 and for
+    even weights at h = 2: the weight is final, and message is the least
+    index seen.  A non-unit Delta makes (c, d) -> (e, f) singular, so some
+    word (c, d, 0, 0) is nonzero and h = 1 needs no level above 2n.
     """
     Q, n = t.size, t.n
     ring = QuotientRing(t.field, n)
@@ -250,6 +195,9 @@ def least_weight_messages(t: RingTables, pairs: np.ndarray, witness: bool = True
     # weight(u + v) = table[row_at[0, u] + col_at[0, v]] + table[row_at[1, u] + col_at[1, v]]
     col_at = np.stack(divmod(np.arange(Q), L))
     row_at = np.stack([col_at[0] * Qh, col_at[1] * L + Qh * Qh])
+    # the elements ordered by weight: those of weight i are by_order[start[i]:start[i + 1]]
+    by_order = np.concatenate(t.by_weight)
+    start = np.cumsum([0] + [len(block) for block in t.by_weight]).tolist()
     maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def times_pair(m):
@@ -262,43 +210,46 @@ def least_weight_messages(t: RingTables, pairs: np.ndarray, witness: bool = True
     for ai, bi in pairs:
         row_a, row_ap = times_pair(ai)
         row_b, row_bp = times_pair(bi)
-        delta = int(t.add(row_a[REC[ai]], row_b[REC[bi]]))
-        if delta == NEG[1]:
-            times_inv = NEG
-        elif ring.is_unit(ring.element(delta)):
-            times_inv = t.times(ring.index(ring.inv(ring.element(delta))))
-        else:
-            wt = next(message_weights(t, np.array([[ai, bi]])))
-            m = int(wt.argmin())
-            yield MinWeight(int(wt.flat[m]), m, Q * Q)
-            continue
         # block i of the other half of (x, y) is firsts[i][x] + seconds[i][y]: the left
-        # half's (e, f) = (c*a - d*b', c*b + d*a') and the right half's
-        # (c, d) = ((e*a' + f*b')/Delta, (f*a - e*b)/Delta)
-        firsts = np.stack([row_a, row_b, times_inv[row_ap], NEG[times_inv[row_b]]])
-        seconds = np.stack([NEG[row_bp], row_ap, times_inv[row_bp], times_inv[row_a]])
-        rows, cols = row_at.take(firsts, axis=1), col_at.take(seconds, axis=1)
+        # half's (e, f) = (c*a - d*b', c*b + d*a') and, when Delta is a unit, the right
+        # half's (c, d) = ((e*a' + f*b')/Delta, (f*a - e*b)/Delta)
+        firsts, seconds = [row_a, row_b], [NEG[row_bp], row_ap]
+        delta = int(t.add(row_a[REC[ai]], row_b[REC[bi]]))
+        if delta == NEG[1] or ring.is_unit(ring.element(delta)):
+            times_inv = NEG if delta == NEG[1] else t.times(ring.index(ring.inv(ring.element(delta))))
+            firsts += [times_inv[row_ap], NEG[times_inv[row_b]]]
+            seconds += [times_inv[row_bp], times_inv[row_a]]
+        h = len(firsts) // 2
+        firsts, seconds = np.stack(firsts), np.stack(seconds)
+        # [high or low coefficients, block, element in by_order]
+        rows = row_at.take(firsts.take(by_order, axis=1), axis=1)
+        cols = col_at.take(seconds.take(by_order, axis=1), axis=1)
         best, count, w = 4 * n + 1, 0, 0
-        found = []  # (half, x, y) of the messages seen at weight best
-        while not (w >= best // 2 if witness else 2 * (w + 1) >= best):
+        found = []  # (half, c, d) of the messages seen at weight best, as positions in by_order
+        while not (h * w + h - 1 >= best if witness else h * (w + 1) >= best):
             w += 1
-            x, y = t.message_level(w)
-            count += 2 * len(x)
-            index = rows.take(x, axis=2)  # take: [..., x] is several times slower here
-            index += cols.take(y, axis=2)
-            blocks = table.take(index)
-            blocks = blocks[0] + blocks[1]  # high plus low coefficients, per block
-            sums = blocks[0::2] + blocks[1::2]  # per half
-            lightest = int(sums.min()) + w
-            if lightest > best:
-                continue
-            if lightest < best:
-                best, found = lightest, []
-            half, hits = np.nonzero(sums == lightest - w)
-            found.append((half, x[hits], y[hits]))
+            for i in range(max(0, w - n), min(w, n) + 1):
+                d0, d1 = start[w - i], start[w - i + 1]
+                step = Q // (d1 - d0)  # rows of c per pass, at most Q messages
+                for c0 in range(start[i], start[i + 1], step):
+                    c1 = min(c0 + step, start[i + 1])
+                    index = rows[:, :, c0:c1, None] + cols[:, :, None, d0:d1]
+                    blocks = table.take(index)
+                    blocks = blocks[0] + blocks[1]  # high plus low coefficients, per block
+                    sums = blocks[0::2] + blocks[1::2]  # [half, c, d]
+                    count += sums.size
+                    lightest = int(sums.min()) + w
+                    if lightest > best:
+                        continue
+                    if lightest < best:
+                        best, found = lightest, []
+                    half, x, y = np.nonzero(sums == lightest - w)
+                    found.append((half, c0 + x, d0 + y))
         half, x, y = (np.concatenate(v) for v in zip(*found))
+        x, y = by_order[x], by_order[y]
         messages = x * Q + y
-        right = half == 1
-        x, y = x[right], y[right]
-        messages[right] = t.add(firsts[2, x], seconds[2, y]) * Q + t.add(firsts[3, x], seconds[3, y])
+        if h == 2:
+            right = half == 1
+            x, y = x[right], y[right]
+            messages[right] = t.add(firsts[2, x], seconds[2, y]) * Q + t.add(firsts[3, x], seconds[3, y])
         yield MinWeight(best, int(messages.min()), count)

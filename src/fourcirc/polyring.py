@@ -389,9 +389,9 @@ class RingTables:
     elements coprime to x^n - 1.  An element code is also the base-p
     number of the n*k F_p digits of its coefficients, held in
     digit_vectors, and addition and multiplication by a fixed m act on
-    those digits F_p-linearly.  half_weights, sum_weight, units and the
-    message levels are built on first use, since most callers need none
-    of them.
+    those digits F_p-linearly.  half_weights, by_weight and units are
+    built on first use, since most callers need none of them.  No table
+    holds more than Q * max(n*k, q) entries.
     """
 
     def __init__(self, ring: QuotientRing):
@@ -408,7 +408,6 @@ class RingTables:
         self.weight = (self.coeffs != 0).sum(axis=1)
         for arr in (self.coeffs, self.neg, self.recip, self.weight, self.digit_vectors, self.digit_powers):
             arr.flags.writeable = False  # shared by every ring of the same field and n
-        self._levels: dict[int, np.ndarray] = {}
 
     def add(self, x, y) -> np.ndarray:
         """Index of x + y for broadcast index arrays x and y."""
@@ -453,43 +452,11 @@ class RingTables:
         return hi, lo
 
     @cached_property
-    def sum_weight(self) -> np.ndarray:
-        """The size x size int8 table of weight(u + v), for the kernel scan.
-
-        Reshaped to (Qh, Ql, Qh, Ql), it is hi[:, None, :, None] +
-        lo[None, :, None, :] of half_weights; that last step writes the Q^2
-        bytes once, with a contiguous inner dimension.
-        """
-        sum_weight = _join_weights(*self.half_weights)
-        sum_weight.flags.writeable = False
-        return sum_weight
-
-    @cached_property
     def by_weight(self) -> list[np.ndarray]:
         """The ascending indices of the elements of each weight 0..n."""
         order = np.argsort(self.weight, kind="stable")
         order.flags.writeable = False
         return np.split(order, np.cumsum(np.bincount(self.weight))[:-1])
-
-    def message_level(self, w: int) -> np.ndarray:
-        """The (2, N) index array of every message (c, d) with
-        weight(c) + weight(d) = w, built once per w.
-
-        Row 0 holds c and row 1 holds d; the messages come in blocks of
-        weight(c) = 0..w, each block the product of the elements of those
-        two weights, c-major.
-        """
-        if w not in self._levels:
-            blocks = []
-            for i in range(max(0, w - self.n), min(w, self.n) + 1):
-                c, d = self.by_weight[i], self.by_weight[w - i]
-                block = np.empty((2, len(c), len(d)), dtype=np.int64)
-                block[0], block[1] = c[:, None], d
-                blocks.append(block.reshape(2, -1))
-            level = np.concatenate(blocks, axis=1)
-            level.flags.writeable = False
-            self._levels[w] = level
-        return self._levels[w]
 
     @cached_property
     def units(self) -> np.ndarray:

@@ -12,7 +12,9 @@ import ...`, the way they import `helpers`.
 | `poly_eval`                 | `crt` roots and root-free factors, by Horner's rule |
 | `first_root_scan`           | `polyring.first_root`, one `poly_eval` per element  |
 | `root_of_unity_scan`        | the log-table root of unity of `factor_xn_minus_1`  |
-| `einsum_prime_tables`       | `RingTables` neg/recip/weight/add/times/sum_weight  |
+| `einsum_prime_tables`       | `RingTables` neg/recip/weight/add/times             |
+| `sum_weight_table`          | `RingTables.half_weights`, joined into one Q x Q    |
+|                             | table of weight(u + v)                              |
 | `is_two_factor_case`        | `polyring.is_primitive_root`, by coset count        |
 | `order_scan`                | `polyring.multiplicative_order`, q^i mod n in turn  |
 | `circulant`                 | building block of the two below                     |
@@ -22,6 +24,8 @@ import ...`, the way they import `helpers`.
 | `self_duality_scan`         | `census._self_duality`, a ring product per residue  |
 | `poly_truth_table`          | residue side of the sweep comparison                |
 | `rref`                      | `census.distinct_code_count`                        |
+| `message_weights`           | `codes.least_weight_messages`: every message's      |
+|                             | weight, one Q x Q array per code, for an argmin     |
 | `second_pass_distance`      | `FourCirculantCode.min_distance`                    |
 | `encode_scan_distance`      | `min_distance` distance and witness                 |
 | `generator_matrix_distance` | `min_distance` above 1024 ring elements             |
@@ -219,6 +223,13 @@ def einsum_prime_tables(p, n):
     }
 
 
+def sum_weight_table(t):
+    """The Q x Q int8 table of weight(u + v), joined from the half tables:
+    reshaped to (Qh, L, Qh, L) it is hi[:, None, :, None] + lo[None, :, None, :]."""
+    hi, lo = t.half_weights
+    return (hi[:, None, :, None] + lo[None, :, None, :]).reshape(t.size, t.size)
+
+
 # ---------------------------------------------------------------------------
 # generator matrices and the Gram-matrix self-duality criterion
 
@@ -390,6 +401,23 @@ def rref(field, rows):
 
 # ---------------------------------------------------------------------------
 # minimum distance
+
+def message_weights(t, pairs):
+    """Codeword weights of every message, one Q x Q int8 array per (a, b)
+    row of an index pair array: entry [ci, di] is the weight of the codeword
+    of message (element(ci), element(di)), weight(c) + weight(d) +
+    weight(c*a - d*b') + weight(c*b + d*a'), and the zero message gets
+    4n + 1, above every real weight."""
+    SW = sum_weight_table(t)
+    W = t.weight.astype(np.int8)
+    for ai, bi in pairs:
+        wt = SW[t.times(ai)][:, t.neg[t.times(t.recip[bi])]]  # weight(c*a - d*b')
+        wt += SW[t.times(bi)][:, t.times(t.recip[ai])]  # weight(c*b + d*a')
+        wt += W[:, None]
+        wt += W
+        wt[0, 0] = 4 * t.n + 1
+        yield wt
+
 
 def second_pass_distance(code):
     """Independent oracle: d-major enumeration in reverse, plain encode calls."""

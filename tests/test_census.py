@@ -23,15 +23,17 @@ from fourcirc.census import (
     self_dual_count_formula,
     self_dual_pairs,
 )
-from fourcirc.codes import CapExceeded, FourCirculantCode, message_weights
+from fourcirc.codes import CapExceeded, FourCirculantCode
 from fourcirc.fields import Field, is_prime
 from fourcirc.polyring import QuotientRing, is_primitive_root
 
+from helpers import largest_table
 from oracles import (
     generator_matrix,
     is_self_dual_matrix,
     max_nonconstant_scan,
     membership_scan,
+    message_weights,
     rref,
     self_duality_scan,
 )
@@ -486,9 +488,8 @@ def test_refusals_at_huge_n_write_powers():
 
 
 def test_membership_census_builds_no_weight_table():
-    # the census reads only the O(Q*n) ring tables; the Q x Q sum_weight
-    # table is for the distance scans, and at (2, 13) building it peaks
-    # near 67 MB
+    # the census reads only the O(Q*n) ring tables; a Q x Q table of
+    # weight(u + v) at (2, 13) would peak near 67 MB
     word = ((1, 1) + (0,) * 11, (0, 1) + (0,) * 11, (0,) * 13, (1,) + (0,) * 12)
     polyring._ring_tables.cache_clear()
     tracemalloc.start()
@@ -498,7 +499,7 @@ def test_membership_census_builds_no_weight_table():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    assert "sum_weight" not in vars(QuotientRing(F2, 13).tables())
+    assert largest_table(QuotientRing(F2, 13).tables()) <= 2**13 * 13
 
 
 def test_membership_bound_unit_pairs():

@@ -303,12 +303,13 @@ def test_work_counters_in_manifest():
 
 def test_distance_counts_its_messages():
     # a self-dual code: levels 1 and 2 of 2 * 3 digits on both halves; a pair
-    # whose a*a' + b*b' is not a unit: the kernel's 8^2 messages
+    # whose a*a' + b*b' is not a unit, d = 2: levels 1 and 2 on the left half
     sd = run_json("distance", "--q", "2", "--n", "3", "--a", "1,1,0", "--b", "1,1,1")
     assert sd["report"]["d"] == 4
     assert sd["manifest"]["counters"] == {"messages_enumerated": 2 * (6 + 15)}
-    kernel = run_json("distance", "--q", "2", "--n", "3", "--a", "1,1,1", "--b", "0,0,0")
-    assert kernel["manifest"]["counters"] == {"messages_enumerated": 64}
+    left = run_json("distance", "--q", "2", "--n", "3", "--a", "1,1,1", "--b", "0,0,0")
+    assert left["report"]["d"] == 2
+    assert left["manifest"]["counters"] == {"messages_enumerated": 6 + 15}
 
 
 ORBIT_POINTS = (

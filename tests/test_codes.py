@@ -1,11 +1,13 @@
+import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fourcirc import codes
+from fourcirc import polyring
 from fourcirc.census import code_orbits, self_dual_pairs
-from fourcirc.codes import CapExceeded, FourCirculantCode, least_weight_messages, message_weights
+from fourcirc.codes import CapExceeded, FourCirculantCode, least_weight_messages
 from fourcirc.fields import Field
 from fourcirc.polyring import QuotientRing
 
@@ -15,6 +17,7 @@ from oracles import (
     generator_matrix,
     generator_matrix_distance,
     is_self_dual_matrix,
+    message_weights,
     poly_truth_table,
     second_pass_distance,
     self_dual_matrix_sweep,
@@ -200,7 +203,7 @@ def test_min_distance_second_pass_oracle():
 
 
 def test_min_distance_matches_encode_scan():
-    # the table kernel against a per-message encode scan: distance and witness agree
+    # the engine against a per-message encode scan: distance and witness agree
     r33 = QuotientRing(F3, 3)
     cases = [
         (F3, 3, [(r33.index((1, 1, 0)), r33.index((1, 0, 2)))]),
@@ -239,8 +242,8 @@ def test_min_distance_above_1024_elements(p, n, a, b):
 
 
 def test_message_weights_above_1024_elements_match_generator_matrix():
-    # Q = 4096, where the kernel fills 16 row blocks: 16 random message rows
-    # c of two self-dual codes against [c d] G mod 2 for every d, without tables
+    # Q = 4096: 16 random message rows c of two self-dual codes in the
+    # oracle's weight arrays against [c d] G mod 2 for every d, without tables
     n = 12
     ring = QuotientRing(F2, n)
     rng = np.random.default_rng(12)
@@ -257,17 +260,6 @@ def test_message_weights_above_1024_elements_match_generator_matrix():
             if ci == 0:
                 expect[0] = 4 * n + 1
             assert np.array_equal(wt[ci], expect), (ai, bi, ci)
-
-
-@pytest.mark.parametrize("entries", [1, 1000, 4096])
-def test_message_weights_row_blocks_keep_weights(monkeypatch, entries):
-    # Q = 243 in blocks of 1, 4 and 16 rows; the last two leave a short last block
-    t = QuotientRing(F3, 5).tables()
-    pairs = self_dual_pairs(F3, 5)[::97]
-    whole = list(message_weights(t, pairs))
-    monkeypatch.setattr(codes, "KERNEL_BLOCK_ENTRIES", entries)
-    for expect, wt in zip(whole, message_weights(t, pairs)):
-        assert np.array_equal(wt, expect)
 
 
 def test_min_distance_cap():
@@ -293,7 +285,7 @@ def test_validation():
 
 
 def kernel_least(t, pairs):
-    """(weight, least message index) of each pair from the Q x Q kernel."""
+    """(weight, least message index) of each pair from the oracle's Q x Q weights."""
     out = []
     for wt in message_weights(t, pairs):
         m = int(wt.argmin())
@@ -335,11 +327,14 @@ def test_engine_matches_kernel_on_samples(field, n, count):
 
 
 @pytest.mark.parametrize(
-    "field, n", [(F2, 6), (F2, 7), (F3, 5), (F4, 4), (F5, 3), (F8, 3)], ids=["2,6", "2,7", "3,5", "4,4", "5,3", "8,3"]
+    "field, n",
+    [(F2, 1), (F5, 1), (F2, 6), (F2, 7), (F3, 5), (F4, 4), (F5, 3), (F8, 3)],
+    ids=["2,1", "5,1", "2,6", "2,7", "3,5", "4,4", "5,3", "8,3"],
 )
 def test_engine_on_pairs_that_are_not_self_dual(field, n):
-    # Delta = a*a' + b*b' is a unit: both halves with Delta^-1; not a unit:
-    # the kernel, counting Q^2 messages
+    # Delta = a*a' + b*b' is a unit: both halves with Delta^-1, levels 1 to
+    # d // 2 on each; not a unit: the left half alone, levels 1 to d.  At
+    # (5, 1), a^2 + b^2 = 0 has nonzero solutions
     ring = QuotientRing(field, n)
     t = ring.tables()
     pairs = np.random.default_rng(7).integers(0, ring.size, size=(60, 2))
@@ -348,10 +343,33 @@ def test_engine_on_pairs_that_are_not_self_dual(field, n):
         code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
         units.append(ring.is_unit(ring.add(code.criterion_residue(), ring.neg(ring.one))))
     assert 0 < sum(units) < len(units)
-    assert engine_least(t, pairs) == kernel_least(t, pairs)
+    expect = kernel_least(t, pairs)
+    assert engine_least(t, pairs) == expect
+    levels = [math.comb(2 * n, w) * (field.q - 1) ** w for w in range(2 * n + 1)]
     counts = [m.messages for m in least_weight_messages(t, pairs)]
-    assert all((c < ring.size**2) == unit for c, unit in zip(counts, units))
-    assert all(c == ring.size**2 for c, unit in zip(counts, units) if not unit)
+    for (d, _), count, unit in zip(expect, counts, units):
+        assert count == (2 * sum(levels[1 : d // 2 + 1]) if unit else sum(levels[1 : d + 1])), (d, unit)
+
+
+def test_min_distance_of_a_non_unit_pair_builds_no_square_table():
+    # at (2, 12) Delta is not a unit, and the left half alone is searched
+    # with arrays of about Q entries; one Q x Q int8 weight table is Q^2 bytes
+    ring = QuotientRing(F2, 12)
+    a, b = (0, 1, 1, 0, 0, 1, 1, 1, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1)
+    code = FourCirculantCode(ring, a, b)
+    assert not ring.is_unit(ring.add(code.criterion_residue(), ring.neg(ring.one)))
+    polyring._ring_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        d, witness = code.min_distance()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ring.size**2 // 4
+    [(expect, message)] = kernel_least(ring.tables(), np.array([[ring.index(a), ring.index(b)]]))
+    ci, di = divmod(message, ring.size)
+    assert d == expect == 8
+    assert witness.blocks[:2] == (ring.element(ci), ring.element(di))
 
 
 def test_zimmermann_stop_misses_the_least_witness():
@@ -367,12 +385,12 @@ def test_zimmermann_stop_misses_the_least_witness():
 
 
 def test_min_distance_counts_the_messages_it_evaluates():
-    # levels 1..d // 2 on both halves of a self-dual code
+    # levels 1..d // 2 on both halves of a self-dual code; level w holds the
+    # C(14, w) binary messages of weight w
     ring = QuotientRing(F2, 7)
     ai, bi = self_dual_pairs(F2, 7)[100]
     code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
-    t = ring.tables()
-    levels = sum(t.message_level(w).shape[1] for w in range(1, code.min_distance()[0] // 2 + 1))
+    levels = sum(math.comb(14, w) for w in range(1, code.min_distance()[0] // 2 + 1))
     counters = {"messages_enumerated": 5}
     code.min_distance(counters=counters)
     assert counters == {"messages_enumerated": 5 + 2 * levels}

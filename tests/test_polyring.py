@@ -24,6 +24,7 @@ from fourcirc.polyring import (
     poly_trim,
 )
 
+from helpers import largest_table
 from oracles import (
     brute_gcd,
     einsum_prime_tables,
@@ -32,6 +33,7 @@ from oracles import (
     is_two_factor_case,
     poly_eval,
     root_of_unity_scan,
+    sum_weight_table,
 )
 
 F2, F3, F4, F5 = Field(2), Field(3), Field(2, 2), Field(5)
@@ -158,11 +160,12 @@ def test_ring_tables_agree_with_ops():
         assert t.neg.tolist() == [R.index(R.neg(u)) for u in elems]
         assert t.recip.tolist() == [R.index(R.reciprocal(u)) for u in elems]
         assert t.weight.tolist() == [R.weight(u) for u in elems]
+        sum_weight = sum_weight_table(t)
         for i, m in enumerate(elems):
             assert t.times(i).tolist() == [R.index(R.mul(u, m)) for u in elems], (field.q, n, i)
             assert t.add(i, np.arange(R.size)).tolist() == [R.index(R.add(m, v)) for v in elems]
             sums = [R.weight(R.add(m, v)) for v in elems]
-            assert t.sum_weight[i].tolist() == sums, (field.q, n, i)
+            assert sum_weight[i].tolist() == sums, (field.q, n, i)
 
 
 @pytest.mark.parametrize("p,n", [(2, 10), (3, 6)])
@@ -174,17 +177,19 @@ def test_ring_tables_match_einsum_reference(p, n):
     for m in range(p**n):
         assert np.array_equal(t.times(m), ref["mul"][:, m]), m
     assert np.array_equal(t.add(np.arange(p**n)[:, None], np.arange(p**n)), ref["add"])
-    assert np.array_equal(t.sum_weight, ref["weight"][ref["add"]])
+    assert np.array_equal(sum_weight_table(t), ref["weight"][ref["add"]])
 
 
 @pytest.mark.parametrize("field, n", [(F2, 11), (F3, 7), (F5, 3), (F4, 5), (Field(2, 3), 3)])
 def test_sum_weight_matches_weight_of_sums(field, n):
-    # halves of unequal size: odd n, and coefficients of k > 1 F_p digits
+    # the half tables joined into one Q x Q table, as the tests' oracles read
+    # them; halves of unequal size: odd n, and coefficients of k > 1 F_p digits
     t = QuotientRing(field, n).tables()
+    sum_weight = sum_weight_table(t)
     elems = np.arange(t.size)
     for lo in range(0, t.size, 128):
         rows = elems[lo : lo + 128]
-        assert np.array_equal(t.sum_weight[rows], t.weight[t.add(rows[:, None], elems)]), lo
+        assert np.array_equal(sum_weight[rows], t.weight[t.add(rows[:, None], elems)]), lo
 
 
 @pytest.mark.parametrize("field, n", [(F2, 1), (F3, 2), (F2, 11), (F3, 7), (F4, 5), (Field(2, 3), 3)])
@@ -199,21 +204,26 @@ def test_half_weights_read_weight_of_sums(field, n):
     u[:, :2] = [[0, t.size - 1], [0, t.size - 1]]
     expect = t.weight[t.add(u[0], u[1])]
     assert np.array_equal(hi[u[0] // L, u[1] // L] + lo[u[0] % L, u[1] % L], expect)
-    assert "sum_weight" not in vars(t)  # the engine's tables build no Q x Q table
+    # no Q x Q table: the high half table of an odd n holds up to Q * q entries
+    assert largest_table(t) <= t.size * max(n * field.k, field.q)
 
 
 @pytest.mark.parametrize("field, n", [(F2, 5), (F3, 3), (F4, 3)])
 def test_message_levels_partition_the_messages(field, n):
-    # every nonzero message (c, d) lies in level weight(c) + weight(d), once
+    # by_weight partitions the elements by weight, ascending within each
+    # weight, so the splits by_weight[i] x by_weight[w - i] of the levels
+    # w = 1..2n hold every nonzero message (c, d) once
     t = QuotientRing(field, n).tables()
+    assert len(t.by_weight) == n + 1
+    for i, block in enumerate(t.by_weight):
+        assert (t.weight[block] == i).all() and (np.diff(block) > 0).all(), i
+    assert sorted(np.concatenate(t.by_weight).tolist()) == list(range(t.size))
     seen = np.zeros((t.size, t.size), dtype=int)
     for w in range(1, 2 * n + 1):
-        c, d = t.message_level(w)
-        assert (t.weight[c] + t.weight[d] == w).all(), w
-        np.add.at(seen, (c, d), 1)
+        for i in range(max(0, w - n), min(w, n) + 1):
+            seen[np.ix_(t.by_weight[i], t.by_weight[w - i])] += 1
     seen[0, 0] += 1
     assert (seen == 1).all()
-    assert t.message_level(2) is t.message_level(2)
 
 
 # -- orders and cosets ---------------------------------------------------------
