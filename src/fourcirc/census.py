@@ -16,7 +16,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -202,87 +202,79 @@ def code_distances(
 # ---------------------------------------------------------------------------
 # equivalent codes
 
-PairMap = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+def equivalence_maps(field: Field, n: int) -> tuple[list[tuple[str, np.ndarray]], list[tuple[str, np.ndarray]]]:
+    """The named residue permutations (index arrays over all residues) of H
+    and of Σ, for the group G = (H x H) ⋊ Σ ⋊ <swap> of maps on pairs (a, b)
+    that keep 1 + a*a' + b*b' = 0 and the weight enumerator of C_{a,b}.
 
-
-def equivalence_maps(field: Field, n: int) -> list[tuple[str, PairMap]]:
-    """Generators of a group of maps on index pairs (a, b) that keep
-    1 + a*a' + b*b' = 0 and the weight enumerator of C_{a,b}.
-
-    Each map takes index arrays (a, b) to the index arrays of the image.
-    On a alone or on b alone: multiplication by x (the f block of every
-    codeword is shifted) and negation (a message block is negated).  On
-    both at once: the swap (a, b) -> (b, a) (message (c, -d)), every
-    multiplier x -> x^t with gcd(t, n) = 1 (coordinates are permuted
-    inside each block; t = -1 is the reciprocal) and, over F_(p^k) with
-    k > 1, Frobenius on every coefficient.  A multiplier on a alone does
-    not keep self-duality.
-
-    Every map is an index array over all residues, built from the ring
-    tables: negation is their neg, and the others move or map the
-    coefficient rows in their coeffs.
+    H acts on a alone or on b alone: u -> x^s*u and u -> -x^s*u, 0 <= s < n
+    (the f block of every codeword is shifted, a message block negated).
+    Σ acts on both: every multiplier x -> x^s with gcd(s, n) = 1 (a
+    coordinate permutation in each block; s = -1 is the reciprocal)
+    composed with every power of Frobenius on the coefficients.  Σ
+    normalises H, and the swap (a, b) -> (b, a) (message (c, -d))
+    normalises both.  A multiplier on a alone does not keep self-duality.
     """
-    q = field.q
     t = QuotientRing(field, n).tables()
-    powers = q ** np.arange(n)
+    powers = field.q ** np.arange(n)
     j = np.arange(n)
 
-    def coefficient_map(src: np.ndarray, table: np.ndarray = np.arange(q)) -> np.ndarray:
+    def coefficient_map(src: np.ndarray, table: np.ndarray) -> np.ndarray:
         """Index of the residue whose coefficient j is table[coefficient src[j] of u], for every u."""
         return table[t.coeffs[:, src]] @ powers
 
-    maps: list[tuple[str, PairMap]] = []
-    for name, perm in (("x*", coefficient_map((j - 1) % n)), ("-", t.neg)):
-        maps.append((name + "a", lambda a, b, perm=perm: (perm[a], b)))
-        maps.append((name + "b", lambda a, b, perm=perm: (a, perm[b])))
-    maps.append(("swap", lambda a, b: (b, a)))
+    signs = (("", np.arange(field.q)), ("-", field.neg_array))
+    block = [(f"{sign}x^{s}*", coefficient_map((j - s) % n, table)) for s in range(n) for sign, table in signs]
+    frobs = [np.array([field.frobenius(c, i) for c in field.elements()]) for i in range(field.k)]
     # x -> x^s moves coefficient i to i*s, so coefficient j comes from j/s
     both = [
-        (f"x->x^{s}", coefficient_map(j * pow(s, -1, n) % n)) for s in range(2, n) if math.gcd(s, n) == 1
+        (f"x->x^{s}" + f", frobenius^{i}" * (i > 0), coefficient_map(j * pow(s, -1, n) % n, frob))
+        for s in range(1, n + 1) if math.gcd(s, n) == 1
+        for i, frob in enumerate(frobs)
     ]
-    if field.k > 1:
-        frob = np.array([field.frobenius(c, 1) for c in field.elements()])
-        both.append(("frobenius", coefficient_map(j, frob)))
-    for name, perm in both:
-        maps.append((name, lambda a, b, perm=perm: (perm[a], perm[b])))
-    return maps
+    return block, both
 
 
 def code_orbits(field: Field, n: int, pairs: np.ndarray) -> np.ndarray:
-    """For each row of the a-major self-dual pair array, the position of
-    the least pair in its orbit under equivalence_maps.
+    """For each row of the a-major self-dual pair array, the position of the
+    least pair in its orbit under the group of equivalence_maps.
 
-    Every map is first checked to take the pairs onto themselves.  Labels then
-    start as the positions and take, until they stop changing, the least
-    label over each map's image and preimage, with a pointer-jumping step
-    (label of the label) per round.  A label is always a position in the
-    same orbit and no larger, so the fixed point is the orbit minimum.
+    With Hc[u] = min over h in H of h(u) and K[u] = min over σ in Σ of
+    Hc[σ(u)], the least pair (m, s) of the orbit of (a, b) has
+    m = min(K[a], K[b]), and s = the least Hc[σ(b)] over the σ with
+    Hc[σ(a)] = m or the least Hc[σ(a)] over the σ with Hc[σ(b)] = m: |Σ|
+    passes over the pairs.  The checks run on residues: every h keeps u*u',
+    every σ commutes with u*u' and -(1 + u*u'), and the pairs are exactly the
+    self-dual list, so every least pair is self-dual and must be listed.
     """
-    Q = QuotientRing(field, n).size
+    Q = field.q**n
+    have, need = _self_duality(QuotientRing(field, n))
     a, b = pairs.T
     keys = a * Q + b
-    if (np.diff(keys) <= 0).any():
-        raise ValueError("pairs must be distinct and in a-major order")
-    images = []
-    for name, pair_map in equivalence_maps(field, n):
-        ia, ib = pair_map(a, b)
-        image = ia * Q + ib
-        pos = np.searchsorted(keys, image).clip(max=len(keys) - 1)
-        if (keys[pos] != image).any():
-            raise AssertionError(
-                f"map {name} takes a self-dual pair outside the list at (q={field.q}, n={n})"
-            )
-        images.append(pos)
-    labels = np.arange(len(keys))
-    while True:
-        new = labels.copy()
-        for pos in images:  # pos is a permutation of the positions
-            np.minimum(new, new[pos], out=new)
-            new[pos] = np.minimum(new[pos], new)
-        new = new[new]
-        if (new == labels).all():
-            return labels
-        labels = new
+    where = f"at (q={field.q}, n={n})"
+    every = len(keys) == np.bincount(have, minlength=Q)[need].sum()  # as many rows as self-dual pairs
+    if (np.diff(keys) <= 0).any() or (have[b] != need[a]).any() or not every:
+        raise ValueError(f"pairs must be the a-major list of every self-dual pair {where}")
+    block, both = equivalence_maps(field, n)
+    least_h = np.full(Q, Q)  # Hc
+    for name, h in block:
+        if (have[h] != have).any():
+            raise AssertionError(f"map {name} on one block does not keep u*u' {where}")
+        np.minimum(least_h, h, out=least_h)
+    least = np.full(Q, Q)  # K
+    for name, sigma in both:
+        if (have[sigma] != sigma[have]).any() or (need[sigma] != sigma[need]).any():
+            raise AssertionError(f"map {name} on both blocks does not commute with u*u' and -(1 + u*u') {where}")
+        np.minimum(least, least_h[sigma], out=least)
+    m, s = np.minimum(least[a], least[b]), np.full(len(keys), Q)
+    for _, sigma in both:
+        ha, hb = least_h[sigma][a], least_h[sigma][b]
+        np.minimum(s, np.where(ha == m, hb, Q), out=s)
+        np.minimum(s, np.where(hb == m, ha, Q), out=s)
+    pos = np.searchsorted(keys, m * Q + s).clip(max=len(keys) - 1)
+    if (keys[pos] != m * Q + s).any():
+        raise AssertionError(f"a least pair of an orbit is not in the list {where}")
+    return pos
 
 
 def orbit_distances(

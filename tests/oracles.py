@@ -30,6 +30,12 @@ import ...`, the way they import `helpers`.
 | `encode_scan_distance`      | `min_distance` distance and witness                 |
 | `generator_matrix_distance` | `min_distance` above 1024 ring elements             |
 | `all_pairs_distances`       | `census.orbit_distances`, one scan per pair         |
+| `pair_maps`                 | building block of `code_orbits_fixed_point`: the    |
+|                             | generators of the equivalences, as pair closures    |
+| `code_orbits_fixed_point`   | `census.code_orbits`: each generator's image of     |
+|                             | every pair, min-label passes to a fixed point       |
+| `burnside_orbit_count`      | the number of `code_orbits` labels, by Burnside's   |
+|                             | lemma over the group of `census.equivalence_maps`   |
 | `membership_scan`           | `census.membership_census`, all q^(2n) pairs        |
 | `horner_decompose`          | `crt.decompose`, one Horner step per coefficient,   |
 |                             | at roots found by `first_root_scan`                 |
@@ -46,6 +52,7 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -474,6 +481,91 @@ def all_pairs_distances(field, n):
     kernel scan per pair rather than one per orbit."""
     pairs = self_dual_pairs(field, n)
     return pairs.tolist(), code_distances(field, n, pairs)
+
+
+# ---------------------------------------------------------------------------
+# equivalent codes
+
+def pair_maps(field, n):
+    """Generators of the equivalences on index pairs (a, b), as named
+    closures taking index arrays (a, b) to the index arrays of the image:
+    multiplication by x and negation on a alone or on b alone; the swap,
+    every multiplier x -> x^t with gcd(t, n) = 1 and, for k > 1, Frobenius
+    on both at once."""
+    q = field.q
+    t = QuotientRing(field, n).tables()
+    powers = q ** np.arange(n)
+    j = np.arange(n)
+
+    def coefficient_map(src, table=np.arange(q)):
+        return table[t.coeffs[:, src]] @ powers
+
+    maps = []
+    for name, perm in (("x*", coefficient_map((j - 1) % n)), ("-", t.neg)):
+        maps.append((name + "a", lambda a, b, perm=perm: (perm[a], b)))
+        maps.append((name + "b", lambda a, b, perm=perm: (a, perm[b])))
+    maps.append(("swap", lambda a, b: (b, a)))
+    both = [(f"x->x^{s}", coefficient_map(j * pow(s, -1, n) % n)) for s in range(2, n) if math.gcd(s, n) == 1]
+    if field.k > 1:
+        frob = np.array([field.frobenius(c, 1) for c in field.elements()])
+        both.append(("frobenius", coefficient_map(j, frob)))
+    for name, perm in both:
+        maps.append((name, lambda a, b, perm=perm: (perm[a], perm[b])))
+    return maps
+
+
+def code_orbits_fixed_point(field, n, pairs):
+    """Position of the least pair in the orbit of each row of the a-major
+    self-dual pair array, under the generators of pair_maps.
+
+    Each generator's image of every pair is looked up in the list (and must
+    be there).  Labels start as the positions and take, until they stop
+    changing, the least label over each image and preimage, with a
+    pointer-jumping step (label of the label) per round."""
+    Q = QuotientRing(field, n).size
+    a, b = pairs.T
+    keys = a * Q + b
+    images = []
+    for name, pair_map in pair_maps(field, n):
+        ia, ib = pair_map(a, b)
+        image = ia * Q + ib
+        pos = np.searchsorted(keys, image).clip(max=len(keys) - 1)
+        assert (keys[pos] == image).all(), name
+        images.append(pos)
+    labels = np.arange(len(keys))
+    while True:
+        new = labels.copy()
+        for pos in images:  # pos is a permutation of the positions
+            np.minimum(new, new[pos], out=new)
+            new[pos] = np.minimum(new[pos], new)
+        new = new[new]
+        if (new == labels).all():
+            return labels
+        labels = new
+
+
+def burnside_orbit_count(have, need, block, both):
+    """Orbits of the self-dual pairs under G = (H x H) ⋊ Σ ⋊ <swap>, by
+    Burnside's lemma, as a Fraction: the mean, over the 2*|H|^2*|Σ| formal
+    elements (h1σ, h2σ) and swap∘(h1σ, h2σ), of the self-dual pairs each
+    fixes.  block and both are the permutations of H and Σ; have and need
+    index u*u' and -(1 + u*u'), so (a, b) is self-dual when have[b] = need[a].
+
+    (h1σ, h2σ) fixes (a, b) when h1σ fixes a and h2σ fixes b: summed over
+    h1 and h2, the residues that the block maps fix, joined on the need and
+    have histograms.  swap∘(h1σ, h2σ) fixes (a, h1σ(a)) for the a with
+    h2σ(h1σ(a)) = a and have[h1σ(a)] = need[a]."""
+    have, need = np.asarray(have), np.asarray(need)
+    Q = len(have)
+    u = np.arange(Q)
+    fixed = 0
+    for sigma in both:
+        hs = np.array([h[sigma] for h in block])  # hs[i] = h_i∘σ
+        held = np.nonzero(hs == u)[1]  # the residue of every (h, residue) it fixes
+        fixed += int(np.bincount(need[held], minlength=Q) @ np.bincount(have[held], minlength=Q))
+        for g in hs:
+            fixed += int(((hs[:, g] == u) & (have[g] == need)).sum())
+    return Fraction(fixed, 2 * len(block) ** 2 * len(both))
 
 
 # ---------------------------------------------------------------------------

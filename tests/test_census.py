@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -29,6 +30,8 @@ from fourcirc.polyring import QuotientRing, is_primitive_root
 
 from helpers import largest_table
 from oracles import (
+    burnside_orbit_count,
+    code_orbits_fixed_point,
     generator_matrix,
     is_self_dual_matrix,
     max_nonconstant_scan,
@@ -39,6 +42,7 @@ from oracles import (
 )
 
 F2, F3, F5 = Field(2), Field(3), Field(5)
+F4, F8 = Field(2, 2), Field(2, 3)
 
 
 def test_count_sum_of_squares_examples():
@@ -249,10 +253,14 @@ def test_distinct_codes_equal_pairs():
 
 # -- equivalent codes -------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "field, n, orbits",
-    [(F2, 7, 6), (F3, 5, 7), (F2, 9, 14), (F3, 6, 24), (F2, 10, 72)],
-)
+ORBIT_COUNTS = [(F2, 7, 6), (F3, 5, 7), (F2, 9, 14), (F3, 6, 24), (F2, 10, 72), (F2, 13, 148)]
+
+
+def _perms(maps):
+    return [perm for _, perm in maps]
+
+
+@pytest.mark.parametrize("field, n, orbits", ORBIT_COUNTS)
 def test_orbit_counts(field, n, orbits):
     pairs = self_dual_pairs(field, n)
     labels = code_orbits(field, n, pairs)
@@ -263,7 +271,42 @@ def test_orbit_counts(field, n, orbits):
     assert len(np.unique(labels)) == orbits
 
 
-@pytest.mark.parametrize("field, n", [(F2, 6), (F2, 7), (F3, 4), (Field(2, 2), 3), (F5, 3)])
+@pytest.mark.parametrize(
+    "field, n",
+    [(F2, 1), (F2, 2), (F3, 2), (F2, 6), (F2, 7), (F3, 5), (F2, 9), (F4, 4), (F3, 6), (F2, 10), (F4, 3), (F8, 3),
+     (F5, 3), (F2, 11), (F2, 13)],
+)
+def test_code_orbits_equal_fixed_point_oracle(field, n):
+    pairs = self_dual_pairs(field, n)
+    assert (code_orbits(field, n, pairs) == code_orbits_fixed_point(field, n, pairs)).all()
+
+
+@pytest.mark.parametrize("field, n, orbits", ORBIT_COUNTS)
+def test_burnside_counts_the_orbits(field, n, orbits):
+    # Burnside's lemma over the group of equivalence_maps, from u*u' and
+    # -(1 + u*u') of the ring-product scan; neither labeler takes part
+    block, both = equivalence_maps(field, n)
+    have, need = self_duality_scan(QuotientRing(field, n))
+    count = burnside_orbit_count(have, need, _perms(block), _perms(both))
+    labels = code_orbits(field, n, self_dual_pairs(field, n))
+    assert count == len(np.unique(labels)) == orbits
+
+
+@pytest.mark.parametrize("field, n, orbits", [(F3, 5, 7), (F2, 9, 14)])
+def test_dropping_any_multiplier_changes_labels_and_burnside(field, n, orbits, monkeypatch):
+    # at (2, 7) dropping one multiplier leaves the labels as they are
+    pairs = self_dual_pairs(field, n)
+    labels = code_orbits(field, n, pairs)
+    block, both = equivalence_maps(field, n)
+    have, need = self_duality_scan(QuotientRing(field, n))
+    for i, (name, _) in enumerate(both):
+        fewer = both[:i] + both[i + 1 :]
+        monkeypatch.setattr(census, "equivalence_maps", lambda field, n, fewer=fewer: (block, fewer))
+        assert (code_orbits(field, n, pairs) != labels).any(), name
+        assert burnside_orbit_count(have, need, _perms(block), _perms(fewer)) != orbits, name
+
+
+@pytest.mark.parametrize("field, n", [(F2, 6), (F2, 7), (F3, 4), (F4, 3), (F5, 3)])
 def test_equivalence_maps_keep_self_duality_and_weights(field, n):
     pairs = self_dual_pairs(field, n)
     a, b = pairs.T
@@ -273,31 +316,58 @@ def test_equivalence_maps_keep_self_duality_and_weights(field, n):
         pair: np.bincount(wt.ravel(), minlength=4 * n + 2)
         for pair, wt in zip(listed, message_weights(t, pairs))
     }
-    maps = equivalence_maps(field, n)
-    names = [name for name, _ in maps]
-    assert names[:5] == ["x*a", "x*b", "-a", "-b", "swap"]
-    assert ("frobenius" in names) == (field.k > 1)
+    block, both = equivalence_maps(field, n)
+    names = [name for name, _ in block + both]
+    assert len(block) == 2 * n and names[:4] == ["x^0*", "-x^0*", "x^1*", "-x^1*"]
+    assert len(both) == sum(math.gcd(s, n) == 1 for s in range(n)) * field.k
+    assert ("x->x^1, frobenius^1" in names) == (field.k > 1)
     assert f"x->x^{n - 1}" in names  # the reciprocal
-    for name, pair_map in maps:
-        ia, ib = pair_map(a, b)
-        images = list(zip(ia.tolist(), ib.tolist()))
-        assert sorted(images) == listed, name  # onto the self-dual list
-        for pair, image in zip(listed, images):
-            assert (weights[pair] == weights[image]).all(), (name, pair, image)
-
-
-def test_code_orbits_checks_closure(monkeypatch):
-    pairs = self_dual_pairs(F2, 7)
-    with pytest.raises(AssertionError, match="outside the list"):
-        code_orbits(F2, 7, pairs[1:])
-    # a multiplier on a alone does not keep self-duality
-    ring = QuotientRing(F2, 7)
-    square = np.array([ring.index(ring.mul(u, u)) for u in ring.elements()])  # x -> x^2 over F_2
-    maps = equivalence_maps(F2, 7)
-    monkeypatch.setattr(
-        census, "equivalence_maps", lambda field, n: maps + [("x->x^2 on a", lambda a, b: (square[a], b))]
+    images = (
+        [(f"{name} on a", h[a], b) for name, h in block]
+        + [(f"{name} on b", a, h[b]) for name, h in block]
+        + [(name, sigma[a], sigma[b]) for name, sigma in both]
+        + [("swap", b, a)]
     )
-    with pytest.raises(AssertionError, match="x->x\\^2 on a"):
+    for name, ia, ib in images:
+        image = list(zip(ia.tolist(), ib.tolist()))
+        assert sorted(image) == listed, name  # onto the self-dual list
+        for pair, pair_image in zip(listed, image):
+            assert (weights[pair] == weights[pair_image]).all(), (name, pair, pair_image)
+
+
+def test_code_orbits_checks_the_list(monkeypatch):
+    pairs = self_dual_pairs(F2, 7)
+    Q = 2**7
+    # a row short, out of order, and rows in order that are not self-dual
+    not_self_dual = np.stack(np.divmod(np.arange(len(pairs)), Q), axis=1)
+    for bad in (pairs[1:], pairs[::-1], not_self_dual):
+        with pytest.raises(ValueError, match="every self-dual pair"):
+            code_orbits(F2, 7, bad)
+    # at (2, 2) Σ is the identity; with a need that x* does not keep (the
+    # true one is a function of u*u'), every other check passes, and the
+    # least pair (1, 1) of the orbit of (x, 1) is not listed
+    have, need = census._self_duality(QuotientRing(F2, 2))
+    need = need.copy()
+    need[2] = 1  # at x; at 1 it stays 0, and have is 1 at both
+    monkeypatch.setattr(census, "_self_duality", lambda ring: (have, need))
+    listed = np.array([(a, b) for a in range(4) for b in range(4) if have[b] == need[a]])
+    with pytest.raises(AssertionError, match="not in the list"):
+        code_orbits(F2, 2, listed)
+
+
+def test_code_orbits_checks_the_maps(monkeypatch):
+    pairs = self_dual_pairs(F2, 7)
+    ring = QuotientRing(F2, 7)
+    block, both = equivalence_maps(F2, 7)
+    # x -> x^2 is in Σ over F_2, but on one block it does not keep u*u'
+    square = np.array([ring.index(ring.mul(u, u)) for u in ring.elements()])
+    monkeypatch.setattr(census, "equivalence_maps", lambda field, n: (block + [("x->x^2", square)], both))
+    with pytest.raises(AssertionError, match="x->x\\^2 on one block"):
+        code_orbits(F2, 7, pairs)
+    # x* keeps u*u' on one block, but on both it does not commute with it
+    shift = dict(block)["x^1*"]
+    monkeypatch.setattr(census, "equivalence_maps", lambda field, n: (block, both + [("x* on both", shift)]))
+    with pytest.raises(AssertionError, match="x\\* on both"):
         code_orbits(F2, 7, pairs)
 
 

@@ -8,13 +8,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fourcirc import cli
+from fourcirc import census, cli
 from fourcirc.census import enumerate_self_dual, self_dual_count_formula
 from fourcirc.fields import Field
 from fourcirc.polyring import QuotientRing
 
 from helpers import ROOT, child_env
-from oracles import all_pairs_distances, nested_render
+from oracles import all_pairs_distances, code_orbits_fixed_point, nested_render
 
 CLI = [sys.executable, "-m", "fourcirc"]
 
@@ -363,6 +363,35 @@ def test_orbit_reports_equal_all_pairs_reports(q, n, capsys):
             else:
                 got, want = out, nested_render({"report": body}, fmt, command)
             assert got == want, (command, fmt)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["search", "--q", "3", "--n", "5", "--top", "10"],
+        ["search", "--q", "2", "--n", "9", "--top", "20"],
+        ["enumerate", "--q", "2", "--n", "7", "--distances"],
+    ],
+)
+def test_reports_equal_with_fixed_point_orbit_labels(args, capsys, monkeypatch):
+    # the closed-form orbit labels against the fixed-point iteration: text
+    # and csv output byte for byte, json apart from the manifest's wall time
+    outputs, oracle_calls = {}, []
+
+    def oracle(*call):
+        oracle_calls.append(call)
+        return code_orbits_fixed_point(*call)
+
+    for labeler in (census.code_orbits, oracle):
+        monkeypatch.setattr(census, "code_orbits", labeler)
+        for fmt in ("json", "text", "csv"):
+            outputs.setdefault(fmt, []).append(_cli_output(capsys, *args, "--format", fmt))
+    assert len(oracle_calls) == 3
+    assert len(set(outputs["text"])) == len(set(outputs["csv"])) == 1
+    payloads = [json.loads(out) for out in outputs["json"]]
+    for payload in payloads:
+        payload["manifest"].pop("wall_time_s")
+    assert payloads[0] == payloads[1]
 
 
 @pytest.mark.parametrize("q, n", [("2", 3), ("3", 5), ("2^2", 4), ("7", 3)])
