@@ -16,6 +16,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,27 +104,30 @@ PAIR_WORDS = 2  # one pair: a row of two int64 words in the pair array
 PAIR_CHUNK_ROWS = 1 << 16  # rows of the pair array self_dual_pairs fills at once
 
 
-def _self_duality(ring: QuotientRing) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of u*u' and of -(1 + u*u') for every residue u: (a, b) is
-    self-dual, 1 + a*a' + b*b' = 0, exactly when the first at b is the second at a.
+@lru_cache(maxsize=1)
+def _self_duality(field: Field, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of u*u' and of -(1 + u*u') for every residue u of R(n, F_q):
+    (a, b) is self-dual, 1 + a*a' + b*b' = 0, exactly when the first at b
+    is the second at a.  Kept, read-only, for the most recent (field, n).
 
     Coefficient k of u*u' is the sum over i of u_i * u_(i-k).  It is read
     off the coefficient logarithms of all residues at once, one lag k at a
     time: Q*n products per lag, in O(Q*n) memory.  u*u' is its own
     reciprocal, so lag n - k repeats lag k.
     """
-    field, n, Q = ring.field, ring.n, ring.size
     qpw = field.q ** np.arange(n)
-    logs = field.log_array[ring.tables().coeffs]  # logs[u, i]: log of coefficient i of u
+    logs = field.log_array[QuotientRing(field, n).tables().coeffs]  # logs[u, i]: log of coefficient i of u
     i = np.arange(n)
-    prod = np.empty((Q, n), dtype=np.int64)  # prod[u, k]: coefficient k of u*u'
+    prod = np.empty(logs.shape, dtype=np.int64)  # prod[u, k]: coefficient k of u*u'
     for k in range(n // 2 + 1):
         prod[:, k] = field_sum(field, field.exp_array[logs + logs[:, i - k]], 1)
         prod[:, -k] = prod[:, k]
     have = prod @ qpw
     const = prod[:, 0]
     const += (const + 1) % field.p - const % field.p  # add 1 to the constant digit
-    return have, field.neg_array[prod] @ qpw
+    need = field.neg_array[prod] @ qpw
+    have.flags.writeable = need.flags.writeable = False
+    return have, need
 
 
 def self_dual_pairs(field: Field, n: int, cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -140,7 +144,7 @@ def self_dual_pairs(field: Field, n: int, cap: int = DEFAULT_CAP) -> np.ndarray:
         raise CapExceeded(
             f"pair sweep needs {power_text(field.q, n, n * n)} coefficient products, cap is {cap}"
         )
-    have, need = _self_duality(ring)
+    have, need = _self_duality(field, n)
     order = np.argsort(have, kind="stable")  # the b grouped by b*b', ascending within a group
     grouped = have[order]
     lo = np.searchsorted(grouped, need, "left")  # the partners of a are order[lo[a]:lo[a] + sizes[a]]
@@ -194,7 +198,7 @@ def code_distances(
     evaluated to counters["messages_enumerated"] when counters is given."""
     ring = QuotientRing(field, n)
     check_distance_cap(ring, cap)
-    found = list(least_weight_messages(ring.tables(), pairs, witness=False))
+    found = list(least_weight_messages(ring, pairs, witness=False))
     count_messages(counters, sum(m.messages for m in found))
     return [m.weight for m in found]
 
@@ -215,21 +219,28 @@ def equivalence_maps(field: Field, n: int) -> tuple[list[tuple[str, np.ndarray]]
     normalises H, and the swap (a, b) -> (b, a) (message (c, -d))
     normalises both.  A multiplier on a alone does not keep self-duality.
     """
-    t = QuotientRing(field, n).tables()
-    powers = field.q ** np.arange(n)
-    j = np.arange(n)
+    t, j = QuotientRing(field, n).tables(), np.arange(n)
 
-    def coefficient_map(src: np.ndarray, table: np.ndarray) -> np.ndarray:
+    def residue_map(src: np.ndarray, table: np.ndarray = np.arange(field.q)) -> np.ndarray:
         """Index of the residue whose coefficient j is table[coefficient src[j] of u], for every u."""
-        return table[t.coeffs[:, src]] @ powers
+        return table[t.coeffs[:, src]] @ field.q**j
 
-    signs = (("", np.arange(field.q)), ("-", field.neg_array))
-    block = [(f"{sign}x^{s}*", coefficient_map((j - s) % n, table)) for s in range(n) for sign, table in signs]
-    frobs = [np.array([field.frobenius(c, i) for c in field.elements()]) for i in range(field.k)]
-    # x -> x^s moves coefficient i to i*s, so coefficient j comes from j/s
+    def iterates(perm: np.ndarray, count: int) -> list[np.ndarray]:
+        """The identity, perm, perm composed with perm, ...: count permutations."""
+        out = [np.arange(t.size)]
+        while len(out) < count:
+            out.append(perm[out[-1]])
+        return out
+
+    # x^s* is x* s times, then -x^s* negates; x -> x^s moves coefficient i to i*s, so its
+    # coefficient j comes from j/s, and then frobenius^i acts on every coefficient
+    shifts = iterates(residue_map((j - 1) % n), n)
+    block = [(f"{sign}x^{s}*", perm) for s, h in enumerate(shifts) for sign, perm in (("", h), ("-", t.neg[h]))]
+    frobs = iterates(residue_map(j, np.array([field.frobenius(c, 1) for c in field.elements()])), field.k)
     both = [
-        (f"x->x^{s}" + f", frobenius^{i}" * (i > 0), coefficient_map(j * pow(s, -1, n) % n, frob))
+        (f"x->x^{s}" + f", frobenius^{i}" * (i > 0), frob[mult])
         for s in range(1, n + 1) if math.gcd(s, n) == 1
+        for mult in [residue_map(j * pow(s, -1, n) % n)]
         for i, frob in enumerate(frobs)
     ]
     return block, both
@@ -248,7 +259,7 @@ def code_orbits(field: Field, n: int, pairs: np.ndarray) -> np.ndarray:
     self-dual list, so every least pair is self-dual and must be listed.
     """
     Q = field.q**n
-    have, need = _self_duality(QuotientRing(field, n))
+    have, need = _self_duality(field, n)
     a, b = pairs.T
     keys = a * Q + b
     where = f"at (q={field.q}, n={n})"
@@ -410,7 +421,7 @@ def membership_census(field: Field, n: int, word, cap: int = DEFAULT_CAP) -> Mem
             f"membership census needs {power_text(field.q, n, n * n)} coefficient products, cap is {cap}"
         )
     c, d, e, f = split_word(field.q, n, word)
-    have, need = _self_duality(ring)
+    have, need = _self_duality(field, n)
     t = ring.tables()
     c_times = t.times(ring.index(c))  # c_times[x]: index of c*x
     d_times_rec = t.times(ring.index(d))[t.recip]  # d_times_rec[x]: index of d*x'
@@ -513,7 +524,7 @@ def membership_sweep(field: Field, n: int, cap: int = DEFAULT_CAP) -> Membership
     rows = np.array([t.times(m) for m in range(Q)])  # rows[m, x]: index of m*x
     rows_rec = rows[:, t.recip]  # rows_rec[m, x]: index of m*x'
     neg_rows_rec = t.neg[rows_rec]
-    have, need = _self_duality(ring)
+    have, need = _self_duality(field, n)
     masks = (t.units[:, None] & t.units[None, :], have[None, :] == need[:, None])  # over [a, b]
     tables = [array("i", [0]) * Q**4 for _ in range(3)]
     # views[i][e + Q*f, c + Q*d] is tables[i][u]

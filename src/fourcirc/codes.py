@@ -19,9 +19,12 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .fields import power_text
-from .polyring import QuotientRing, RingTables
+from .polyring import QuotientRing, chunk_tables, times_matrices
 
 DEFAULT_CAP = 1 << 26
+PASS_WORDS = 1 << 15  # codewords least_weight_messages weighs in one pass
+CODE_BATCH = 64  # codes least_weight_messages searches side by side
+CHUNK_CODES = 256  # most codes per side of its chunk tables
 
 
 class CapExceeded(RuntimeError):
@@ -142,7 +145,7 @@ class FourCirculantCode:
         ring = self.ring
         check_distance_cap(ring, cap)
         pair = np.array([[ring.index(self.a), ring.index(self.b)]])
-        best = next(least_weight_messages(ring.tables(), pair))
+        best = next(least_weight_messages(ring, pair))
         count_messages(counters, best.messages)
         ci, di = divmod(best.message, ring.size)
         return best.weight, self.encode(ring.element(ci), ring.element(di))
@@ -161,7 +164,34 @@ class MinWeight(NamedTuple):
     messages: int
 
 
-def least_weight_messages(t: RingTables, pairs: np.ndarray, witness: bool = True) -> Iterator[MinWeight]:
+class _Levels:
+    """The elements of R(n, F_q) by weight, grown on demand: those of weight
+    i are index[start[i]:start[i + 1]], and the one at position e >= 1 is
+    the one at parent[e] plus term term[e], where term j*(q - 1) + v - 1
+    is v*x^j.  after holds 1 + the last nonzero position of each element
+    of the top weight."""
+
+    def __init__(self, ring: QuotientRing):
+        n, q = ring.n, ring.field.q
+        self.after_term = np.repeat(np.arange(n), q - 1) + 1
+        self.later = self.after_term > np.arange(n + 1)[:, None]  # [after, term]
+        self.terms = (np.arange(1, q) * (q ** np.arange(n))[:, None]).ravel()  # the index of each term
+        self.index = self.parent = self.term = self.after = np.zeros(1, dtype=np.int64)
+        self.start = [0, 1]
+
+    def grow(self, w: int) -> None:
+        """Hold every element of weight at most w: each element of the top
+        weight gains each term after its last nonzero coefficient."""
+        while len(self.start) <= w + 1:
+            row, term = np.nonzero(self.later[self.after])
+            parent = row + self.start[-2]
+            self.index = np.concatenate([self.index, self.index[parent] + self.terms[term]])
+            self.parent, self.term = np.concatenate([self.parent, parent]), np.concatenate([self.term, term])
+            self.after = self.after_term[term]
+            self.start.append(len(self.index))
+
+
+def least_weight_messages(ring: QuotientRing, pairs: np.ndarray, witness: bool = True) -> Iterator[MinWeight]:
     """The least codeword weight of each (a, b) row of an index pair array,
     from its messages of least weight on h information sets of the code.
 
@@ -171,10 +201,13 @@ def least_weight_messages(t: RingTables, pairs: np.ndarray, witness: bool = True
     (c, d) = Delta^-1 * (e*a' + f*b', f*a - e*b); a self-dual pair has
     Delta = -1.  Otherwise the left half is searched alone (h = 1).  Level
     w holds the messages of weight w, walked as its splits (i, w - i): the
-    elements of weight i against those of weight w - i (by_weight), at
-    most Q messages at a time.  A weight is read as weight(u + v) =
-    hi[u // L, v // L] + lo[u % L, v % L] from the half tables, so no level
-    array and no Q x Q table is built.
+    elements of weight i (_Levels) against those of weight w - i, at most
+    PASS_WORDS codewords (or one x against every y) at a time, for up to
+    CODE_BATCH codes of equal h side by side.  The other half is read off
+    generator rows (times_matrices) in chunks of c <= n - n // 2
+    coefficients, q^c <= CHUNK_CODES: an element's chunk codes are its
+    parent's plus its term's, and a weight is a sum of chunk_tables
+    lookups, so no array spans the ring.
 
     A codeword of weight at most h*w + h - 1 weighs at most w on one of
     the h halves, so after level w it has been seen.  With witness the
@@ -186,70 +219,88 @@ def least_weight_messages(t: RingTables, pairs: np.ndarray, witness: bool = True
     index seen.  A non-unit Delta makes (c, d) -> (e, f) singular, so some
     word (c, d, 0, 0) is nonzero and h = 1 needs no level above 2n.
     """
-    Q, n = t.size, t.n
-    ring = QuotientRing(t.field, n)
-    NEG, REC = t.neg, t.recip
-    hi, lo = t.half_weights
-    L, Qh = len(lo), len(hi)
-    table = np.concatenate([hi.ravel(), lo.ravel()])
-    # weight(u + v) = table[row_at[0, u] + col_at[0, v]] + table[row_at[1, u] + col_at[1, v]]
-    col_at = np.stack(divmod(np.arange(Q), L))
-    row_at = np.stack([col_at[0] * Qh, col_at[1] * L + Qh * Qh])
-    # the elements ordered by weight: those of weight i are by_order[start[i]:start[i + 1]]
-    by_order = np.concatenate(t.by_weight)
-    start = np.cumsum([0] + [len(block) for block in t.by_weight]).tolist()
-    maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    field, n, Q = ring.field, ring.n, ring.size
+    p, k, q, nk = field.p, field.k, field.q, ring.n * field.k
+    width = 1  # coefficients per chunk
+    while width < n - n // 2 and q ** (width + 1) <= CHUNK_CODES:
+        width += 1
+    chunks, span = -(-2 * n // width), q**width
+    sums, weights = (table.ravel() for table in chunk_tables(field, width))  # at u * span + v
+    at = np.arange(2 * nk)
+    to_chunks = (at // (width * k) == np.arange(chunks)[:, None]) * p ** (at % (width * k))  # [chunk, digit]
+    powers, levels = p ** np.arange(nk), _Levels(ring)
+    # on half j the other half of (x, y) is x @ block 4j + y @ block 4j + 2 and x @ block 4j + 1
+    # + y @ block 4j + 3: the left half's (e, f) = (c*a - d*b', c*b + d*a'), the right half's
+    # (c, d) = ((e*a' + f*b')/Delta, (f*a - e*b)/Delta), here for Delta = -1, from a, b, a', b'
+    order, signs = [0, 1, 3, 2, 2, 1, 3, 0], np.array([1, 1, -1, 1, -1, 1, -1, -1])[:, None, None]
+    scale, unscale = np.array([[span], [1]])[:, :, None], np.array([[1], [span]])[:, :, None]  # by block
 
-    def times_pair(m):
-        """c -> c*m and c -> c*m', the second as c'*m reflected: c*m' = (c'*m)'."""
-        if m not in maps:
-            row = t.times(m)
-            maps[m] = (row, REC[row[REC]])
-        return maps[m]
-
-    for ai, bi in pairs:
-        row_a, row_ap = times_pair(ai)
-        row_b, row_bp = times_pair(bi)
-        # block i of the other half of (x, y) is firsts[i][x] + seconds[i][y]: the left
-        # half's (e, f) = (c*a - d*b', c*b + d*a') and, when Delta is a unit, the right
-        # half's (c, d) = ((e*a' + f*b')/Delta, (f*a - e*b)/Delta)
-        firsts, seconds = [row_a, row_b], [NEG[row_bp], row_ap]
-        delta = int(t.add(row_a[REC[ai]], row_b[REC[bi]]))
-        if delta == NEG[1] or ring.is_unit(ring.element(delta)):
-            times_inv = NEG if delta == NEG[1] else t.times(ring.index(ring.inv(ring.element(delta))))
-            firsts += [times_inv[row_ap], NEG[times_inv[row_b]]]
-            seconds += [times_inv[row_bp], times_inv[row_a]]
-        h = len(firsts) // 2
-        firsts, seconds = np.stack(firsts), np.stack(seconds)
-        # [high or low coefficients, block, element in by_order]
-        rows = row_at.take(firsts.take(by_order, axis=1), axis=1)
-        cols = col_at.take(seconds.take(by_order, axis=1), axis=1)
-        best, count, w = 4 * n + 1, 0, 0
-        found = []  # (half, c, d) of the messages seen at weight best, as positions in by_order
-        while not (h * w + h - 1 >= best if witness else h * (w + 1) >= best):
+    def search(gens: np.ndarray, h: int) -> np.ndarray:
+        """[weight, c index, d index, messages] of the codes with generator rows gens, side by side."""
+        start, out = levels.start, np.zeros((len(gens), 4), dtype=np.int64)
+        # [code, half, block, chunk, term]: the chunk codes of the term's generator rows
+        terms = (field.digit_array[1:] @ gens.reshape(len(gens), n, k, -1) % p).reshape(len(gens), -1, 2 * h, 2 * nk)
+        terms = (terms @ to_chunks.T).transpose(0, 2, 3, 1).reshape(len(gens), h, 2, chunks, -1)
+        # [code, half, block, chunk, element]: the chunk codes, the first block's times span
+        weighed = np.zeros((len(gens), h, 2, chunks, 1), dtype=np.intp)
+        ids, best = np.arange(len(gens)), np.full(len(gens), 4 * n + 1)
+        seen, w, worst = 0, 0, 4 * n + 1  # messages per half in levels 1..w; the largest best
+        found = []  # (code, weight, half, x, y) of the messages at their code's best weight so far
+        while True:
+            done = h * w + h - 1 >= best if witness else h * (w + 1) >= best
+            if done.any():
+                out[ids[done], 0], out[ids[done], 3] = best[done], h * seen
+                ids, best, weighed, terms = ids[~done], best[~done], weighed[~done], terms[~done]
+                if not len(ids):
+                    break
+                worst = int(best.max())
             w += 1
+            if w <= n:
+                levels.grow(w)
+                level = slice(start[w], start[w + 1])
+                lookup = weighed.take(levels.parent[level], axis=4) * unscale + terms.take(levels.term[level], axis=4)
+                weighed = np.concatenate([weighed, sums.take(lookup) * scale], axis=4)
             for i in range(max(0, w - n), min(w, n) + 1):
-                d0, d1 = start[w - i], start[w - i + 1]
-                step = Q // (d1 - d0)  # rows of c per pass, at most Q messages
-                for c0 in range(start[i], start[i + 1], step):
-                    c1 = min(c0 + step, start[i + 1])
-                    index = rows[:, :, c0:c1, None] + cols[:, :, None, d0:d1]
-                    blocks = table.take(index)
-                    blocks = blocks[0] + blocks[1]  # high plus low coefficients, per block
-                    sums = blocks[0::2] + blocks[1::2]  # [half, c, d]
-                    count += sums.size
-                    lightest = int(sums.min()) + w
-                    if lightest > best:
+                x0, x1, y0, y1 = start[i], start[i + 1], start[w - i], start[w - i + 1]
+                seen += (x1 - x0) * (y1 - y0)
+                seconds = weighed[:, :, 1, :, None, y0:y1]
+                step = max(1, PASS_WORDS // (len(ids) * h * (y1 - y0)))  # rows of x per pass
+                for c0 in range(x0, x1, step):
+                    firsts = weighed[:, :, 0, :, c0 : min(c0 + step, x1), None]
+                    total = np.add.reduce(weights.take(firsts + seconds), axis=2, dtype=np.int16)  # [code, half, x, y]
+                    if int(total.min()) + w > worst:
                         continue
-                    if lightest < best:
-                        best, found = lightest, []
-                    half, x, y = np.nonzero(sums == lightest - w)
-                    found.append((half, c0 + x, d0 + y))
-        half, x, y = (np.concatenate(v) for v in zip(*found))
-        x, y = by_order[x], by_order[y]
-        messages = x * Q + y
-        if h == 2:
-            right = half == 1
-            x, y = x[right], y[right]
-            messages[right] = t.add(firsts[2, x], seconds[2, y]) * Q + t.add(firsts[3, x], seconds[3, y])
-        yield MinWeight(best, int(messages.min()), count)
+                    best = np.minimum(best, total.reshape(len(ids), -1).min(axis=1) + w)
+                    worst = int(best.max())
+                    code, half, x, y = np.nonzero(total == (best - w)[:, None, None, None])
+                    found.append((ids[code], best[code], half, c0 + x, y0 + y))
+        code, weight, half, x, y = (np.concatenate(v) for v in zip(*found))
+        keep = weight == out[code, 0]
+        code, half, c, d = code[keep], half[keep], levels.index[x[keep]], levels.index[y[keep]]
+        for j in np.flatnonzero(np.bincount(code[half == 1])).tolist():  # the right half's (e, f) is (c, d) here
+            mine = (half == 1) & (code == j)
+            ef = np.stack([c[mine], d[mine]])[:, :, None] // powers % p
+            cd = (ef[0] @ gens[j, :, 4 * nk : 6 * nk] + ef[1] @ gens[j, :, 6 * nk :]) % p
+            c[mine], d[mine] = (cd.reshape(-1, 2, nk) @ powers).T
+        top = np.lexsort((d, c, code))
+        top = top[np.diff(code[top], prepend=-1) > 0]  # the least message (c, d) of each code
+        out[code[top], 1], out[code[top], 2] = c[top], d[top]
+        return out
+
+    minus_one, recip = field.digit_array[[field.neg(1)] + [0] * (n - 1)].ravel(), -np.arange(n) % n
+    for b0 in range(0, len(pairs), CODE_BATCH):
+        ab = np.asarray(pairs[b0 : b0 + CODE_BATCH])[:, :, None] // q ** np.arange(n) % q  # coefficients
+        times = times_matrices(field, np.concatenate([ab, ab[:, :, recip]], axis=1))
+        # the digits of a*a' + b*b': row 0 of a matrix holds the digits of 1*a or of 1*b
+        delta = (times[:, 0, :1] @ times[:, 2] + times[:, 1, :1] @ times[:, 3])[:, 0] % p
+        unit, blocks = (delta == minus_one).all(axis=1), times[:, order] * signs
+        for j in np.flatnonzero(~unit).tolist():
+            element = tuple((delta[j].reshape(n, k) @ powers[:k]).tolist())
+            if ring.is_unit(element):
+                unit[j], blocks[j, 4:] = True, -blocks[j, 4:] @ times_matrices(field, ring.inv(element))
+        gens = (blocks % p).transpose(0, 2, 1, 3).reshape(len(ab), nk, 8 * nk)
+        out = np.empty((len(ab), 4), dtype=np.int64)
+        for h, sel in ((1, ~unit), (2, unit)):
+            if sel.any():
+                out[sel] = search(gens[sel][:, :, : 4 * h * nk], h)
+        yield from (MinWeight(weight, c * Q + d, messages) for weight, c, d, messages in out.tolist())

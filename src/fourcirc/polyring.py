@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .fields import ORDER_CAP, Field, default_field, digits, embedding, field_sum, mul_matrices, power_text
+from .fields import ORDER_CAP, Field, default_field, digits, embedding, field_sum, power_text
 
 Poly = tuple  # coefficient tuple, ascending
 RingElem = tuple  # exactly n coefficients
@@ -389,9 +389,10 @@ class RingTables:
     elements coprime to x^n - 1.  An element code is also the base-p
     number of the n*k F_p digits of its coefficients, held in
     digit_vectors, and addition and multiplication by a fixed m act on
-    those digits F_p-linearly.  half_weights, by_weight and units are
-    built on first use, since most callers need none of them.  No table
-    holds more than Q * max(n*k, q) entries.
+    those digits F_p-linearly (times_matrices).  units is built on first
+    use.  No table holds more than Q * n * k entries.  The sweep, orbit
+    labelling, membership and report rendering read these tables; the
+    distance engine (codes.least_weight_messages) needs none of them.
     """
 
     def __init__(self, ring: QuotientRing):
@@ -415,48 +416,9 @@ class RingTables:
         return (P[x] + P[y]) % self.field.p @ self.digit_powers
 
     def times(self, m: int, rows: Optional[int] = None) -> np.ndarray:
-        """Index of c*m for every element index c, or for the first rows of them.
-
-        Coefficient j of c contributes coefficient (j + i) % n of c*m times
-        coefficient i of m, so on F_p digits c -> c*m is the block circulant
-        of the k x k multiplication matrices of m's coefficients.
-        """
-        field, n, k = self.field, self.n, self.field.k
-        shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # (l - j) % n at [j, l]
-        blocks = mul_matrices(field, self.coeffs[m])[shift]  # [j, l, out digit, in digit]
-        matrix = blocks.transpose(0, 3, 1, 2).reshape(n * k, n * k)
-        return self.digit_vectors[:rows] @ matrix % field.p @ self.digit_powers
-
-    @cached_property
-    def half_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """The int8 tables of weight(u + v) on the high and the low
-        coefficient blocks of u and v.
-
-        An element code is the base-q number of its coefficients, so with
-        L = q^(n // 2) the low block of u is u % L and the high block u // L,
-        and weight(u + v) = hi[u // L, v // L] + lo[u % L, v % L].  Each
-        table has about Q entries.  The halves split the same way down to
-        one coefficient, where x and y add to a nonzero one unless y = -x;
-        each step writes its table once, with a contiguous inner dimension.
-        """
+        """Index of c*m for every element index c, or for the first rows of them."""
         field = self.field
-        w1 = (np.arange(field.q)[None, :] != field.neg_array[:, None]).astype(np.int8)
-
-        def table(m: int) -> np.ndarray:
-            if m <= 1:
-                return w1 if m else np.zeros((1, 1), dtype=np.int8)
-            return _join_weights(table(m - m // 2), table(m // 2))
-
-        hi, lo = table(self.n - self.n // 2), table(self.n // 2)
-        hi.flags.writeable = lo.flags.writeable = False
-        return hi, lo
-
-    @cached_property
-    def by_weight(self) -> list[np.ndarray]:
-        """The ascending indices of the elements of each weight 0..n."""
-        order = np.argsort(self.weight, kind="stable")
-        order.flags.writeable = False
-        return np.split(order, np.cumsum(np.bincount(self.weight))[:-1])
+        return self.digit_vectors[:rows] @ times_matrices(field, self.coeffs[m]) % field.p @ self.digit_powers
 
     @cached_property
     def units(self) -> np.ndarray:
@@ -486,11 +448,51 @@ class RingTables:
         return units
 
 
-def _join_weights(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """The weight(u + v) table of elements whose high block is one of hi's
-    and whose low block is one of lo's."""
+def times_matrices(field: Field, coeffs) -> np.ndarray:
+    """The n*k x n*k F_p matrices M with (digit row of c) @ M = digit row
+    of c*m mod p, one for each coefficient row m of coeffs (shape (..., n)).
+    Coefficient j of c contributes coefficient (j + i) % n of c*m times
+    coefficient i of m, so M is the block circulant of the k x k matrices
+    whose row d holds the digits of y^d times m's coefficients."""
+    coeffs = np.asarray(coeffs)
+    n, k = coeffs.shape[-1], field.k
+    at = np.arange(n)
+    # [..., coefficient, in digit d, out digit]: the digits of y^d * coefficient, from the log tables
+    logs = field.log_array[coeffs][..., None] + field.log_array[field.p ** np.arange(k)]
+    blocks = field.digit_array[field.exp_array[logs]]
+    # rows (j, d), columns (l, out digit) from coefficient (l - j) % n
+    blocks = blocks[..., (at - at[:, None]) % n, :, :]
+    return np.swapaxes(blocks, -3, -2).reshape(*coeffs.shape[:-1], n * k, n * k)
+
+
+@lru_cache(maxsize=8)
+def chunk_tables(field: Field, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uint16 table of the code of u + v and the int8 table of
+    weight(u + v), at [u, v], for u and v the codes of m >= 1 coefficients
+    (base q, coefficient 0 least significant), q^m <= 2^16; read-only.
+
+    Split into the high and the low coefficients down to one, where the
+    F_p digits add, a block of rows at a time; each step writes its table
+    once, with a contiguous inner dimension.
+    """
+    if m == 1:
+        q, digit = field.q, field.digit_array
+        sums, step = np.empty((q, q), dtype=np.uint16), max(1, (1 << 16) // q)
+        for u in range(0, q, step):
+            sums[u : u + step] = (digit[u : u + step, None] + digit) % field.p @ field.p ** np.arange(field.k)
+        weights = (sums != 0).astype(np.int8)
+    else:
+        (hi_sums, hi_weights), (lo_sums, lo_weights) = chunk_tables(field, m - m // 2), chunk_tables(field, m // 2)
+        sums, weights = _join(hi_sums, lo_sums, len(lo_sums)), _join(hi_weights, lo_weights, 1)
+    sums.flags.writeable = weights.flags.writeable = False
+    return sums, weights
+
+
+def _join(hi: np.ndarray, lo: np.ndarray, scale: int) -> np.ndarray:
+    """The table hi * scale + lo over the codes whose high block is one of
+    hi's and whose low block is one of lo's."""
     size = len(hi) * len(lo)
-    return (hi[:, None, :, None] + lo[None, :, None, :]).reshape(size, size)
+    return (hi[:, None, :, None] * scale + lo[None, :, None, :]).reshape(size, size)
 
 
 @lru_cache(maxsize=1)

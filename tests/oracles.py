@@ -13,8 +13,8 @@ import ...`, the way they import `helpers`.
 | `first_root_scan`           | `polyring.first_root`, one `poly_eval` per element  |
 | `root_of_unity_scan`        | the log-table root of unity of `factor_xn_minus_1`  |
 | `einsum_prime_tables`       | `RingTables` neg/recip/weight/add/times             |
-| `sum_weight_table`          | `RingTables.half_weights`, joined into one Q x Q    |
-|                             | table of weight(u + v)                              |
+| `sum_weight_table`          | the Q x Q table of weight(u + v) behind             |
+|                             | `message_weights`, coefficient by coefficient       |
 | `is_two_factor_case`        | `polyring.is_primitive_root`, by coset count        |
 | `order_scan`                | `polyring.multiplicative_order`, q^i mod n in turn  |
 | `circulant`                 | building block of the two below                     |
@@ -231,10 +231,14 @@ def einsum_prime_tables(p, n):
 
 
 def sum_weight_table(t):
-    """The Q x Q int8 table of weight(u + v), joined from the half tables:
-    reshaped to (Qh, L, Qh, L) it is hi[:, None, :, None] + lo[None, :, None, :]."""
-    hi, lo = t.half_weights
-    return (hi[:, None, :, None] + lo[None, :, None, :]).reshape(t.size, t.size)
+    """The Q x Q int8 table of weight(u + v), one coefficient at a time:
+    coefficient j of u + v is nonzero unless coefficient j of v is minus
+    coefficient j of u."""
+    neg = t.field.neg_array[t.coeffs]
+    table = np.zeros((t.size, t.size), dtype=np.int8)
+    for j in range(t.n):
+        table += t.coeffs[None, :, j] != neg[:, None, j]
+    return table
 
 
 # ---------------------------------------------------------------------------

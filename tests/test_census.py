@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fourcirc import census, polyring
+from fourcirc import census, cli, polyring
 from fourcirc.census import (
     PAIR_WORDS,
     artin_scan,
@@ -218,8 +218,17 @@ def test_enumerate_with_distances():
 def test_self_duality_matches_scan(field, n):
     # p divides n at (2, 6) and (3, 6); an extension field at (F_4, 4)
     ring = QuotientRing(field, n)
-    have, need = census._self_duality(ring)
+    have, need = census._self_duality(field, n)
     assert (have.tolist(), need.tolist()) == self_duality_scan(ring)
+    assert not have.flags.writeable and not need.flags.writeable  # cached for the next caller
+
+
+def test_search_computes_self_duality_once(capsys):
+    # self_dual_pairs and code_orbits share the cached u*u' and -(1 + u*u')
+    census._self_duality.cache_clear()
+    assert cli.main(["search", "--q", "2", "--n", "7"]) == 0
+    assert census._self_duality.cache_info().misses == 1
+    assert json.loads(capsys.readouterr().out)["report"]["total_self_dual"] == 1008
 
 
 def test_code_distances_matches_min_distance():
@@ -346,10 +355,10 @@ def test_code_orbits_checks_the_list(monkeypatch):
     # at (2, 2) Σ is the identity; with a need that x* does not keep (the
     # true one is a function of u*u'), every other check passes, and the
     # least pair (1, 1) of the orbit of (x, 1) is not listed
-    have, need = census._self_duality(QuotientRing(F2, 2))
+    have, need = census._self_duality(F2, 2)
     need = need.copy()
     need[2] = 1  # at x; at 1 it stays 0, and have is 1 at both
-    monkeypatch.setattr(census, "_self_duality", lambda ring: (have, need))
+    monkeypatch.setattr(census, "_self_duality", lambda field, n: (have, need))
     listed = np.array([(a, b) for a in range(4) for b in range(4) if have[b] == need[a]])
     with pytest.raises(AssertionError, match="not in the list"):
         code_orbits(F2, 2, listed)

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fourcirc import polyring
-from fourcirc.census import code_orbits, self_dual_pairs
+from fourcirc import codes, polyring
+from fourcirc.census import code_distances, code_orbits, self_dual_pairs
 from fourcirc.codes import CapExceeded, FourCirculantCode, least_weight_messages
 from fourcirc.fields import Field
 from fourcirc.polyring import QuotientRing
@@ -293,8 +293,8 @@ def kernel_least(t, pairs):
     return out
 
 
-def engine_least(t, pairs, witness=True):
-    return [(m.weight, m.message) for m in least_weight_messages(t, pairs, witness=witness)]
+def engine_least(ring, pairs, witness=True):
+    return [(m.weight, m.message) for m in least_weight_messages(ring, pairs, witness=witness)]
 
 
 def orbit_representatives(field, n):
@@ -309,21 +309,21 @@ def orbit_representatives(field, n):
 def test_engine_matches_kernel_on_every_orbit(field, n):
     # the distance and the least message of that weight, on every orbit
     # representative; without the witness level the distance still agrees
-    t = QuotientRing(field, n).tables()
+    ring = QuotientRing(field, n)
     reps = orbit_representatives(field, n)
-    expect = kernel_least(t, reps)
-    assert engine_least(t, reps) == expect
-    assert [w for w, _ in engine_least(t, reps, witness=False)] == [w for w, _ in expect]
+    expect = kernel_least(ring.tables(), reps)
+    assert engine_least(ring, reps) == expect
+    assert [w for w, _ in engine_least(ring, reps, witness=False)] == [w for w, _ in expect]
 
 
 @pytest.mark.parametrize(
     "field, n, count", [(F3, 6, 12), (F2, 10, 8), (F8, 3, 12), (F2, 12, 2)], ids=["3,6", "2,10", "8,3", "2,12"]
 )
 def test_engine_matches_kernel_on_samples(field, n, count):
-    t = QuotientRing(field, n).tables()
+    ring = QuotientRing(field, n)
     pairs = self_dual_pairs(field, n)
     pairs = pairs[np.random.default_rng(n).choice(len(pairs), count, replace=False)]
-    assert engine_least(t, pairs) == kernel_least(t, pairs)
+    assert engine_least(ring, pairs) == kernel_least(ring.tables(), pairs)
 
 
 @pytest.mark.parametrize(
@@ -336,19 +336,53 @@ def test_engine_on_pairs_that_are_not_self_dual(field, n):
     # d // 2 on each; not a unit: the left half alone, levels 1 to d.  At
     # (5, 1), a^2 + b^2 = 0 has nonzero solutions
     ring = QuotientRing(field, n)
-    t = ring.tables()
     pairs = np.random.default_rng(7).integers(0, ring.size, size=(60, 2))
     units = []
     for ai, bi in pairs:
         code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
         units.append(ring.is_unit(ring.add(code.criterion_residue(), ring.neg(ring.one))))
     assert 0 < sum(units) < len(units)
-    expect = kernel_least(t, pairs)
-    assert engine_least(t, pairs) == expect
+    expect = kernel_least(ring.tables(), pairs)
+    assert engine_least(ring, pairs) == expect
     levels = [math.comb(2 * n, w) * (field.q - 1) ** w for w in range(2 * n + 1)]
-    counts = [m.messages for m in least_weight_messages(t, pairs)]
+    counts = [m.messages for m in least_weight_messages(ring, pairs)]
     for (d, _), count, unit in zip(expect, counts, units):
         assert count == (2 * sum(levels[1 : d // 2 + 1]) if unit else sum(levels[1 : d + 1])), (d, unit)
+
+
+@pytest.mark.parametrize("field, n", [(F3, 5), (F2, 7)], ids=["3,5", "2,7"])
+def test_dropping_a_generator_row_changes_some_distance(field, n, monkeypatch):
+    # the last row of the matrix of c -> c*a, of c = x^(n-1), zeroed: some
+    # orbit representative then disagrees with the message-weight oracle
+    ring = QuotientRing(field, n)
+    reps = orbit_representatives(field, n)
+    expect = kernel_least(ring.tables(), reps)
+    assert engine_least(ring, reps) == expect
+    real = codes.times_matrices
+
+    def dropped(field, coeffs):
+        out = real(field, coeffs)
+        out[:, 0, -1] = 0  # [code, matrix of a, b, a', b', row]
+        return out
+
+    monkeypatch.setattr(codes, "times_matrices", dropped)
+    assert engine_least(ring, reps) != expect
+
+
+@pytest.mark.parametrize("field, n", [(F2, 10), (F3, 6), (F4, 4)], ids=["2,10", "3,6", "4,4"])
+def test_distances_build_no_ring_tables(field, n, monkeypatch):
+    # the engine reads generator rows: min_distance and code_distances build
+    # no RingTables, whose arrays span all Q ring elements
+    ring = QuotientRing(field, n)
+    pairs = self_dual_pairs(field, n)[::97]
+    polyring._ring_tables.cache_clear()
+    built = []
+    real = polyring.RingTables.__init__
+    monkeypatch.setattr(polyring.RingTables, "__init__", lambda t, ring: built.append(ring) or real(t, ring))
+    code = FourCirculantCode(ring, ring.element(pairs[0, 0]), ring.element(pairs[0, 1]))
+    d, _ = code.min_distance()
+    assert code_distances(field, n, pairs)[0] == d
+    assert built == [] and polyring._ring_tables.cache_info().currsize == 0
 
 
 def test_min_distance_of_a_non_unit_pair_builds_no_square_table():
@@ -377,10 +411,10 @@ def test_zimmermann_stop_misses_the_least_witness():
     # the least message of that weight: at (3, 5), d = 6, the pair (41, 43)
     # has its least weight-6 word at weight 3 on both halves, so only the
     # witness level w = 3 sees message 14 (the bound stops at w = 2)
-    t = QuotientRing(F3, 5).tables()
+    ring = QuotientRing(F3, 5)
     pair = np.array([[41, 43]])
-    assert kernel_least(t, pair) == [(6, 14)] == engine_least(t, pair)
-    weight, message = engine_least(t, pair, witness=False)[0]
+    assert kernel_least(ring.tables(), pair) == [(6, 14)] == engine_least(ring, pair)
+    weight, message = engine_least(ring, pair, witness=False)[0]
     assert weight == 6 and message != 14
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourcirc import polyring
+from fourcirc import codes, polyring
 from fourcirc.fields import Field, field_of_order
 from fourcirc.polyring import (
     QuotientRing,
@@ -182,8 +182,9 @@ def test_ring_tables_match_einsum_reference(p, n):
 
 @pytest.mark.parametrize("field, n", [(F2, 11), (F3, 7), (F5, 3), (F4, 5), (Field(2, 3), 3)])
 def test_sum_weight_matches_weight_of_sums(field, n):
-    # the half tables joined into one Q x Q table, as the tests' oracles read
-    # them; halves of unequal size: odd n, and coefficients of k > 1 F_p digits
+    # the oracles' Q x Q table of weight(u + v), built coefficient by
+    # coefficient, against the weights of the ring's own sums; odd n, and
+    # coefficients of k > 1 F_p digits
     t = QuotientRing(field, n).tables()
     sum_weight = sum_weight_table(t)
     elems = np.arange(t.size)
@@ -193,35 +194,43 @@ def test_sum_weight_matches_weight_of_sums(field, n):
 
 
 @pytest.mark.parametrize("field, n", [(F2, 1), (F3, 2), (F2, 11), (F3, 7), (F4, 5), (Field(2, 3), 3)])
-def test_half_weights_read_weight_of_sums(field, n):
-    # weight(u + v) = hi[u // L, v // L] + lo[u % L, v % L] with L = q^(n // 2),
-    # against the weights of the sums themselves; n = 1 has an empty low half
+def test_chunk_tables_read_sums_and_weights(field, n):
+    # the tables of sums and of their weights over the codes of n coefficients, the
+    # elements of R(n, F_q), against the ring's own sums and their weights;
+    # halves of unequal size: odd n, and coefficients of k > 1 F_p digits
     t = polyring.RingTables(QuotientRing(field, n))  # not the shared tables
-    hi, lo = t.half_weights
-    L = field.q ** (n // 2)
-    assert hi.shape == (t.size // L,) * 2 and lo.shape == (L, L)
+    sums, weights = polyring.chunk_tables(field, n)
+    assert sums.shape == weights.shape == (t.size, t.size)
+    assert (sums.dtype, weights.dtype) == (np.uint16, np.int8)
+    assert not sums.flags.writeable and not weights.flags.writeable
     u = np.random.default_rng(n).integers(0, t.size, size=(2, 4000))
     u[:, :2] = [[0, t.size - 1], [0, t.size - 1]]
-    expect = t.weight[t.add(u[0], u[1])]
-    assert np.array_equal(hi[u[0] // L, u[1] // L] + lo[u[0] % L, u[1] % L], expect)
-    # no Q x Q table: the high half table of an odd n holds up to Q * q entries
-    assert largest_table(t) <= t.size * max(n * field.k, field.q)
+    assert np.array_equal(sums[u[0], u[1]], t.add(u[0], u[1]))
+    assert np.array_equal(weights[u[0], u[1]], t.weight[t.add(u[0], u[1])])
 
 
 @pytest.mark.parametrize("field, n", [(F2, 5), (F3, 3), (F4, 3)])
 def test_message_levels_partition_the_messages(field, n):
-    # by_weight partitions the elements by weight, ascending within each
-    # weight, so the splits by_weight[i] x by_weight[w - i] of the levels
-    # w = 1..2n hold every nonzero message (c, d) once
-    t = QuotientRing(field, n).tables()
-    assert len(t.by_weight) == n + 1
-    for i, block in enumerate(t.by_weight):
-        assert (t.weight[block] == i).all() and (np.diff(block) > 0).all(), i
-    assert sorted(np.concatenate(t.by_weight).tolist()) == list(range(t.size))
+    # the engine's levels hold every element of weight i once, with its
+    # index, each its parent of weight i - 1 plus one term v*x^j; so the
+    # splits (i, w - i) of the levels w = 1..2n hold every nonzero message
+    # (c, d) once
+    ring = QuotientRing(field, n)
+    t = ring.tables()
+    levels = codes._Levels(ring)
+    levels.grow(2)
+    assert len(levels.start) == 4  # built on demand
+    levels.grow(n)
+    start, index = levels.start, levels.index
+    assert len(start) == n + 2 and start[-1] == t.size
+    for i in range(n + 1):
+        assert sorted(index[start[i] : start[i + 1]].tolist()) == np.flatnonzero(t.weight == i).tolist(), i
+    e = np.arange(1, t.size)
+    assert np.array_equal(index[e], t.add(index[levels.parent[e]], levels.terms[levels.term[e]]))
     seen = np.zeros((t.size, t.size), dtype=int)
     for w in range(1, 2 * n + 1):
         for i in range(max(0, w - n), min(w, n) + 1):
-            seen[np.ix_(t.by_weight[i], t.by_weight[w - i])] += 1
+            seen[np.ix_(index[start[i] : start[i + 1]], index[start[w - i] : start[w - i + 1]])] += 1
     seen[0, 0] += 1
     assert (seen == 1).all()
 
