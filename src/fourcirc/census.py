@@ -459,7 +459,7 @@ def membership_census(field: Field, n: int, word, cap: int = DEFAULT_CAP) -> Mem
     )
 
 
-SWEEP_CHUNK_WORDS = 1 << 16  # words one chunk of messages in membership_sweep tallies at once
+SWEEP_CHUNK_WORDS = 1 << 16  # words that membership_sweep tallies, or max_nonconstant compares, at once
 
 
 @dataclass
@@ -471,7 +471,10 @@ class MembershipSweep:
     restricts to pairs with a and b both coprime to x^n - 1 (the setting of
     the q^n*(q-1) bound); sd_counts restricts to self-dual pairs.  Each
     table is an array('i') of Q^4 counts, 4 bytes per word: indexing it
-    gives a Python int, and sum() and len() read it like a list.
+    gives a Python int, and sum() and len() read it like a list: 12*Q^4
+    bytes for the three.  Every table T is invariant under
+    (c, d, e, f) -> (α(c), β(d), αβ(e), f) for α, β in H, the maps
+    u -> ±x^s*u; membership_sweep proves it and builds the tables from it.
     """
 
     q: int
@@ -491,55 +494,97 @@ class MembershipSweep:
         and the least word attaining it, or (-1, -1) when no word qualifies.
 
         which selects the pair universe: "all", "unit" or "self_dual".  The
-        table is read once, as a numpy view of its Q^2 x Q^2 counts at
-        [e + Q*f, c + Q*d], whose flat index is the word index.
+        table is read as a numpy view of its Q^2 x Q^2 counts at
+        [e + Q*f, c + Q*d], whose flat index is the word index: once for the
+        column maxima, then by blocks of rows up to the first allowed column
+        that holds the largest of them.
         """
         table = {"all": self.counts, "unit": self.unit_counts, "self_dual": self.sd_counts}[which]
         Q = self.Q
         const = np.isin(np.arange(Q), list(self.constant_indices))
         ok = ~(const[None, :] | const[:, None]).ravel()  # at c + Q*d
-        block = np.where(ok, np.frombuffer(table, dtype=np.intc).reshape(Q * Q, Q * Q), -1)
-        u = int(block.argmax())  # the least word among the largest
-        best = int(block.flat[u])
-        return (best, u) if best >= 0 else (-1, -1)
+        if not ok.any():
+            return -1, -1
+        view = np.frombuffer(table, dtype=np.intc).reshape(Q * Q, Q * Q)
+        best = int(view.max(axis=0)[ok].max())
+        step = max(1, SWEEP_CHUNK_WORDS // (Q * Q))
+        for start in range(0, Q * Q, step):
+            hits = (view[start : start + step] == best) & ok
+            if hits.any():  # the least word among the largest
+                return best, start * Q * Q + int(hits.argmax())
+        raise AssertionError("a column maximum is in no row")
 
 
 def membership_sweep(field: Field, n: int, cap: int = DEFAULT_CAP) -> MembershipSweep:
-    """Exhaustive membership census over every word, via encoding all pairs.
+    """Exhaustive membership census over every word, from one tally per
+    H x H orbit of messages.
 
-    For each message (c, d) the codewords of all Q^2 generator pairs are
-    tallied at once, which gives |{(a, b) : u in C_{a,b}}| for every word u
-    with message blocks (c, d), since membership forces the message blocks.
-    Messages go in chunks that cover at most SWEEP_CHUNK_WORDS words, so a
-    chunk encodes at most that many pairs, and each chunk is tallied by one
-    bincount per table through a numpy view of the array('i') tables.  The
-    cap bounds Q^4, so the Q x Q index tables used here stay small.
+    H is the block list of equivalence_maps, u -> ±x^s*u.  For h in H and
+    e = c*a - d*b', f = c*b + d*a':
+
+        (c, d, e, f) in C_{h(a),b}  <=>  (h(c), d, e, h(f)) in C_{a,b}
+        (c, d, e, f) in C_{a,h(b)}  <=>  (c, h^-1(d), e, h^-1(f)) in C_{a,b}
+
+    since h(a)*c = h(c)*a and h(a)' = h^-1(a') (and likewise for b).  Each
+    code also holds h(w) for its codewords w, as it is quasi-cyclic and
+    linear, and the pair sets (all, unit, self-dual) are kept by h on a or
+    on b alone, as h(u)*h(u)' = u*u'.  So each table T has
+    T(c, d, e, f) = T(α(c), β(d), αβ(e), f) for all α, β in H.
+
+    Only the messages (c0, d0) with c0 and d0 least in their H-orbits are
+    encoded: the codewords of all Q^2 generator pairs are tallied by
+    bincount, in chunks of messages that cover at most SWEEP_CHUNK_WORDS
+    words, into the tables at those messages (membership forces the
+    message blocks).  Every other word then takes the count at its
+    representative (c0, d0, αβ(e), f), one f at a time, through one index
+    of Q^3 entries.  Besides the three tables of Q^4 words, 4 bytes each,
+    memory is one chunk, then that index, and Q x Q ring tables.  The cap
+    charges the words of the tables.
     """
     ring = QuotientRing(field, n)
     Q = ring.size
     if Q**4 > cap:
-        raise CapExceeded(f"membership sweep covers {power_text(field.q, 4 * n)} encodings, cap is {cap}")
+        raise CapExceeded(f"membership sweep tables hold {power_text(field.q, 4 * n)} words, cap is {cap}")
     t = ring.tables()
+    block = np.array([h for _, h in equivalence_maps(field, n)[0]])  # block[i, u] = h_i(u)
+    lower = block.argmin(axis=0)  # γ_u = h_lower[u] takes u to the least of its orbit
+    least = block[lower, np.arange(Q)]
+    reps = np.flatnonzero(least == np.arange(Q))
+    R = len(reps)
+    rank = np.searchsorted(reps, least)  # the position of γ_u(u) in reps
     add = t.add(np.arange(Q)[:, None], np.arange(Q))  # add[u, v]: index of u + v
-    rows = np.array([t.times(m) for m in range(Q)])  # rows[m, x]: index of m*x
-    rows_rec = rows[:, t.recip]  # rows_rec[m, x]: index of m*x'
+    rows = np.array([t.times(m) for m in reps])  # rows[i, x]: index of reps[i]*x
+    rows_rec = rows[:, t.recip]  # rows_rec[i, x]: index of reps[i]*x'
     neg_rows_rec = t.neg[rows_rec]
     have, need = _self_duality(field, n)
     masks = (t.units[:, None] & t.units[None, :], have[None, :] == need[:, None])  # over [a, b]
     tables = [array("i", [0]) * Q**4 for _ in range(3)]
     # views[i][e + Q*f, c + Q*d] is tables[i][u]
     views = [np.frombuffer(table, dtype=np.intc).reshape(Q * Q, Q * Q) for table in tables]
+    cols = (reps + Q * reps[:, None]).ravel()  # message m = i + R*j is (reps[i], reps[j])
     step = max(1, SWEEP_CHUNK_WORDS // (Q * Q))
-    for start in range(0, Q * Q, step):
-        msg = np.arange(start, min(start + step, Q * Q))
-        ci, di = msg % Q, msg // Q
-        # the codeword of message (c, d) in C_{a,b} has index m + Q^2*(e + Q*f)
-        e = add[rows[ci][:, :, None], neg_rows_rec[di][:, None, :]]  # c*a - d*b' at [m, a, b]
-        f = add[rows[ci][:, None, :], rows_rec[di][:, :, None]]  # c*b + d*a'
-        slot = (msg - start)[:, None, None] * (Q * Q) + e + Q * f  # [m, word] flattened
+    for start in range(0, R * R, step):
+        msg = np.arange(start, min(start + step, R * R))
+        ci, di = msg % R, msg // R
+        # the codeword of message (c, d) in C_{a,b} is word e + Q*f of the message's row
+        slot = add[rows[ci][:, None, :], rows_rec[di][:, :, None]]  # f = c*b + d*a' at [m, a, b]
+        slot *= Q
+        slot += add[rows[ci][:, :, None], neg_rows_rec[di][:, None, :]]  # e = c*a - d*b'
+        slot += (msg - start)[:, None, None] * (Q * Q)  # [m, word] flattened
         for view, sel in zip(views, (slot, slot[:, masks[0]], slot[:, masks[1]])):
             tally = np.bincount(sel.ravel(), minlength=len(msg) * Q * Q)
-            view[:, start : start + len(msg)] = tally.reshape(len(msg), Q * Q).T
+            view[:, cols[start : start + len(msg)]] = tally.reshape(len(msg), Q * Q).T
+    del slot, sel, tally  # so that the chunk and the index are not held at once
+    # word (c, d, e, f) has the count of (γ_c(c), γ_d(d), γ_c(γ_d(e)), f), entry
+    # [γ_c(γ_d(e)), rank[c] + R*rank[d]] of the [e, m] counts at f: at[c + Q*d + Q^2*e]
+    by_lower = block[lower].T  # by_lower[x, u] = γ_u(x)
+    at = (by_lower * (R * R) + rank)[by_lower]  # [e, d, c]
+    at += R * rank[:, None]
+    at = at.ravel()
+    for view in views:
+        for f, out in enumerate(view.reshape(Q, Q**3)):
+            # mode "raise" would first copy out
+            np.take(view[Q * f : Q * (f + 1), cols], at, out=out, mode="clip")
     const_idx = frozenset(ring.index(u) for u in constant_vectors(ring))
     counts, unit_counts, sd_counts = tables
     return MembershipSweep(

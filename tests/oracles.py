@@ -37,6 +37,8 @@ import ...`, the way they import `helpers`.
 | `burnside_orbit_count`      | the number of `code_orbits` labels, by Burnside's   |
 |                             | lemma over the group of `census.equivalence_maps`   |
 | `membership_scan`           | `census.membership_census`, all q^(2n) pairs        |
+| `membership_tables`         | the three `census.membership_sweep` tables, every   |
+|                             | message of every pair through `generator_matrix`    |
 | `horner_decompose`          | `crt.decompose`, one Horner step per coefficient,   |
 |                             | at roots found by `first_root_scan`                 |
 | `trace_loop_reconstruct`    | `crt.reconstruct`, one trace per coefficient        |
@@ -59,6 +61,7 @@ import numpy as np
 
 from fourcirc.asympt import ball_volume, entropy
 from fourcirc.census import code_distances, self_dual_pairs
+from fourcirc.codes import FourCirculantCode
 from fourcirc.crt import Constituent
 from fourcirc.fields import Field, digits, embedding, mul_matrices
 from fourcirc.polyring import (
@@ -603,6 +606,35 @@ def membership_scan(field, n, blocks):
             if b_recs[bi] == want_sd:
                 sd_count += 1
     return count, unit_count, sd_count
+
+
+def membership_tables(field, n):
+    """(counts, unit_counts, self_dual_counts) over every word index
+    c + Q*d + Q^2*e + Q^3*f, as int64 arrays of Q^4 entries: for every pair
+    (a, b), every message [c d] is encoded as [c d]*G mod p with G from
+    generator_matrix, and each codeword's index is read off its 4n digits.
+    Units come from ring.is_unit and self-duality from self_duality_scan.
+    Prime fields only: the digits of an index are its F_p coefficients."""
+    if field.k != 1:
+        raise ValueError("membership_tables handles prime fields only")
+    ring = QuotientRing(field, n)
+    Q, p = ring.size, field.p
+    elems = [ring.element(i) for i in range(Q)]
+    units = [ring.is_unit(u) for u in elems]
+    have, need = self_duality_scan(ring)
+    messages = np.arange(Q * Q)[:, None] // p ** np.arange(2 * n) % p  # digit row of message c + Q*d
+    powers = p ** np.arange(4 * n)
+    counts, unit_counts, sd_counts = (np.zeros(Q**4, dtype=np.int64) for _ in range(3))
+    for ai, a in enumerate(elems):
+        for bi, b in enumerate(elems):
+            G = np.array(generator_matrix(FourCirculantCode(ring, a, b)))
+            words = messages @ G % p @ powers  # distinct: each holds its message
+            counts[words] += 1
+            if units[ai] and units[bi]:
+                unit_counts[words] += 1
+            if have[bi] == need[ai]:
+                sd_counts[words] += 1
+    return counts, unit_counts, sd_counts
 
 
 def max_nonconstant_scan(sweep, which):

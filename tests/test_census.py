@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -36,6 +37,7 @@ from oracles import (
     is_self_dual_matrix,
     max_nonconstant_scan,
     membership_scan,
+    membership_tables,
     message_weights,
     rref,
     self_duality_scan,
@@ -505,6 +507,100 @@ def test_membership_sweep_tables(p, k, n, monkeypatch):
         assert tuple(table[u] for table in tables) == membership_scan(field, n, blocks), u
 
 
+def _sweep_tables(field, n):
+    sw = membership_sweep(field, n)
+    return [np.frombuffer(table, dtype=np.intc) for table in (sw.counts, sw.unit_counts, sw.sd_counts)]
+
+
+@functools.lru_cache(maxsize=3)  # the last three points below, read again by the H tests
+def _oracle_tables(p, n):
+    return membership_tables(Field(p), n)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (2, 4), (7, 2), (2, 5), (3, 3), (5, 2)])
+def test_membership_sweep_matches_oracle_tables(p, n):
+    for which, got, want in zip(("all", "unit", "self_dual"), _sweep_tables(Field(p), n), _oracle_tables(p, n)):
+        np.testing.assert_array_equal(got, want, err_msg=which)
+
+
+def _generated_group(perms):
+    """Every composition of the given residue permutations, the given ones first."""
+    group = {perm.tobytes(): perm for perm in perms}
+    new = list(group.values())
+    while new:
+        found = {}
+        for g in new:
+            for h in perms:
+                if (gh := g[h]).tobytes() not in group:
+                    found[gh.tobytes()] = gh
+        group.update(found)
+        new = list(found.values())
+    return list(group.values())
+
+
+def _with_block(monkeypatch, field, n, block):
+    both = equivalence_maps(field, n)[1]
+    monkeypatch.setattr(census, "equivalence_maps", lambda field, n: (block, both))
+
+
+@pytest.mark.parametrize("p,n,extra", [(5, 2, "2*u"), (2, 5, "x->x^2")])
+def test_membership_sweep_tables_break_beyond_h(p, n, extra, monkeypatch):
+    # H grown by the scalar 2 or by the multiplier x -> x^2, neither of them a
+    # symmetry of the tables: the words read off the representatives go wrong
+    field = Field(p)
+    ring = QuotientRing(field, n)
+    image = {
+        "2*u": lambda u: ring.scalar_mul(2, u),
+        "x->x^2": lambda u: tuple(u[j * pow(2, -1, n) % n] for j in range(n)),
+    }[extra]
+    bad = np.array([ring.index(image(u)) for u in ring.elements()])
+    block = [h for _, h in equivalence_maps(field, n)[0]]
+    grown = _generated_group(block + [bad])
+    assert len(grown) > len({h.tobytes() for h in block})
+    _with_block(monkeypatch, field, n, [(f"g{i}", g) for i, g in enumerate(grown)])
+    for which, got, want in zip(("all", "unit", "self_dual"), _sweep_tables(field, n), _oracle_tables(p, n)):
+        assert (got != want).any(), which
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2)])
+@pytest.mark.parametrize("keep", ["shifts", "signs"])
+def test_membership_sweep_on_a_subgroup_of_h(p, n, keep, monkeypatch):
+    # a subgroup of H (the shifts x^s*, or +-1) is still a symmetry: fewer
+    # messages share a representative, and the tables stay the same
+    field = Field(p)
+    block = equivalence_maps(field, n)[0]
+    kept = [(name, h) for name, h in block if (name[0] != "-" if keep == "shifts" else name.lstrip("-") == "x^0*")]
+    _with_block(monkeypatch, field, n, kept)
+    for which, got, want in zip(("all", "unit", "self_dual"), _sweep_tables(field, n), _oracle_tables(p, n)):
+        np.testing.assert_array_equal(got, want, err_msg=which)
+
+
+def test_membership_sweep_holds_no_other_table():
+    # past the three tables of Q^4 words the sweep holds one chunk and an index
+    # of Q^3 entries, and max_nonconstant holds no array of Q^4 entries
+    Q = 2**5
+    membership_sweep(F2, 5)  # ring tables and pair masks are cached
+    tracemalloc.start()
+    try:
+        sw = membership_sweep(F2, 5)
+        sweep_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for which in ("all", "unit", "self_dual"):
+            sw.max_nonconstant(which)
+        max_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sweep_peak - 3 * 4 * Q**4 < 4 * Q**4
+    assert max_peak < Q**4
+
+
+def test_membership_sweep_cap_counts_table_words():
+    assert len(membership_sweep(F2, 2, cap=4**4).counts) == 4**4
+    with pytest.raises(CapExceeded, match="tables hold 256 words, cap is 255"):
+        membership_sweep(F2, 2, cap=4**4 - 1)
+
+
 def test_membership_word_validation():
     ok = ((1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 0))
     bad = [
@@ -562,7 +658,7 @@ def test_refusals_at_huge_n_write_powers():
         membership_census(F2, 100000, word)
     with pytest.raises(CapExceeded, match=r"needs 10000000000\*2\^100000 coefficient products"):
         self_dual_pairs(F2, 100000)
-    with pytest.raises(CapExceeded, match=r"covers 2\^400000 encodings"):
+    with pytest.raises(CapExceeded, match=r"tables hold 2\^400000 words"):
         membership_sweep(F2, 100000)
 
 
