@@ -17,7 +17,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,22 +30,19 @@ from .polyring import QuotientRing, is_primitive_root
 # ---------------------------------------------------------------------------
 # solution counts behind the closed form
 
-def _pair_count(field: Field, values: Sequence[int], target: int) -> int:
-    """Exact number of index pairs (x, y) with values[x] + values[y] = target.
-
-    With c_v the number of x whose value is v, the count is the sum over v of
-    c_v * c_(target - v): linear in len(values), not quadratic.
-    """
-    counts = Counter(values)
-    return sum(c * counts[field.sub(target, v)] for v, c in counts.items())
+def _sum_count(field: Field, values: np.ndarray, target: int) -> int:
+    """Exact number of index pairs (x, y) with values[x] + values[y] = target:
+    the pairs with values[x] = target - values[y], joined by _matches."""
+    rest = field_sum(field, np.stack([np.full_like(values, target), field.neg_array[values]]), 0)
+    return _matches(values, rest)
 
 
 def count_sum_of_squares(field: Field) -> tuple[int, int]:
-    """Solutions of x^2 + y^2 = -1 in F_q, exact histogram count next to q - eta(-1)."""
+    """Solutions of x^2 + y^2 = -1 in F_q, exact count next to q - eta(-1)."""
     if field.q % 2 == 0:
         raise ValueError("x^2 + y^2 = -1 count requires odd q")
-    squares = [field.mul(x, x) for x in field.elements()]
-    brute = _pair_count(field, squares, field.neg(field.one))
+    squares = field.exp_array[2 * field.log_array]  # exp_array[2 * log 0] is 0
+    brute = _sum_count(field, squares, field.neg(field.one))
     formula = field.q - quad_char(field, field.neg(field.one))
     return brute, formula
 
@@ -59,7 +56,7 @@ def count_hermitian(field: Field) -> tuple[int, int]:
     big = default_field(field.p, 2 * field.k)
     norms = big.exp_array[(1 + q) * big.log_array % (q * q - 1)]  # log N(x) = (1 + q) log x
     norms[0] = 0
-    brute = _pair_count(big, norms.tolist(), big.neg(big.one))
+    brute = _sum_count(big, norms, big.neg(big.one))
     formula = (q + 1) * (q * q - q)
     return brute, formula
 
@@ -263,7 +260,7 @@ def code_orbits(field: Field, n: int, pairs: np.ndarray) -> np.ndarray:
     a, b = pairs.T
     keys = a * Q + b
     where = f"at (q={field.q}, n={n})"
-    every = len(keys) == np.bincount(have, minlength=Q)[need].sum()  # as many rows as self-dual pairs
+    every = len(keys) == _matches(need, have)  # as many rows as self-dual pairs
     if (np.diff(keys) <= 0).any() or (have[b] != need[a]).any() or not every:
         raise ValueError(f"pairs must be the a-major list of every self-dual pair {where}")
     block, both = equivalence_maps(field, n)

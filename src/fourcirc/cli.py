@@ -230,14 +230,13 @@ def cmd_search(args):
     # coefficient lists compare as their coefficients read as base-q digits, c0 leading
     ab = (coeffs @ field.q ** np.arange(args.n)[::-1])[pairs]
     order = np.lexsort((ab[:, 1], ab[:, 0], -np.asarray(dists)))[: args.top]
-    rows = coeffs.tolist()
     body = {
         "q": field.q,
         "n": args.n,
         "total_self_dual": len(pairs),
         "top": [
-            {"a": rows[a], "b": rows[b], "distance": dists[i]}
-            for i, (a, b) in zip(order.tolist(), pairs[order].tolist())
+            {"a": a, "b": b, "distance": dists[i]}
+            for i, (a, b) in zip(order.tolist(), coeffs[pairs[order]].tolist())
         ],
     }
     counters = {"self_dual_pairs": len(pairs), "codes_scanned": orbits, **work}

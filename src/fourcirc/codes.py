@@ -157,7 +157,8 @@ class FourCirculantCode:
 class MinWeight(NamedTuple):
     """A code's least nonzero codeword weight, the least message index
     c_index * Q + d_index of a codeword of that weight, and the number of
-    messages evaluated to find them."""
+    messages evaluated to find them.  A search without witness leaves
+    message at 0, the zero message, which is never a witness."""
 
     weight: int
     message: int
@@ -215,11 +216,17 @@ def least_weight_messages(ring: QuotientRing, pairs: np.ndarray, witness: bool =
     weight has been seen and message is the least index among them, as an
     argmin over all Q^2 messages gives.  Without it, it stops at the bound
     h*(w + 1) >= best (Zimmermann), sooner by a level at h = 1 and for
-    even weights at h = 2: the weight is final, and message is the least
-    index seen.  A non-unit Delta makes (c, d) -> (e, f) singular, so some
-    word (c, d, 0, 0) is nonzero and h = 1 needs no level above 2n.
+    even weights at h = 2: the weight is final, and no witness is kept, so
+    message is 0, the zero message, which is never a witness.  A non-unit
+    Delta makes (c, d) -> (e, f) singular, so some word (c, d, 0, 0) is
+    nonzero and h = 1 needs no level above 2n.
+
+    Residue indices are int64, so a ring with q^n > 2^63 raises ValueError
+    before any work.
     """
     field, n, Q = ring.field, ring.n, ring.size
+    if Q > 2**63:
+        raise ValueError(f"distance holds residue indices in int64, q^n = {power_text(field.q, n)} is above 2^63")
     p, k, q, nk = field.p, field.k, field.q, ring.n * field.k
     width = 1  # coefficients per chunk
     while width < n - n // 2 and q ** (width + 1) <= CHUNK_CODES:
@@ -272,8 +279,11 @@ def least_weight_messages(ring: QuotientRing, pairs: np.ndarray, witness: bool =
                         continue
                     best = np.minimum(best, total.reshape(len(ids), -1).min(axis=1) + w)
                     worst = int(best.max())
-                    code, half, x, y = np.nonzero(total == (best - w)[:, None, None, None])
-                    found.append((ids[code], best[code], half, c0 + x, y0 + y))
+                    if witness:
+                        code, half, x, y = np.nonzero(total == (best - w)[:, None, None, None])
+                        found.append((ids[code], best[code], half, c0 + x, y0 + y))
+        if not witness:
+            return out
         code, weight, half, x, y = (np.concatenate(v) for v in zip(*found))
         keep = weight == out[code, 0]
         code, half, c, d = code[keep], half[keep], levels.index[x[keep]], levels.index[y[keep]]

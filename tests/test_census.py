@@ -4,6 +4,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from fourcirc.census import (
     self_dual_pairs,
 )
 from fourcirc.codes import CapExceeded, FourCirculantCode
-from fourcirc.fields import Field, is_prime
+from fourcirc.fields import Field, field_of_order, is_prime
 from fourcirc.polyring import QuotientRing, is_primitive_root
 
 from helpers import largest_table
@@ -68,6 +69,37 @@ def test_count_hermitian_examples():
     for field in (Field(7), Field(3, 2), Field(2, 8)):  # F_{q^2} up to 2^16 elements
         brute, formula = count_hermitian(field)
         assert brute == formula
+
+
+def is_prime_power(q):
+    return any(is_prime(p) and q == p ** round(math.log(q, p)) for p in range(2, q + 1) if q % p == 0)
+
+
+@pytest.mark.parametrize("q", [q for q in range(3, 126, 2) if is_prime_power(q)] + [65521])
+def test_sum_of_squares_count_at_odd_prime_powers(q):
+    # q - eta(-1), with eta(-1) = 1 exactly when q = 1 mod 4
+    assert count_sum_of_squares(field_of_order(q)) == (q - 1 if q % 4 == 1 else q + 1,) * 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 2**5])
+def test_hermitian_count_at_prime_powers(q):
+    assert count_hermitian(field_of_order(q)) == ((q + 1) * (q * q - q),) * 2
+
+
+def test_matches_equals_counter_oracle():
+    # the number of index pairs with equal keys: for each key of the first
+    # array, how often it occurs in the second
+    rng = np.random.default_rng(25)
+    empty = np.zeros(0, dtype=np.int64)
+    cases = [(rng.integers(0, 6, size), rng.integers(0, 6, other)) for size, other in [(1, 1), (9, 40), (300, 70)]]
+    cases += [(rng.integers(-(2**62), 2**62, 50), rng.integers(-(2**62), 2**62, 50))]
+    cases += [(empty, empty), (empty, rng.integers(0, 5, 9)), (rng.integers(0, 5, 9), empty)]
+    cases += [(np.arange(0, 40, 2), np.arange(1, 40, 2)), (rng.integers(0, 10, 30), rng.integers(10, 20, 30))]
+    for key_a, key_b in cases:
+        count = Counter(key_b.tolist())
+        expect = sum(count[key] for key in key_a.tolist())
+        assert census._matches(key_a, key_b) == expect == census._matches(key_b, key_a)
+    assert [census._matches(*case) for case in cases[4:]] == [0] * 5  # empty or disjoint
 
 
 def test_formula_hypotheses():
@@ -349,9 +381,10 @@ def test_equivalence_maps_keep_self_duality_and_weights(field, n):
 def test_code_orbits_checks_the_list(monkeypatch):
     pairs = self_dual_pairs(F2, 7)
     Q = 2**7
-    # a row short, out of order, and rows in order that are not self-dual
+    # a row short, a row repeated, out of order, and rows in order that are
+    # not self-dual
     not_self_dual = np.stack(np.divmod(np.arange(len(pairs)), Q), axis=1)
-    for bad in (pairs[1:], pairs[::-1], not_self_dual):
+    for bad in (pairs[1:], np.insert(pairs, 5, pairs[5], axis=0), pairs[::-1], not_self_dual):
         with pytest.raises(ValueError, match="every self-dual pair"):
             code_orbits(F2, 7, bad)
     # at (2, 2) Σ is the identity; with a need that x* does not keep (the

@@ -102,6 +102,15 @@ def test_distance_above_1024_elements():
     assert "cap" in proc.stderr
 
 
+def test_distance_refuses_residue_indices_above_int64():
+    # q^n = 2^64 and 2^65 are refused before any work (exit 2)
+    for n in ("64", "65"):
+        args = ("distance", "--q", "2", "--n", n, "--a", "1", "--b", "0,1,1", "--cap", str(10**80))
+        proc = run_cli(*args, expect=2)
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert "is above 2^63" in proc.stderr
+
+
 def test_crt_snapshot():
     rep = run_json("crt", "--q", "2", "--n", "3", "--a", "0,1,0", "--b", "0,0,0")["report"]
     kinds = [c["kind"] for c in rep["constituents"]]

@@ -409,13 +409,31 @@ def test_min_distance_of_a_non_unit_pair_builds_no_square_table():
 def test_zimmermann_stop_misses_the_least_witness():
     # Stopping at the bound 2(w + 1) >= best finds the distance but can miss
     # the least message of that weight: at (3, 5), d = 6, the pair (41, 43)
-    # has its least weight-6 word at weight 3 on both halves, so only the
-    # witness level w = 3 sees message 14 (the bound stops at w = 2)
+    # has its least weight-6 word, message 14, at weight 3 on both halves.
+    # The bound stops after levels 1 and 2, so only the witness level w = 3
+    # sees it
     ring = QuotientRing(F3, 5)
     pair = np.array([[41, 43]])
-    assert kernel_least(ring.tables(), pair) == [(6, 14)] == engine_least(ring, pair)
-    weight, message = engine_least(ring, pair, witness=False)[0]
-    assert weight == 6 and message != 14
+    word = FourCirculantCode(ring, ring.element(41), ring.element(43)).encode(ring.zero, ring.element(14))
+    c, d, e, f = word.blocks
+    assert np.count_nonzero(c + d) == np.count_nonzero(e + f) == 3
+    levels = [math.comb(10, w) * 2**w for w in range(4)]  # messages of weight w on one half
+    [bound] = least_weight_messages(ring, pair, witness=False)
+    assert (bound.weight, bound.messages) == (6, 2 * sum(levels[1:3]))
+    [full] = least_weight_messages(ring, pair)
+    assert (full.weight, full.message, full.messages) == (6, 14, 2 * sum(levels[1:4]))
+    assert kernel_least(ring.tables(), pair) == [(6, 14)]
+
+
+def test_min_distance_at_the_int64_bound():
+    # residue indices are int64: q^n = 2^63 is searched, and message (0, 1)
+    # gives the weight-4 word (0, 1, -b', a'); q^n = 2^65 is refused
+    ring = QuotientRing(F2, 63)
+    d, witness = FourCirculantCode(ring, ring.one, (0, 1, 1) + (0,) * 60).min_distance(cap=10**40)
+    assert d == witness.weight == 4 and witness.blocks[:2] == (ring.zero, ring.one)
+    ring = QuotientRing(F2, 65)
+    with pytest.raises(ValueError, match="above 2\\^63"):
+        FourCirculantCode(ring, ring.one, (0, 1, 1) + (0,) * 62).min_distance(cap=10**40)
 
 
 def test_min_distance_counts_the_messages_it_evaluates():
