@@ -191,11 +191,13 @@ def code_distances(
     counters: Optional[dict] = None,
 ) -> list[int]:
     """Exact minimum distance for each (a, b) row of an index pair array,
-    from least_weight_messages with no witness.  Adds the messages
-    evaluated to counters["messages_enumerated"] when counters is given."""
+    from least_weight_messages with no witness, on the pairs' coefficient
+    rows.  Adds the messages evaluated to counters["messages_enumerated"]
+    when counters is given."""
     ring = QuotientRing(field, n)
     check_distance_cap(ring, cap)
-    found = list(least_weight_messages(ring, pairs, witness=False))
+    rows = np.asarray(pairs)[:, :, None] // field.q ** np.arange(n) % field.q  # exact: index pairs are int64
+    found = list(least_weight_messages(ring, rows, witness=False))
     count_messages(counters, sum(m.messages for m in found))
     return [m.weight for m in found]
 
@@ -291,14 +293,14 @@ def orbit_distances(
     pairs: np.ndarray,
     cap: int = DEFAULT_CAP,
     counters: Optional[dict] = None,
-) -> tuple[list[int], int]:
+) -> tuple[np.ndarray, int]:
     """Exact minimum distance of every pair, from one scan per orbit.
 
-    Returns the distances and the number of orbits.  Equivalent codes
-    share their weight enumerator, so only the least pair of each orbit
-    is scanned, by code_distances (which fills counters).  The cap is
-    charged Q^2 codeword evaluations per orbit, what an exhaustive scan
-    would evaluate, after labelling and before any scan.
+    Returns the distances, an int64 array, and the number of orbits.
+    Equivalent codes share their weight enumerator, so only the least pair
+    of each orbit is scanned, by code_distances (which fills counters).
+    The cap is charged Q^2 codeword evaluations per orbit, what an
+    exhaustive scan would evaluate, after labelling and before any scan.
     """
     Q = QuotientRing(field, n).size
     labels = code_orbits(field, n, pairs)
@@ -311,7 +313,7 @@ def orbit_distances(
         )
     dists = np.zeros(len(labels), dtype=np.int64)
     dists[reps] = code_distances(field, n, pairs[reps], cap=cap, counters=counters)
-    return dists[labels].tolist(), len(reps)
+    return dists[labels], len(reps)
 
 
 def enumerate_self_dual(
@@ -350,8 +352,8 @@ def enumerate_self_dual(
         messages_enumerated=work.get("messages_enumerated"),
     )
     if with_distances:
-        report.pair_distances = dists
-        report.per_code_distances = dict(sorted(Counter(dists).items()))
+        report.pair_distances = dists.tolist()
+        report.per_code_distances = dict(sorted(Counter(report.pair_distances).items()))
     return report
 
 

@@ -4,7 +4,8 @@ Every JSON report has the shape {"schema", "manifest", "report"}; the
 report body is deterministic for fixed arguments and caps, while the
 manifest carries run metadata (wall time included).  Every job runs
 sequentially in this process; --workers is accepted and recorded only.
-Exit codes: 0 success, 2 validation error, 3 workload cap refusal.
+Exit codes: 0 success, 2 validation error, 3 workload cap refusal or a
+failed allocation.
 
 This module imports numpy and the fields, polyring and codes layers.  A
 subcommand that needs more declares its layers where it is registered
@@ -227,16 +228,18 @@ def cmd_search(args):
     print(f"search: {len(pairs)} self-dual codes in {orbits} orbits, one distance scan per orbit",
           file=sys.stderr)
     coeffs = ring.tables().coeffs
+    top = min(args.top, len(dists))  # only pairs as far as the top-th largest distance can rank
+    ranked = np.flatnonzero(dists >= np.partition(dists, -top)[-top]) if top else np.arange(0)
     # coefficient lists compare as their coefficients read as base-q digits, c0 leading
-    ab = (coeffs @ field.q ** np.arange(args.n)[::-1])[pairs]
-    order = np.lexsort((ab[:, 1], ab[:, 0], -np.asarray(dists)))[: args.top]
+    ab = (coeffs @ field.q ** np.arange(args.n)[::-1])[pairs[ranked]]
+    order = ranked[np.lexsort((ab[:, 1], ab[:, 0], -dists[ranked]))][: args.top]
     body = {
         "q": field.q,
         "n": args.n,
         "total_self_dual": len(pairs),
         "top": [
-            {"a": a, "b": b, "distance": dists[i]}
-            for i, (a, b) in zip(order.tolist(), coeffs[pairs[order]].tolist())
+            {"a": a, "b": b, "distance": d}
+            for d, (a, b) in zip(dists[order].tolist(), coeffs[pairs[order]].tolist())
         ],
     }
     counters = {"self_dual_pairs": len(pairs), "codes_scanned": orbits, **work}
@@ -584,6 +587,9 @@ def main(argv=None) -> int:
         wall = time.monotonic() - start
     except CapExceeded as exc:
         print(f"fourcirc: workload cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"fourcirc: out of memory: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"fourcirc: {exc}", file=sys.stderr)

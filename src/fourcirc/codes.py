@@ -137,47 +137,46 @@ class FourCirculantCode:
         either half of the code (least_weight_messages).
 
         Returns the distance and the codeword of the least message attaining
-        it (message index = c_index * q^n + d_index), as a scan of all
+        it (in the order of c_index * q^n + d_index), as a scan of all
         q^(2n) messages would.  Adds the messages evaluated to
         counters["messages_enumerated"] when counters is given.  Raises
         CapExceeded when q^(2n) > cap, as the scan would.
         """
-        ring = self.ring
-        check_distance_cap(ring, cap)
-        pair = np.array([[ring.index(self.a), ring.index(self.b)]])
-        best = next(least_weight_messages(ring, pair))
+        check_distance_cap(self.ring, cap)
+        best = next(least_weight_messages(self.ring, np.array([[self.a, self.b]])))
         count_messages(counters, best.messages)
-        ci, di = divmod(best.message, ring.size)
-        return best.weight, self.encode(ring.element(ci), ring.element(di))
+        return best.weight, self.encode(*best.message)
 
     def __repr__(self) -> str:
         return f"FourCirculantCode(q={self.field.q}, n={self.n}, a={list(self.a)}, b={list(self.b)})"
 
 
 class MinWeight(NamedTuple):
-    """A code's least nonzero codeword weight, the least message index
-    c_index * Q + d_index of a codeword of that weight, and the number of
-    messages evaluated to find them.  A search without witness leaves
-    message at 0, the zero message, which is never a witness."""
+    """A code's least nonzero codeword weight, the coefficient tuples (c, d)
+    of the least message of a codeword of that weight (in the order of
+    c_index * Q + d_index), and the number of messages evaluated to find
+    them.  A search without witness leaves message None."""
 
     weight: int
-    message: int
+    message: Optional[tuple]
     messages: int
 
 
 class _Levels:
     """The elements of R(n, F_q) by weight, grown on demand: those of weight
-    i are index[start[i]:start[i + 1]], and the one at position e >= 1 is
-    the one at parent[e] plus term term[e], where term j*(q - 1) + v - 1
-    is v*x^j.  after holds 1 + the last nonzero position of each element
-    of the top weight."""
+    i are at positions start[i]:start[i + 1], and the one at position
+    e >= 1 is the one at parent[e] plus term term[e]: term j*(q - 1) + v - 1
+    is v*x^j, of coefficient row term_rows[term], and the zero element's
+    term n*(q - 1) has a zero row.  after holds 1 + the last nonzero
+    position of each element of the top weight."""
 
     def __init__(self, ring: QuotientRing):
         n, q = ring.n, ring.field.q
         self.after_term = np.repeat(np.arange(n), q - 1) + 1
         self.later = self.after_term > np.arange(n + 1)[:, None]  # [after, term]
-        self.terms = (np.arange(1, q) * (q ** np.arange(n))[:, None]).ravel()  # the index of each term
-        self.index = self.parent = self.term = self.after = np.zeros(1, dtype=np.int64)
+        self.term_rows = (np.arange(1, q)[:, None] * np.eye(n + 1, n, dtype=np.int64)[:, None]).reshape(-1, n)
+        self.parent = self.after = np.zeros(1, dtype=np.int64)
+        self.term = np.array([n * (q - 1)])
         self.start = [0, 1]
 
     def grow(self, w: int) -> None:
@@ -186,15 +185,22 @@ class _Levels:
         while len(self.start) <= w + 1:
             row, term = np.nonzero(self.later[self.after])
             parent = row + self.start[-2]
-            self.index = np.concatenate([self.index, self.index[parent] + self.terms[term]])
             self.parent, self.term = np.concatenate([self.parent, parent]), np.concatenate([self.term, term])
             self.after = self.after_term[term]
-            self.start.append(len(self.index))
+            self.start.append(len(self.parent))
+
+    def rows(self, positions: np.ndarray) -> np.ndarray:
+        """The coefficient rows [..., coefficient] of the elements at positions, a term per weight held."""
+        out = np.zeros(positions.shape + self.term_rows.shape[1:], dtype=np.int64)
+        for _ in range(len(self.start) - 2):
+            out += self.term_rows.take(self.term.take(positions), axis=0)
+            positions = self.parent.take(positions)
+        return out
 
 
-def least_weight_messages(ring: QuotientRing, pairs: np.ndarray, witness: bool = True) -> Iterator[MinWeight]:
-    """The least codeword weight of each (a, b) row of an index pair array,
-    from its messages of least weight on h information sets of the code.
+def least_weight_messages(ring: QuotientRing, ab: np.ndarray, witness: bool = True) -> Iterator[MinWeight]:
+    """The least codeword weight of each (a, b) of an (N, 2, n) array of
+    coefficient rows, from its least-weight messages on h information sets.
 
     The left half is always one: the message (c, d) has e = c*a - d*b' and
     f = c*b + d*a' on the right.  When Delta = a*a' + b*b' is a unit the
@@ -213,20 +219,15 @@ def least_weight_messages(ring: QuotientRing, pairs: np.ndarray, witness: bool =
     A codeword of weight at most h*w + h - 1 weighs at most w on one of
     the h halves, so after level w it has been seen.  With witness the
     search stops once h*w + h - 1 >= best: every codeword of the least
-    weight has been seen and message is the least index among them, as an
-    argmin over all Q^2 messages gives.  Without it, it stops at the bound
-    h*(w + 1) >= best (Zimmermann), sooner by a level at h = 1 and for
-    even weights at h = 2: the weight is final, and no witness is kept, so
-    message is 0, the zero message, which is never a witness.  A non-unit
-    Delta makes (c, d) -> (e, f) singular, so some word (c, d, 0, 0) is
-    nonzero and h = 1 needs no level above 2n.
-
-    Residue indices are int64, so a ring with q^n > 2^63 raises ValueError
-    before any work.
+    weight has been seen, and message is the least (c, d) among them in
+    the order of c_index * Q + d_index, as an argmin over all Q^2
+    messages gives.  Without it, it stops at the bound h*(w + 1) >= best
+    (Zimmermann), sooner by a level at h = 1 and for even weights at
+    h = 2: the weight is final, and message is None.  A non-unit Delta
+    makes (c, d) -> (e, f) singular, so some word (c, d, 0, 0) is nonzero
+    and h = 1 needs no level above 2n.
     """
-    field, n, Q = ring.field, ring.n, ring.size
-    if Q > 2**63:
-        raise ValueError(f"distance holds residue indices in int64, q^n = {power_text(field.q, n)} is above 2^63")
+    field, n = ring.field, ring.n
     p, k, q, nk = field.p, field.k, field.q, ring.n * field.k
     width = 1  # coefficients per chunk
     while width < n - n // 2 and q ** (width + 1) <= CHUNK_CODES:
@@ -235,7 +236,7 @@ def least_weight_messages(ring: QuotientRing, pairs: np.ndarray, witness: bool =
     sums, weights = (table.ravel() for table in chunk_tables(field, width))  # at u * span + v
     at = np.arange(2 * nk)
     to_chunks = (at // (width * k) == np.arange(chunks)[:, None]) * p ** (at % (width * k))  # [chunk, digit]
-    powers, levels = p ** np.arange(nk), _Levels(ring)
+    place, levels = p ** np.arange(k), _Levels(ring)  # an F_q code is its F_p digits @ place
     # on half j the other half of (x, y) is x @ block 4j + y @ block 4j + 2 and x @ block 4j + 1
     # + y @ block 4j + 3: the left half's (e, f) = (c*a - d*b', c*b + d*a'), the right half's
     # (c, d) = ((e*a' + f*b')/Delta, (f*a - e*b)/Delta), here for Delta = -1, from a, b, a', b'
@@ -243,8 +244,8 @@ def least_weight_messages(ring: QuotientRing, pairs: np.ndarray, witness: bool =
     scale, unscale = np.array([[span], [1]])[:, :, None], np.array([[1], [span]])[:, :, None]  # by block
 
     def search(gens: np.ndarray, h: int) -> np.ndarray:
-        """[weight, c index, d index, messages] of the codes with generator rows gens, side by side."""
-        start, out = levels.start, np.zeros((len(gens), 4), dtype=np.int64)
+        """[weight, messages, c, d] of the codes with generator rows gens, side by side (c, d = 0 without witness)."""
+        start, out = levels.start, np.zeros((len(gens), 2 + 2 * n), dtype=np.int64)
         # [code, half, block, chunk, term]: the chunk codes of the term's generator rows
         terms = (field.digit_array[1:] @ gens.reshape(len(gens), n, k, -1) % p).reshape(len(gens), -1, 2 * h, 2 * nk)
         terms = (terms @ to_chunks.T).transpose(0, 2, 3, 1).reshape(len(gens), h, 2, chunks, -1)
@@ -256,7 +257,7 @@ def least_weight_messages(ring: QuotientRing, pairs: np.ndarray, witness: bool =
         while True:
             done = h * w + h - 1 >= best if witness else h * (w + 1) >= best
             if done.any():
-                out[ids[done], 0], out[ids[done], 3] = best[done], h * seen
+                out[ids[done], 0], out[ids[done], 1] = best[done], h * seen
                 ids, best, weighed, terms = ids[~done], best[~done], weighed[~done], terms[~done]
                 if not len(ids):
                     break
@@ -282,35 +283,33 @@ def least_weight_messages(ring: QuotientRing, pairs: np.ndarray, witness: bool =
                     if witness:
                         code, half, x, y = np.nonzero(total == (best - w)[:, None, None, None])
                         found.append((ids[code], best[code], half, c0 + x, y0 + y))
-        if not witness:
-            return out
-        code, weight, half, x, y = (np.concatenate(v) for v in zip(*found))
-        keep = weight == out[code, 0]
-        code, half, c, d = code[keep], half[keep], levels.index[x[keep]], levels.index[y[keep]]
-        for j in np.flatnonzero(np.bincount(code[half == 1])).tolist():  # the right half's (e, f) is (c, d) here
-            mine = (half == 1) & (code == j)
-            ef = np.stack([c[mine], d[mine]])[:, :, None] // powers % p
-            cd = (ef[0] @ gens[j, :, 4 * nk : 6 * nk] + ef[1] @ gens[j, :, 6 * nk :]) % p
-            c[mine], d[mine] = (cd.reshape(-1, 2, nk) @ powers).T
-        top = np.lexsort((d, c, code))
-        top = top[np.diff(code[top], prepend=-1) > 0]  # the least message (c, d) of each code
-        out[code[top], 1], out[code[top], 2] = c[top], d[top]
+        if witness:
+            code, weight, half, x, y = (np.concatenate(v) for v in zip(*found))
+            keep = weight == out[code, 0]
+            code, half, cd = code[keep], half[keep], levels.rows(np.stack([x[keep], y[keep]], axis=1))
+            for j in np.flatnonzero(np.bincount(code[half == 1])).tolist():  # the right half's (e, f) is (c, d)
+                mine = (half == 1) & (code == j)
+                e, f = field.digit_array[cd[mine]].reshape(-1, 2, nk).swapaxes(0, 1)
+                cd[mine] = (e @ gens[j, :, 4 * nk : 6 * nk] + f @ gens[j, :, 6 * nk :]).reshape(-1, 2, n, k) % p @ place
+            top = np.lexsort(np.vstack([cd[:, ::-1].reshape(len(cd), -1).T, code]))  # c's, then d's, highest first
+            top = top[np.diff(code[top], prepend=-1) > 0]  # the least message (c, d) of each code
+            out[code[top], 2:] = cd[top].reshape(len(top), -1)
         return out
 
     minus_one, recip = field.digit_array[[field.neg(1)] + [0] * (n - 1)].ravel(), -np.arange(n) % n
-    for b0 in range(0, len(pairs), CODE_BATCH):
-        ab = np.asarray(pairs[b0 : b0 + CODE_BATCH])[:, :, None] // q ** np.arange(n) % q  # coefficients
-        times = times_matrices(field, np.concatenate([ab, ab[:, :, recip]], axis=1))
+    for b0 in range(0, len(ab), CODE_BATCH):
+        rows = np.asarray(ab[b0 : b0 + CODE_BATCH])
+        times = times_matrices(field, np.concatenate([rows, rows[:, :, recip]], axis=1))
         # the digits of a*a' + b*b': row 0 of a matrix holds the digits of 1*a or of 1*b
         delta = (times[:, 0, :1] @ times[:, 2] + times[:, 1, :1] @ times[:, 3])[:, 0] % p
         unit, blocks = (delta == minus_one).all(axis=1), times[:, order] * signs
         for j in np.flatnonzero(~unit).tolist():
-            element = tuple((delta[j].reshape(n, k) @ powers[:k]).tolist())
+            element = tuple((delta[j].reshape(n, k) @ place).tolist())
             if ring.is_unit(element):
                 unit[j], blocks[j, 4:] = True, -blocks[j, 4:] @ times_matrices(field, ring.inv(element))
-        gens = (blocks % p).transpose(0, 2, 1, 3).reshape(len(ab), nk, 8 * nk)
-        out = np.empty((len(ab), 4), dtype=np.int64)
+        gens = (blocks % p).transpose(0, 2, 1, 3).reshape(len(rows), nk, 8 * nk)
+        out = np.empty((len(rows), 2 + 2 * n), dtype=np.int64)
         for h, sel in ((1, ~unit), (2, unit)):
             if sel.any():
                 out[sel] = search(gens[sel][:, :, : 4 * h * nk], h)
-        yield from (MinWeight(weight, c * Q + d, messages) for weight, c, d, messages in out.tolist())
+        yield from (MinWeight(w, (tuple(cd[:n]), tuple(cd[n:])) if witness else None, m) for w, m, *cd in out.tolist())

@@ -29,6 +29,8 @@ import ...`, the way they import `helpers`.
 | `second_pass_distance`      | `FourCirculantCode.min_distance`                    |
 | `encode_scan_distance`      | `min_distance` distance and witness                 |
 | `generator_matrix_distance` | `min_distance` above 1024 ring elements             |
+| `light_message_weight`      | `min_distance` over F_2 where q^n > 2^63: the least |
+|                             | weight of the words of messages of weight <= 3      |
 | `all_pairs_distances`       | `census.orbit_distances`, one scan per pair         |
 | `pair_maps`                 | building block of `code_orbits_fixed_point`: the    |
 |                             | generators of the equivalences, as pair closures    |
@@ -480,6 +482,22 @@ def generator_matrix_distance(code, chunk=32):
         if wt[ci, di] < best[0]:
             best = (int(wt[ci, di]), start + int(ci), int(di))
     return best
+
+
+def light_message_weight(code):
+    """Least weight of a nonzero codeword over F_2 whose message (c, d)
+    weighs at most 3: every such word is the XOR of one, two or three rows
+    of the literal generator matrix, taken on packed bits, the triples one
+    least row at a time."""
+    G = np.packbits(np.array(generator_matrix(code), dtype=np.uint8), axis=1)
+    ones = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
+
+    def least(words):
+        return int(ones[words].sum(axis=1).min())
+
+    i, j = np.triu_indices(len(G), 1)
+    twos = G[i] ^ G[j]
+    return min([least(G), least(twos)] + [least(twos[i > r] ^ G[r]) for r in range(len(G) - 2)])
 
 
 def all_pairs_distances(field, n):

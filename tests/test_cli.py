@@ -102,13 +102,33 @@ def test_distance_above_1024_elements():
     assert "cap" in proc.stderr
 
 
-def test_distance_refuses_residue_indices_above_int64():
-    # q^n = 2^64 and 2^65 are refused before any work (exit 2)
-    for n in ("64", "65"):
-        args = ("distance", "--q", "2", "--n", n, "--a", "1", "--b", "0,1,1", "--cap", str(10**80))
-        proc = run_cli(*args, expect=2)
-        assert proc.stdout == "" and "Traceback" not in proc.stderr
-        assert "is above 2^63" in proc.stderr
+def test_distance_past_int64_residue_indices():
+    # q^n = 2^65 has no int64 residue index; message (0, 1) gives the
+    # weight-4 word (0, 1, -b', a'), which test_codes proves least
+    args = ("distance", "--q", "2", "--n", "65", "--a", "1", "--b", "0,1,1", "--cap", str(10**80))
+    rep = json.loads(run_cli(*args).stdout)["report"]
+    assert (rep["d"], rep["witness_weight"]) == (4, 4)
+    assert rep["witness_message"] == {"c": [0] * 65, "d": [1] + [0] * 64}
+
+
+@pytest.mark.parametrize(
+    "args, module",
+    [
+        (["distance", "--q", "2", "--n", "3", "--a", "0,1,0", "--b", "0,0,0"], "codes"),
+        (["search", "--q", "2", "--n", "3"], "census"),
+    ],
+)
+def test_failed_allocation_exits_3(args, module, monkeypatch, capsys):
+    # numpy raises MemoryError (_ArrayMemoryError) when an array cannot be
+    # allocated; main reports it on one line, with no traceback
+    def engine(*call, **options):
+        raise MemoryError("Unable to allocate 16.2 GiB for an array")
+
+    monkeypatch.setattr(f"fourcirc.{module}.least_weight_messages", engine)
+    assert cli.main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == "fourcirc: out of memory: Unable to allocate 16.2 GiB for an array\n"
 
 
 def test_crt_snapshot():
@@ -372,6 +392,26 @@ def test_orbit_reports_equal_all_pairs_reports(q, n, capsys):
             else:
                 got, want = out, nested_render({"report": body}, fmt, command)
             assert got == want, (command, fmt)
+
+
+@pytest.mark.parametrize("q, n", [("2", 7), ("3", 5)])
+def test_search_top_equals_the_full_ranking(q, n, capsys):
+    # search ranks only the pairs as far as the top-th largest distance; its
+    # rows must be the first rows of the full ranking, for cuts inside a run
+    # of equal distances, --top 0 and --top above the number of pairs
+    field = Field(*cli.parse_q(q))
+    ring = QuotientRing(field, n)
+    pairs, dists = all_pairs_distances(field, n)
+    ranking = sorted(
+        ({"a": list(ring.element(ai)), "b": list(ring.element(bi)), "distance": d}
+         for (ai, bi), d in zip(pairs, dists)),
+        key=lambda r: (-r["distance"], r["a"], r["b"]),
+    )
+    tops = [0, 1, 2, 5, 40, len(pairs) - 1, len(pairs), len(pairs) + 7]
+    assert any(0 < t < len(pairs) and ranking[t - 1]["distance"] == ranking[t]["distance"] for t in tops)
+    for top in tops:
+        out = _cli_output(capsys, "search", "--q", q, "--n", str(n), "--top", str(top))
+        assert json.loads(out)["report"]["top"] == ranking[:top], top
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from oracles import (
     generator_matrix,
     generator_matrix_distance,
     is_self_dual_matrix,
+    light_message_weight,
     message_weights,
     poly_truth_table,
     second_pass_distance,
@@ -284,17 +285,20 @@ def test_validation():
         FourCirculantCode(R23, (0, 5, 0), ZERO)
 
 
-def kernel_least(t, pairs):
-    """(weight, least message index) of each pair from the oracle's Q x Q weights."""
+def kernel_least(ring, pairs):
+    """(weight, least message (c, d)) of each pair of an index pair array,
+    from the oracle's Q x Q weights: the argmin c_index * Q + d_index."""
     out = []
-    for wt in message_weights(t, pairs):
-        m = int(wt.argmin())
-        out.append((int(wt.flat[m]), m))
+    for wt in message_weights(ring.tables(), pairs):
+        ci, di = divmod(int(wt.argmin()), ring.size)
+        out.append((int(wt[ci, di]), (ring.element(ci), ring.element(di))))
     return out
 
 
 def engine_least(ring, pairs, witness=True):
-    return [(m.weight, m.message) for m in least_weight_messages(ring, pairs, witness=witness)]
+    """(weight, message) of each pair of an index pair array, given to the engine as coefficient rows."""
+    rows = ring.tables().coeffs[pairs]
+    return [(m.weight, m.message) for m in least_weight_messages(ring, rows, witness=witness)]
 
 
 def orbit_representatives(field, n):
@@ -311,7 +315,7 @@ def test_engine_matches_kernel_on_every_orbit(field, n):
     # representative; without the witness level the distance still agrees
     ring = QuotientRing(field, n)
     reps = orbit_representatives(field, n)
-    expect = kernel_least(ring.tables(), reps)
+    expect = kernel_least(ring, reps)
     assert engine_least(ring, reps) == expect
     assert [w for w, _ in engine_least(ring, reps, witness=False)] == [w for w, _ in expect]
 
@@ -323,7 +327,7 @@ def test_engine_matches_kernel_on_samples(field, n, count):
     ring = QuotientRing(field, n)
     pairs = self_dual_pairs(field, n)
     pairs = pairs[np.random.default_rng(n).choice(len(pairs), count, replace=False)]
-    assert engine_least(ring, pairs) == kernel_least(ring.tables(), pairs)
+    assert engine_least(ring, pairs) == kernel_least(ring, pairs)
 
 
 @pytest.mark.parametrize(
@@ -342,10 +346,10 @@ def test_engine_on_pairs_that_are_not_self_dual(field, n):
         code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
         units.append(ring.is_unit(ring.add(code.criterion_residue(), ring.neg(ring.one))))
     assert 0 < sum(units) < len(units)
-    expect = kernel_least(ring.tables(), pairs)
+    expect = kernel_least(ring, pairs)
     assert engine_least(ring, pairs) == expect
     levels = [math.comb(2 * n, w) * (field.q - 1) ** w for w in range(2 * n + 1)]
-    counts = [m.messages for m in least_weight_messages(ring, pairs)]
+    counts = [m.messages for m in least_weight_messages(ring, ring.tables().coeffs[pairs])]
     for (d, _), count, unit in zip(expect, counts, units):
         assert count == (2 * sum(levels[1 : d // 2 + 1]) if unit else sum(levels[1 : d + 1])), (d, unit)
 
@@ -356,7 +360,7 @@ def test_dropping_a_generator_row_changes_some_distance(field, n, monkeypatch):
     # orbit representative then disagrees with the message-weight oracle
     ring = QuotientRing(field, n)
     reps = orbit_representatives(field, n)
-    expect = kernel_least(ring.tables(), reps)
+    expect = kernel_least(ring, reps)
     assert engine_least(ring, reps) == expect
     real = codes.times_matrices
 
@@ -400,10 +404,9 @@ def test_min_distance_of_a_non_unit_pair_builds_no_square_table():
     finally:
         tracemalloc.stop()
     assert peak < ring.size**2 // 4
-    [(expect, message)] = kernel_least(ring.tables(), np.array([[ring.index(a), ring.index(b)]]))
-    ci, di = divmod(message, ring.size)
+    [(expect, message)] = kernel_least(ring, np.array([[ring.index(a), ring.index(b)]]))
     assert d == expect == 8
-    assert witness.blocks[:2] == (ring.element(ci), ring.element(di))
+    assert witness.blocks[:2] == message
 
 
 def test_zimmermann_stop_misses_the_least_witness():
@@ -418,22 +421,27 @@ def test_zimmermann_stop_misses_the_least_witness():
     c, d, e, f = word.blocks
     assert np.count_nonzero(c + d) == np.count_nonzero(e + f) == 3
     levels = [math.comb(10, w) * 2**w for w in range(4)]  # messages of weight w on one half
-    [bound] = least_weight_messages(ring, pair, witness=False)
-    assert (bound.weight, bound.messages) == (6, 2 * sum(levels[1:3]))
-    [full] = least_weight_messages(ring, pair)
-    assert (full.weight, full.message, full.messages) == (6, 14, 2 * sum(levels[1:4]))
-    assert kernel_least(ring.tables(), pair) == [(6, 14)]
+    [bound] = least_weight_messages(ring, ring.tables().coeffs[pair], witness=False)
+    assert (bound.weight, bound.message, bound.messages) == (6, None, 2 * sum(levels[1:3]))
+    [full] = least_weight_messages(ring, ring.tables().coeffs[pair])
+    message = (ring.zero, ring.element(14))
+    assert (full.weight, full.message, full.messages) == (6, message, 2 * sum(levels[1:4]))
+    assert kernel_least(ring, pair) == [(6, message)]
 
 
-def test_min_distance_at_the_int64_bound():
-    # residue indices are int64: q^n = 2^63 is searched, and message (0, 1)
-    # gives the weight-4 word (0, 1, -b', a'); q^n = 2^65 is refused
-    ring = QuotientRing(F2, 63)
-    d, witness = FourCirculantCode(ring, ring.one, (0, 1, 1) + (0,) * 60).min_distance(cap=10**40)
+@pytest.mark.parametrize("n", [63, 64, 65, 70, 101])
+def test_min_distance_past_int64_residue_indices(n):
+    # q^n from 2^63, the last length whose residue indices fit int64, to
+    # 2^101: message (0, 1) gives the weight-4 word (0, 1, -b', a').  A
+    # word of weight at most 3 has a message of weight at most 3, and the
+    # oracle sums every such set of generator matrix rows, so no nonzero
+    # word weighs less than 4
+    ring = QuotientRing(F2, n)
+    code = FourCirculantCode(ring, ring.one, (0, 1, 1) + (0,) * (n - 3))
+    d, witness = code.min_distance(cap=10**80)
     assert d == witness.weight == 4 and witness.blocks[:2] == (ring.zero, ring.one)
-    ring = QuotientRing(F2, 65)
-    with pytest.raises(ValueError, match="above 2\\^63"):
-        FourCirculantCode(ring, ring.one, (0, 1, 1) + (0,) * 62).min_distance(cap=10**40)
+    assert code.contains(witness)
+    assert light_message_weight(code) == 4
 
 
 def test_min_distance_counts_the_messages_it_evaluates():

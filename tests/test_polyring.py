@@ -211,22 +211,28 @@ def test_chunk_tables_read_sums_and_weights(field, n):
 
 @pytest.mark.parametrize("field, n", [(F2, 5), (F3, 3), (F4, 3)])
 def test_message_levels_partition_the_messages(field, n):
-    # the engine's levels hold every element of weight i once, with its
-    # index, each its parent of weight i - 1 plus one term v*x^j; so the
-    # splits (i, w - i) of the levels w = 1..2n hold every nonzero message
-    # (c, d) once
+    # the engine's levels hold every element of weight i once, whose
+    # coefficient row rows() rebuilds, each its parent of weight i - 1 plus
+    # one term v*x^j; so the splits (i, w - i) of the levels w = 1..2n hold
+    # every nonzero message (c, d) once
     ring = QuotientRing(field, n)
-    t = ring.tables()
+    t, q = ring.tables(), field.q
     levels = codes._Levels(ring)
     levels.grow(2)
     assert len(levels.start) == 4  # built on demand
     levels.grow(n)
-    start, index = levels.start, levels.index
+    start = levels.start
     assert len(start) == n + 2 and start[-1] == t.size
+    rows = levels.rows(np.arange(t.size))
+    index = rows @ q ** np.arange(n)
+    assert np.array_equal(t.coeffs[index], rows)
     for i in range(n + 1):
         assert sorted(index[start[i] : start[i + 1]].tolist()) == np.flatnonzero(t.weight == i).tolist(), i
     e = np.arange(1, t.size)
-    assert np.array_equal(index[e], t.add(index[levels.parent[e]], levels.terms[levels.term[e]]))
+    j, v = np.divmod(levels.term[e], q - 1)
+    assert np.array_equal(index[e], t.add(index[levels.parent[e]], (v + 1) * q**j))
+    assert np.array_equal(levels.rows(e[::-7]), rows[e[::-7]])  # in any order
+    assert not levels.rows(np.zeros(3, dtype=np.int64)).any()
     seen = np.zeros((t.size, t.size), dtype=int)
     for w in range(1, 2 * n + 1):
         for i in range(max(0, w - n), min(w, n) + 1):
