@@ -237,6 +237,10 @@ def least_weight_messages(ring: QuotientRing, ab: np.ndarray, witness: bool = Tr
     at = np.arange(2 * nk)
     to_chunks = (at // (width * k) == np.arange(chunks)[:, None]) * p ** (at % (width * k))  # [chunk, digit]
     place, levels = p ** np.arange(k), _Levels(ring)  # an F_q code is its F_p digits @ place
+    per_key = 1  # base-q digits of a message one int64 sort key holds
+    while q ** (per_key + 1) < 1 << 63:
+        per_key += 1
+    cuts = range(per_key, 2 * n, per_key)  # the witness message's 2n digits, cut into keys
     # on half j the other half of (x, y) is x @ block 4j + y @ block 4j + 2 and x @ block 4j + 1
     # + y @ block 4j + 3: the left half's (e, f) = (c*a - d*b', c*b + d*a'), the right half's
     # (c, d) = ((e*a' + f*b')/Delta, (f*a - e*b)/Delta), here for Delta = -1, from a, b, a', b'
@@ -291,7 +295,9 @@ def least_weight_messages(ring: QuotientRing, ab: np.ndarray, witness: bool = Tr
                 mine = (half == 1) & (code == j)
                 e, f = field.digit_array[cd[mine]].reshape(-1, 2, nk).swapaxes(0, 1)
                 cd[mine] = (e @ gens[j, :, 4 * nk : 6 * nk] + f @ gens[j, :, 6 * nk :]).reshape(-1, 2, n, k) % p @ place
-            top = np.lexsort(np.vstack([cd[:, ::-1].reshape(len(cd), -1).T, code]))  # c's, then d's, highest first
+            message = cd[:, :, ::-1].reshape(len(cd), -1)  # c's, then d's, highest coefficient first
+            keys = [part @ q ** np.arange(part.shape[1])[::-1] for part in np.split(message, cuts, axis=1)]
+            top = np.lexsort(keys[::-1] + [code])
             top = top[np.diff(code[top], prepend=-1) > 0]  # the least message (c, d) of each code
             out[code[top], 2:] = cd[top].reshape(len(top), -1)
         return out

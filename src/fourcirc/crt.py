@@ -28,7 +28,7 @@ import numpy as np
 
 from .codes import FourCirculantCode
 from .fields import Field, default_field, embedding, field_sum
-from .polyring import Poly, factor_xn_minus_1, first_root, poly_degree
+from .polyring import Poly, factor_xn_minus_1, first_roots, poly_degree
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,8 @@ def _plan(base: Field, n: int) -> _Plan:
 
     The factors of degree d share F_{q^d} = F_{p^(k*d)} and the embedding of
     F_q in it, built once here; each factor's root is the least zero of its
-    embedded coefficients, and its context is that field and root.
+    embedded coefficients, found for the whole group in one first_roots
+    call, and its context is that field and root.
     """
     factors = tuple(factor_xn_minus_1(base, n).factors())
     by_degree: dict[int, list[int]] = {}
@@ -111,7 +112,7 @@ def _plan(base: Field, n: int) -> _Plan:
     for d, positions in by_degree.items():
         ext = base if d == 1 else default_field(base.p, base.k * d)
         emb = embedding(base, ext)
-        roots = [first_root(ext, tuple(emb.fwd[list(factors[pos][0])].tolist())) for pos in positions]
+        roots = first_roots(ext, [tuple(emb.fwd[list(factors[pos][0])].tolist()) for pos in positions])
         for pos, root in zip(positions, roots):
             contexts[pos] = (ext, root)
         logs = ext.log_array[roots][:, None]

@@ -7,7 +7,8 @@ their own residues.
 
 Every field, prime or not, computes through the same tables, built once at
 construction: logarithms and antilogarithms to the base g, the least
-primitive element in code order, Zech logarithms log(1 + g^d) for
+primitive element in code order (certified by the order test g^((q-1)/r)
+!= 1 for every prime r dividing q - 1), Zech logarithms log(1 + g^d) for
 addition (Lidl and Niederreiter, Finite Fields, ch. 9), and the F_p digits
 of every code.  The base is internal and appears in no output.  Field
 objects are immutable after construction and every operation is a pure
@@ -37,6 +38,21 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def power_text(base: int, exp: int, times: int = 1) -> str:
@@ -78,11 +94,11 @@ def mul_matrices(field: "Field", xs) -> np.ndarray:
     """
     p, k = field.p, field.k
     red = -np.array(field.modulus[:k], dtype=np.int64) % p  # y^k = sum red[i] y^i
-    col = digits(xs, p, k)
-    cols = [col]
+    cols = [digits(xs, p, k)]
     for _ in range(k - 1):
-        col = (np.pad(col[:, :-1], ((0, 0), (1, 0))) + col[:, -1:] * red) % p
-        cols.append(col)
+        col = cols[-1][:, -1:] * red  # y times the previous column
+        col[:, 1:] += cols[-1][:, :-1]
+        cols.append(col % p)
     return np.stack(cols, axis=2)
 
 
@@ -93,10 +109,11 @@ def _lexleast_irreducible(p: int, k: int) -> tuple[int, ...]:
     coefficients (c_0 + c_1 p + ...), which makes the choice reproducible
     byte for byte across runs and platforms.
     """
-    from .polyring import is_irreducible, monic_polys
+    from .polyring import is_irreducible
 
-    prime = Field(p)
-    for f in monic_polys(prime, k):
+    prime = default_field(p)
+    for c in range(p**k):
+        f = tuple(c // p**j % p for j in range(k)) + (1,)
         if is_irreducible(prime, f):
             return f
     raise AssertionError(f"no irreducible polynomial of degree {k} over F_{p}")
@@ -151,38 +168,70 @@ class Field:
             mod = tuple(c % p for c in modulus)
             if len(mod) != k + 1 or mod[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {k}")
-            if not is_irreducible(Field(p), mod):
+            if not is_irreducible(default_field(p), mod):
                 raise ValueError(f"modulus {list(mod)} is reducible over F_{p}")
             self.modulus = mod
         self._build_tables()
 
     # -- table construction ---------------------------------------------------
 
-    def _powers(self, g: int) -> Optional[np.ndarray]:
-        """g^0, ..., g^(q-2) by doubling, or None when g is not primitive.
+    def _least_generator(self) -> int:
+        """The least code g of multiplicative order q - 1.
 
-        Each step multiplies the powers found so far by g^filled at once; g
-        is primitive exactly when no power g^i with 0 < i < q - 1 is 1.
+        g is primitive exactly when g^((q-1)/r) != 1 for every prime r
+        dividing q - 1 (Lidl and Niederreiter, Finite Fields, ch. 3).  Codes
+        below p form F_p, whose orders divide p - 1, so for k > 1 the
+        candidates start at p; for k = 1 they start at 2 (F_2 has g = 1).
+        They are tested in blocks of doubling length by square-and-multiply
+        on their multiplication matrices: at bit i, square multiplies by
+        g^(2^i), its column 0 holds the digits of g^(2^i), and the digits of
+        g^e are a product of such matrices applied to that column.
+        """
+        p, k, q = self.p, self.k, self.q
+        exps = [(q - 1) // r for r in prime_divisors(q - 1)]
+        if not exps:  # F_2, where 1 has order q - 1 = 1
+            return 1
+        place = p ** np.arange(k)  # an element's code is its digits @ place
+        lo = p if k > 1 else 2
+        while lo < q:
+            block = np.arange(lo, min(2 * lo, q))
+            square = mul_matrices(self, block)
+            power = {}  # e -> digit columns of g^(the bits of e below i)
+            for i in range(max(exps).bit_length()):
+                if i:
+                    square = square @ square % p
+                for e in exps:
+                    if e >> i & 1:
+                        power[e] = square @ power[e] % p if e in power else square[:, :, :1]
+            primitive = np.flatnonzero(np.all([col[:, :, 0] @ place != 1 for col in power.values()], axis=0))
+            if len(primitive):
+                return lo + int(primitive[0])
+            lo *= 2
+        raise AssertionError(f"no primitive element in F_{q}")
+
+    def _powers(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """The codes and the F_p digit rows of g^0, ..., g^(q-2) for a
+        primitive g, by doubling.
+
+        Each step multiplies the rows found so far by g^filled at once.
         """
         p, k, m = self.p, self.k, self.q - 1
-        pw = p ** np.arange(k)
-        exp = np.empty(m, dtype=np.int64)
-        exp[0] = 1
+        rows = np.zeros((m, k), dtype=np.int64)
+        rows[0, 0] = 1
         times, filled = mul_matrices(self, [g])[0], 1  # times multiplies by g^filled
         while filled < m:
-            block = exp[: min(filled, m - filled)]
-            new = digits(block, p, k) @ times.T % p @ pw
-            if (new == 1).any():
-                return None
-            exp[filled : filled + len(new)] = new
+            step = min(filled, m - filled)
+            rows[filled : filled + step] = rows[:step] @ times.T % p
             times = times @ times % p
             filled *= 2
-        return exp
+        exp = rows @ p ** np.arange(k)
+        assert not (exp[1:] == 1).any(), f"{g} is not primitive in F_{self.q}"
+        return exp, rows
 
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.q
         m = q - 1
-        exp = next(e for e in map(self._powers, range(1, q)) if e is not None)
+        exp, rows = self._powers(self._least_generator())
         zero_log = 2 * m
         log = np.empty(q, dtype=np.int64)
         log[exp] = np.arange(m)
@@ -190,8 +239,10 @@ class Field:
         one_plus = exp - exp % p + (exp + 1) % p  # add 1 to the constant digit
         self.log_array = log
         self.exp_array = np.concatenate([exp, exp, np.zeros(2 * m + 1, np.int64)])
-        self.digit_array = digits(np.arange(q), p, k)
-        self.neg_array = -self.digit_array % p @ (p ** np.arange(k))
+        self.digit_array = np.zeros((q, k), dtype=np.int64)
+        self.digit_array[exp] = rows
+        half = m // 2 if p > 2 else 0  # -1 is g^(m/2) for odd p, and 1 = g^0 for p = 2
+        self.neg_array = self.exp_array[log + half]
         for arr in (self.log_array, self.exp_array, self.neg_array, self.digit_array):
             arr.flags.writeable = False  # shared by every user of the field
         # Python lists for the scalar operations, which index one entry at a time
@@ -349,7 +400,7 @@ class Embedding:
     __slots__ = ("src", "dst", "fwd", "back", "root")
 
     def __init__(self, src: Field, dst: Field):
-        from .polyring import first_root
+        from .polyring import first_roots
 
         if src.p != dst.p:
             raise ValueError("embedding requires equal characteristic")
@@ -357,7 +408,7 @@ class Embedding:
             raise ValueError(f"F_{src.q} does not embed in F_{dst.q}")
         self.src = src
         self.dst = dst
-        self.root = first_root(dst, src.modulus)
+        self.root = first_roots(dst, [src.modulus])[0]
         powers = [dst.one]
         for _ in range(src.k - 1):
             powers.append(dst.mul(powers[-1], self.root))

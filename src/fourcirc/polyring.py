@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .fields import ORDER_CAP, Field, default_field, digits, embedding, field_sum, power_text
+from .fields import ORDER_CAP, Field, default_field, digits, embedding, field_sum, power_text, prime_divisors
 
 Poly = tuple  # coefficient tuple, ascending
 RingElem = tuple  # exactly n coefficients
@@ -63,12 +63,13 @@ def poly_scale(field: Field, c: int, f: Poly) -> Poly:
 def poly_mul(field: Field, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
+    add, mul = field.add, field.mul
     out = [0] * (len(f) + len(g) - 1)
+    terms = [(j, gj) for j, gj in enumerate(g) if gj]
     for i, fi in enumerate(f):
         if fi:
-            for j, gj in enumerate(g):
-                if gj:
-                    out[i + j] = field.add(out[i + j], field.mul(fi, gj))
+            for j, gj in terms:
+                out[i + j] = add(out[i + j], mul(fi, gj))
     return poly_trim(out)
 
 
@@ -79,13 +80,16 @@ def poly_divmod(field: Field, f: Poly, g: Poly) -> tuple[Poly, Poly]:
     dg = len(g) - 1
     lead_inv = field.inv(g[-1])
     quot = [0] * max(len(f) - dg, 0)
+    add, mul = field.add, field.mul
+    terms = [(i, gi) for i, gi in enumerate(g) if gi]
     while len(r) - 1 >= dg and r:
-        c = field.mul(r[-1], lead_inv)
+        c = mul(r[-1], lead_inv)
         shift = len(r) - 1 - dg
         quot[shift] = c
         if c:
-            for i, gi in enumerate(g):
-                r[shift + i] = field.sub(r[shift + i], field.mul(c, gi))
+            minus_c = field.neg(c)
+            for i, gi in terms:
+                r[shift + i] = add(r[shift + i], mul(minus_c, gi))
         r.pop()
         while r and r[-1] == 0:
             r.pop()
@@ -126,28 +130,41 @@ def poly_ext_gcd(field: Field, f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     return poly_scale(field, c, r0), poly_scale(field, c, s0), poly_scale(field, c, t0)
 
 
-ROOT_CHUNK = 1 << 12  # elements first_root evaluates a polynomial at in one array
+ROOT_CHUNK = 1 << 9  # elements first_roots evaluates the polynomials at in one pass
 
 
-def first_root(field: Field, f: Poly) -> int:
-    """Least element code z with f(z) = 0; every z is a root of the zero polynomial.
+def first_roots(field: Field, polys: Sequence[Poly]) -> list[int]:
+    """Least element code z with f(z) = 0, for each f in polys; every z is
+    a root of the zero polynomial.
 
-    f is evaluated at ROOT_CHUNK elements at a time, in code order, by
-    Horner's rule on arrays: deg(f) steps of a log/exp gather and a field
-    sum per chunk, and the scan stops at the first chunk that holds a root.
+    A polynomial c0 + c1*x has the one root -c0/c1.  The others are
+    evaluated at ROOT_CHUNK elements at a time, in code order, by Horner's
+    rule on one array for all of them: per chunk, max deg(f) steps of a
+    log/exp gather and a field sum, for every f without a root in the
+    chunks before, and the scan stops once every f has one.
     """
-    if len(f) == 2:  # c0 + c1*x has the one root -c0/c1
-        return field.div(field.neg(f[0]), f[1])
+    roots = [field.div(field.neg(f[0]), f[1]) if len(f) == 2 else -1 for f in polys]
+    left = np.array([j for j, root in enumerate(roots) if root < 0], dtype=np.intp)
+    top = np.zeros((len(polys), max([1, *map(len, polys)])), dtype=np.int64)  # top[j]: polys[j], highest first
+    for row, f in zip(top, polys):
+        row[len(row) - len(f) :] = f[::-1]
     log, exp = field.log_array, field.exp_array
     for start in range(0, field.q, ROOT_CHUNK):
+        if not len(left):
+            break
         z_log = log[start : start + ROOT_CHUNK]
-        values = np.zeros(len(z_log), dtype=np.int64)  # values[z - start]: f(z), so far
-        for c in reversed(f):
-            values = field_sum(field, np.stack(np.broadcast_arrays(exp[log[values] + z_log], c)), 0)
-        roots = np.flatnonzero(values == 0)
-        if len(roots):
-            return start + int(roots[0])
-    raise ValueError(f"polynomial {list(f)} has no root in F_{field.q}")
+        coeffs = top[left]
+        values = np.repeat(coeffs[:, :1], len(z_log), axis=1)  # values[j, z - start]: f_j(z), so far
+        for c in coeffs[:, 1:].T:
+            values = field_sum(field, np.stack(np.broadcast_arrays(exp[log[values] + z_log], c[:, None])), 0)
+        zero = values == 0
+        found = zero.any(axis=1)
+        for j, at in zip(left[found].tolist(), zero[found].argmax(axis=1).tolist()):
+            roots[j] = start + at
+        left = left[~found]
+    if len(left):
+        raise ValueError(f"polynomial {list(polys[left[0]])} has no root in F_{field.q}")
+    return roots
 
 
 def monic_reciprocal(field: Field, f: Poly) -> Poly:
@@ -158,48 +175,41 @@ def monic_reciprocal(field: Field, f: Poly) -> Poly:
     return poly_monic(field, rev)
 
 
-def monic_polys(field: Field, d: int) -> Iterator[Poly]:
-    """All monic polynomials of degree d, ascending code order of lower coefficients."""
-    q = field.q
-    for c in range(q**d):
-        coeffs = []
-        v = c
-        for _ in range(d):
-            coeffs.append(v % q)
-            v //= q
-        coeffs.append(1)
-        yield tuple(coeffs)
+def poly_pow_mod(field: Field, g: Poly, e: int, f: Poly) -> Poly:
+    """g^e mod f for e >= 0, by square-and-multiply from the top bit of e."""
+    g = poly_mod(field, g, f)
+    out = g if e else poly_mod(field, (field.one,), f)
+    for bit in bin(e)[3:]:  # the bits below the top one
+        out = poly_mod(field, poly_mul(field, out, out), f)
+        if bit == "1":
+            out = poly_mod(field, poly_mul(field, out, g), f)
+    return out
 
 
 def is_irreducible(field: Field, f: Poly) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
+    """Rabin's test: f of degree d >= 1 is irreducible exactly when it
+    divides x^(q^d) - x and gcd(f, x^(q^(d/r)) - x) = 1 for every prime r
+    dividing d (Rabin, Probabilistic algorithms in finite fields, 1980).
+
+    The powers x^(q^i) mod f are taken for i = 1, ..., d in turn, each the
+    q-th power of the one before, and the test stops at the first gcd that
+    is not 1.
+    """
     d = poly_degree(f)
     if d < 1:
         return False
-    for e in range(1, d // 2 + 1):
-        for g in monic_polys(field, e):
-            if not poly_mod(field, f, g):
-                return False
-    return True
+    x = poly_mod(field, (0, field.one), f)
+    gcd_at = {d // r for r in prime_divisors(d)}
+    power = x
+    for i in range(1, d + 1):
+        power = poly_pow_mod(field, power, field.q, f)
+        if i in gcd_at and poly_degree(poly_gcd(field, f, poly_sub(field, power, x))) > 0:
+            return False
+    return power == x
 
 
 # ---------------------------------------------------------------------------
 # integer-side machinery: orders, cosets
-
-def _prime_divisors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
 
 def multiplicative_order(q: int, n: int) -> int:
     """The least d >= 1 with q^d = 1 mod n, in O(sqrt(n)) steps.
@@ -214,10 +224,10 @@ def multiplicative_order(q: int, n: int) -> int:
     if math.gcd(q, n) != 1:
         raise ValueError(f"{q} is not invertible modulo {n}")
     phi = n
-    for p in _prime_divisors(n):
+    for p in prime_divisors(n):
         phi -= phi // p
     order = phi
-    for p in _prime_divisors(phi):
+    for p in prime_divisors(phi):
         while order % p == 0 and pow(q, order // p, n) == 1:
             order //= p
     return order

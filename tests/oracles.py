@@ -8,9 +8,13 @@ import ...`, the way they import `helpers`.
 | oracle                      | checks                                              |
 | --------------------------- | --------------------------------------------------- |
 | `SchoolbookField`           | `Field` add/neg/mul/inv/frobenius tables            |
+| `least_primitive_scan`      | the base of `Field`'s tables, by stepping powers    |
+| `monic_polys`               | building block of the three below                   |
 | `brute_gcd`                 | `polyring.poly_gcd`                                 |
+| `irreducible_scan`          | `polyring.is_irreducible`, by trial division        |
+| `least_irreducible_scan`    | `Field`'s default modulus                           |
 | `poly_eval`                 | `crt` roots and root-free factors, by Horner's rule |
-| `first_root_scan`           | `polyring.first_root`, one `poly_eval` per element  |
+| `first_root_scan`           | `polyring.first_roots`, one `poly_eval` per element |
 | `root_of_unity_scan`        | the log-table root of unity of `factor_xn_minus_1`  |
 | `einsum_prime_tables`       | `RingTables` neg/recip/weight/add/times             |
 | `sum_weight_table`          | the Q x Q table of weight(u + v) behind             |
@@ -70,7 +74,6 @@ from fourcirc.polyring import (
     QuotientRing,
     cyclotomic_cosets,
     factor_xn_minus_1,
-    monic_polys,
     poly_divmod,
 )
 
@@ -153,6 +156,31 @@ class SchoolbookField:
         return result
 
 
+def least_primitive_scan(ref) -> int:
+    """Least code of multiplicative order q - 1 in the SchoolbookField ref,
+    by stepping through the powers of each code in turn until one is 1."""
+    for z in range(1, ref.q):
+        x, order = z, 1
+        while x != 1:
+            x, order = ref.mul(x, z), order + 1
+        if order == ref.q - 1:
+            return z
+    raise ValueError(f"no primitive element in F_{ref.q}")
+
+
+def monic_polys(field, d):
+    """All monic polynomials of degree d, ascending code order of lower coefficients."""
+    q = field.q
+    for c in range(q**d):
+        coeffs = []
+        v = c
+        for _ in range(d):
+            coeffs.append(v % q)
+            v //= q
+        coeffs.append(1)
+        yield tuple(coeffs)
+
+
 def brute_gcd(field, f, g):
     """Largest-degree monic common divisor, by scanning every candidate."""
     best = ()
@@ -163,6 +191,24 @@ def brute_gcd(field, f, g):
                 if d >= len(best) - 1:
                     best = h
     return best
+
+
+def irreducible_scan(field, f) -> bool:
+    """Trial division by every monic polynomial of degree <= deg(f)/2."""
+    d = len(f) - 1
+    if d < 1:
+        return False
+    for e in range(1, d // 2 + 1):
+        for g in monic_polys(field, e):
+            if not poly_divmod(field, f, g)[1]:
+                return False
+    return True
+
+
+def least_irreducible_scan(p: int, k: int):
+    """First monic irreducible of degree k over F_p in monic_polys order."""
+    prime = Field(p)
+    return next(f for f in monic_polys(prime, k) if irreducible_scan(prime, f))
 
 
 def poly_eval(field: Field, f, x: int) -> int:

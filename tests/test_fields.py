@@ -5,7 +5,7 @@ import pytest
 
 from fourcirc.fields import Embedding, Field, field_of_order, field_sum, is_prime, power_text, quad_char
 
-from oracles import SchoolbookField
+from oracles import SchoolbookField, least_irreducible_scan, least_primitive_scan
 
 
 def test_power_text_writes_digits_or_powers():
@@ -18,7 +18,7 @@ def test_power_text_writes_digits_or_powers():
 
 
 def _prime_powers(limit):
-    return [(p, k) for p in range(2, limit + 1) if is_prime(p) for k in range(1, 9) if p**k <= limit]
+    return [(p, k) for p in range(2, limit + 1) if is_prime(p) for k in range(1, limit.bit_length()) if p**k <= limit]
 
 SMALL_FIELDS = [
     Field(2),
@@ -63,6 +63,39 @@ def test_deterministic_modulus():
     assert Field(2, 4).modulus == (1, 1, 0, 0, 1)
     # least quadratic over F_3 is y^2 + 1
     assert Field(3, 2).modulus == (1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "p,k", [(p, k) for p, k in _prime_powers(1 << 12) if k > 1] + [(2, 16), (3, 10), (5, 6), (251, 2)],
+    ids=lambda v: str(v),
+)
+def test_default_modulus_is_least_irreducible(p, k):
+    assert Field(p, k).modulus == least_irreducible_scan(p, k)
+
+
+@pytest.mark.parametrize(
+    "p,k", _prime_powers(256) + [(p, k) for p, k in _prime_powers(1 << 12) if k > 1 and p**k > 256],
+    ids=lambda v: str(v),
+)
+def test_generator_is_least_primitive(p, k):
+    # the base of the tables is g = exp_table[1]
+    F = Field(p, k)
+    assert F.exp_table[1] == least_primitive_scan(SchoolbookField(p, k, F.modulus))
+
+
+@pytest.mark.parametrize("p,k", [(3, 10), (251, 2)])
+def test_one_doubling_run_per_field(p, k, monkeypatch):
+    # the least primitive element is 34 in F_(3^10) and 256 in F_(251^2)
+    calls = []
+    powers = Field._powers
+
+    def counted(self, g):
+        calls.append(g)
+        return powers(self, g)
+
+    monkeypatch.setattr(Field, "_powers", counted)
+    F = Field(p, k)
+    assert calls == [F.exp_table[1]] == [{3: 34, 251: 256}[p]]
 
 
 @pytest.mark.parametrize("p,k", _prime_powers(256), ids=lambda v: str(v))

@@ -1,18 +1,19 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourcirc import codes, polyring
-from fourcirc.fields import Field, field_of_order
+from fourcirc.fields import Embedding, Field, field_of_order
 from fourcirc.polyring import (
     QuotientRing,
     _check_expansion,
     cyclotomic_cosets,
     factor_xn_minus_1,
-    first_root,
+    first_roots,
     is_irreducible,
     is_primitive_root,
     monic_reciprocal,
@@ -29,6 +30,8 @@ from oracles import (
     brute_gcd,
     einsum_prime_tables,
     first_root_scan,
+    irreducible_scan,
+    monic_polys,
     order_scan,
     is_two_factor_case,
     poly_eval,
@@ -93,6 +96,14 @@ def test_is_irreducible():
     assert not is_irreducible(F3, (2, 0, 1))  # x^2 - 1
     assert is_irreducible(F2, (1, 1))
     assert not is_irreducible(F2, (1,))
+
+
+@pytest.mark.parametrize("field,top", [(F2, 6), (F3, 6), (F5, 6), (Field(7), 4), (F4, 3)], ids=lambda v: str(v))
+def test_is_irreducible_matches_trial_division(field, top):
+    # Rabin's test against trial division, every monic polynomial of degree <= top
+    for d in range(top + 1):
+        for f in monic_polys(field, d):
+            assert is_irreducible(field, f) == irreducible_scan(field, f), f
 
 
 # -- quotient ring ----------------------------------------------------------
@@ -291,22 +302,44 @@ def test_two_factor_case_matches_primitive_root():
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (7, 1), (2, 11)])
-@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("chunk", [None, 1, 7, 64])
 def test_first_root_matches_scan(p, k, chunk, monkeypatch):
-    if chunk:  # several chunks, the last one short
+    if chunk:  # several chunks, the last one short, so roots fall in later chunks
         monkeypatch.setattr(polyring, "ROOT_CHUNK", chunk)
     field = Field(p, k)
     rng = random.Random(p * 100 + k)
     polys = [(), (1,), (0, 0, 1), (field.q - 1, 0, 1)]
     polys += [poly_trim([rng.randrange(field.q) for _ in range(rng.randint(2, 6))]) for _ in range(30)]
+    rooted, want, rootless = [], [], []
     for f in polys:
         try:
-            want = first_root_scan(field, f)
+            want.append(first_root_scan(field, f))
+            rooted.append(f)
         except ValueError:
-            with pytest.raises(ValueError, match="has no root"):
-                first_root(field, f)
-        else:
-            assert first_root(field, f) == want, f
+            rootless.append(f)
+    assert first_roots(field, rooted) == want
+    assert rootless
+    for f in rootless:
+        with pytest.raises(ValueError, match=re.escape(f"polynomial {list(f)} has no root")):
+            first_roots(field, rooted[:3] + [f])
+    assert first_roots(field, []) == []
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 23), (2, 1, 89), (2, 2, 5)])
+@pytest.mark.parametrize("chunk", [None, 1, 7, 64])
+def test_first_roots_of_plan_groups(p, k, n, chunk, monkeypatch):
+    # the embedded factors of x^n - 1 of each degree, as crt's plan finds their roots
+    if chunk:
+        monkeypatch.setattr(polyring, "ROOT_CHUNK", chunk)
+    base = Field(p, k)
+    by_degree = {}
+    for g, _ in factor_xn_minus_1(base, n).factors():
+        by_degree.setdefault(len(g) - 1, []).append(g)
+    for d, group in by_degree.items():
+        ext = Field(p, k * d)
+        emb = Embedding(base, ext)
+        polys = [tuple(emb.apply(c) for c in g) for g in group]
+        assert first_roots(ext, polys) == [first_root_scan(ext, f) for f in polys], d
 
 
 # -- factorization ----------------------------------------------------------------
@@ -379,7 +412,8 @@ def test_factorization_properties():
             # irreducibility, exhaustive trial division up to degree 6
             for g in factors:
                 if len(g) - 1 <= 6:
-                    assert is_irreducible(field, g)
+                    assert irreducible_scan(field, g)
+                assert is_irreducible(field, g)
                 if len(g) - 1 > 1:
                     for x in field.elements():
                         assert poly_eval(field, g, x) != 0
