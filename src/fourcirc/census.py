@@ -107,23 +107,13 @@ def _self_duality(field: Field, n: int) -> tuple[np.ndarray, np.ndarray]:
     (a, b) is self-dual, 1 + a*a' + b*b' = 0, exactly when the first at b
     is the second at a.  Kept, read-only, for the most recent (field, n).
 
-    Coefficient k of u*u' is the sum over i of u_i * u_(i-k).  It is read
-    off the coefficient logarithms of all residues at once, one lag k at a
-    time: Q*n products per lag, in O(Q*n) memory.  u*u' is its own
-    reciprocal, so lag n - k repeats lag k.
+    u*u' is the norm of the ring tables.  Adding 1 adds 1 to its constant
+    coefficient's lowest F_p digit, the lowest base-p digit of the index.
     """
-    qpw = field.q ** np.arange(n)
-    logs = field.log_array[QuotientRing(field, n).tables().coeffs]  # logs[u, i]: log of coefficient i of u
-    i = np.arange(n)
-    prod = np.empty(logs.shape, dtype=np.int64)  # prod[u, k]: coefficient k of u*u'
-    for k in range(n // 2 + 1):
-        prod[:, k] = field_sum(field, field.exp_array[logs + logs[:, i - k]], 1)
-        prod[:, -k] = prod[:, k]
-    have = prod @ qpw
-    const = prod[:, 0]
-    const += (const + 1) % field.p - const % field.p  # add 1 to the constant digit
-    need = field.neg_array[prod] @ qpw
-    have.flags.writeable = need.flags.writeable = False
+    t, p = QuotientRing(field, n).tables(), field.p
+    have = t.norm
+    need = t.neg[have - have % p + (have + 1) % p]
+    need.flags.writeable = False
     return have, need
 
 

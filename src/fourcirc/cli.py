@@ -42,12 +42,15 @@ from .polyring import QuotientRing, factor_xn_minus_1
 
 def default_cap() -> int:
     env = os.environ.get("FOURCIRC_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"FOURCIRC_CAP must be an integer, got {env!r}") from None
-    return DEFAULT_CAP
+    if env is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError(f"FOURCIRC_CAP must be an integer, got {env!r}") from None
+    if cap < 0:
+        raise ValueError(f"FOURCIRC_CAP must be at least 0, got {cap}")
+    return cap
 
 
 def parse_q(text: str) -> tuple[int, int]:
@@ -567,10 +570,10 @@ def main(argv=None) -> int:
         gc.freeze()  # --version and usage errors exit inside parse_args
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is not None and args.workers < 1:
-        parser.error(f"argument --workers: must be at least 1, got {args.workers}")
-    if getattr(args, "top", 0) < 0:
-        parser.error(f"argument --top: must be at least 0, got {args.top}")
+    for name, least in (("workers", 1), ("cap", 0), ("top", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            parser.error(f"argument --{name}: must be at least {least}, got {value}")
     if args.output:
         problem = _output_problem(args.output)
         if problem:

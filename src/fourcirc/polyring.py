@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -394,15 +394,15 @@ class RingTables:
     """Index-space tables of a quotient ring, indexed by element code.
 
     coeffs is the size x n array of coefficient codes of every element;
-    neg, recip and weight are flat int64 arrays; add(x, y) and times(m)
-    give the indices of sums and of products c*m; units marks the
-    elements coprime to x^n - 1.  An element code is also the base-p
-    number of the n*k F_p digits of its coefficients, held in
-    digit_vectors, and addition and multiplication by a fixed m act on
-    those digits F_p-linearly (times_matrices).  units is built on first
-    use.  No table holds more than Q * n * k entries.  The sweep, orbit
-    labelling, membership and report rendering read these tables; the
-    distance engine (codes.least_weight_messages) needs none of them.
+    neg, recip and norm are flat int64 arrays, the indices of -u, u' and
+    u*u'; add(x, y) and times(m) give the indices of sums and of products
+    c*m; units marks the elements coprime to x^n - 1.  An element code is
+    also the base-p number of the n*k F_p digits of its coefficients, held
+    in digit_vectors, and addition and multiplication by a fixed m act on
+    those digits F_p-linearly (times_matrices).  norm and units are built
+    on first use.  No table holds more than Q * n * k entries.  The sweep,
+    orbit labelling, membership and report rendering read these tables;
+    the distance engine (codes.least_weight_messages) needs none of them.
     """
 
     def __init__(self, ring: QuotientRing):
@@ -416,8 +416,7 @@ class RingTables:
         qpw = q ** np.arange(n)
         self.neg = field.neg_array[self.coeffs] @ qpw
         self.recip = self.coeffs[:, [(n - j) % n for j in range(n)]] @ qpw
-        self.weight = (self.coeffs != 0).sum(axis=1)
-        for arr in (self.coeffs, self.neg, self.recip, self.weight, self.digit_vectors, self.digit_powers):
+        for arr in (self.coeffs, self.neg, self.recip, self.digit_vectors, self.digit_powers):
             arr.flags.writeable = False  # shared by every ring of the same field and n
 
     def add(self, x, y) -> np.ndarray:
@@ -425,35 +424,42 @@ class RingTables:
         P = self.digit_vectors
         return (P[x] + P[y]) % self.field.p @ self.digit_powers
 
-    def times(self, m: int, rows: Optional[int] = None) -> np.ndarray:
-        """Index of c*m for every element index c, or for the first rows of them."""
+    def times(self, m: int) -> np.ndarray:
+        """Index of c*m for every element index c."""
         field = self.field
-        return self.digit_vectors[:rows] @ times_matrices(field, self.coeffs[m]) % field.p @ self.digit_powers
+        return self.digit_vectors @ times_matrices(field, self.coeffs[m]) % field.p @ self.digit_powers
+
+    @cached_property
+    def norm(self) -> np.ndarray:
+        """Index of u*u' for every element u.  Its coefficient k, the sum over
+        i of u_i * u_(i-k), is read off the coefficient logarithms of all
+        elements at once, one lag k at a time, in O(Q*n) memory; u*u' is its
+        own reciprocal, so lag n - k repeats lag k."""
+        field, n = self.field, self.n
+        logs = field.log_array[self.coeffs]  # logs[u, i]: log of coefficient i of u
+        i = np.arange(n)
+        prod = np.empty(logs.shape, dtype=np.int64)  # prod[u, k]: coefficient k of u*u'
+        for k in range(n // 2 + 1):
+            prod[:, k] = field_sum(field, field.exp_array[logs + logs[:, i - k]], 1)
+            prod[:, -k] = prod[:, k]
+        norm = prod @ field.q ** i
+        norm.flags.writeable = False
+        return norm
 
     @cached_property
     def units(self) -> np.ndarray:
         """Whether each element is a unit, that is coprime to x^n - 1.
 
-        Write n = p^e * m with p not dividing m; then x^n - 1 = (x^m - 1)^(p^e),
-        and u is a non-unit exactly when an irreducible factor g of x^m - 1
-        divides it, that is when u = g*v with deg v < n - deg g.  Those v
-        are the first q^(n - deg g) element indices, so only their rows of
-        times(g) are built.  When x^m - 1 splits only above the field order
-        cap, every element gets one gcd instead.
+        u -> u' is a ring automorphism, so u is a unit exactly when u*u' is,
+        and u*u', its own reciprocal, takes at most q^(n//2 + 1) values: one
+        QuotientRing.is_unit gcd per value taken, gathered back through norm.
         """
-        field, n = self.field, self.n
-        ring = QuotientRing(field, n)
-        m = n
-        while m % field.p == 0:
-            m //= field.p
-        try:
-            factors = factor_xn_minus_1(field, m).factors()
-        except ValueError:
-            units = np.array([ring.is_unit(u) for u in ring.elements()])
-        else:
-            units = np.ones(self.size, dtype=bool)
-            for g, _ in factors:
-                units[self.times(ring.index(ring.reduce(g)), field.q ** (n - poly_degree(g)))] = False
+        ring = QuotientRing(self.field, self.n)
+        unit_at = np.zeros(self.size, dtype=bool)
+        unit_at[self.norm] = True  # the values norm takes, then whether each is a unit
+        for v in np.flatnonzero(unit_at).tolist():
+            unit_at[v] = ring.is_unit(ring.element(v))
+        units = unit_at[self.norm]
         units.flags.writeable = False
         return units
 

@@ -16,7 +16,7 @@ import ...`, the way they import `helpers`.
 | `poly_eval`                 | `crt` roots and root-free factors, by Horner's rule |
 | `first_root_scan`           | `polyring.first_roots`, one `poly_eval` per element |
 | `root_of_unity_scan`        | the log-table root of unity of `factor_xn_minus_1`  |
-| `einsum_prime_tables`       | `RingTables` neg/recip/weight/add/times             |
+| `einsum_prime_tables`       | `RingTables` neg/recip/add/times, weights of coeffs |
 | `sum_weight_table`          | the Q x Q table of weight(u + v) behind             |
 |                             | `message_weights`, coefficient by coefficient       |
 | `is_two_factor_case`        | `polyring.is_primitive_root`, by coset count        |
@@ -471,7 +471,7 @@ def message_weights(t, pairs):
     weight(c*a - d*b') + weight(c*b + d*a'), and the zero message gets
     4n + 1, above every real weight."""
     SW = sum_weight_table(t)
-    W = t.weight.astype(np.int8)
+    W = (t.coeffs != 0).sum(axis=1).astype(np.int8)
     for ai, bi in pairs:
         wt = SW[t.times(ai)][:, t.neg[t.times(t.recip[bi])]]  # weight(c*a - d*b')
         wt += SW[t.times(bi)][:, t.times(t.recip[ai])]  # weight(c*b + d*a')

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fourcirc import census, cli, polyring
+from fourcirc import census, cli, fields, polyring
 from fourcirc.census import (
     PAIR_WORDS,
     artin_scan,
@@ -653,16 +653,16 @@ def test_membership_word_validation():
         sw.word_index([1, 0, 0, 0, 0, 0, 0, 7])  # was index 897, past Q^4 = 256
 
 
-@pytest.mark.parametrize("p,k,n", [(2, 1, 1), (2, 1, 4), (2, 1, 6), (3, 1, 5), (3, 1, 6), (2, 2, 3), (5, 1, 4)])
+UNIT_POINTS = [(2, 1, 1), (2, 1, 4), (2, 1, 6), (3, 1, 5), (3, 1, 6), (2, 2, 3), (5, 1, 4)]
+
+
+@pytest.mark.parametrize("p,k,n", UNIT_POINTS)
 def test_units_match_gcd_on_every_residue(p, k, n, monkeypatch):
-    # from the multiples of the factors of x^m - 1, folded when p divides n,
-    # and by the per-residue gcd that runs when x^m - 1 splits above the
-    # field order cap
+    # one gcd per value of u*u', gathered back to every residue, against one
+    # gcd per residue; with factor_xn_minus_1 failing, as the mask must not
+    # need the factors (p divides n at (2, 4), (2, 6) and (3, 6))
     ring = QuotientRing(Field(p, k), n)
     want = np.array([ring.is_unit(u) for u in ring.elements()])
-    polyring._ring_tables.cache_clear()
-    np.testing.assert_array_equal(ring.tables().units, want, strict=True)  # bool, as want
-    assert 0 < want.sum() < ring.size
 
     def too_large(field, n):
         raise ValueError("splitting field above the cap")
@@ -670,9 +670,43 @@ def test_units_match_gcd_on_every_residue(p, k, n, monkeypatch):
     monkeypatch.setattr(polyring, "factor_xn_minus_1", too_large)
     polyring._ring_tables.cache_clear()
     try:
-        np.testing.assert_array_equal(ring.tables().units, want, strict=True)
+        units = ring.tables().units
+        np.testing.assert_array_equal(units, want, strict=True)  # bool, as want
+        assert not units.flags.writeable
     finally:
         polyring._ring_tables.cache_clear()
+    assert 0 < want.sum() < ring.size
+
+
+def unit_count_formula(q: int, n: int) -> int:
+    """|R(n, F_q)^x| for n = p^e * m, p the characteristic and p not
+    dividing m: the product over the cyclotomic cosets C of q mod m of
+    (q^|C| - 1) * q^(|C| * (p^e - 1))."""
+    p = next(r for r in range(2, q + 1) if q % r == 0)
+    m, pe = n, 1
+    while m % p == 0:
+        m, pe = m // p, pe * p
+    count, seen = 1, set()
+    for start in range(m):
+        if start not in seen:
+            coset = {start * q**i % m for i in range(m)}
+            seen |= coset
+            count *= (q ** len(coset) - 1) * q ** (len(coset) * (pe - 1))
+    return count
+
+
+@pytest.mark.parametrize("p,k,n", UNIT_POINTS)
+def test_unit_count_matches_closed_form(p, k, n):
+    ring = QuotientRing(Field(p, k), n)
+    assert int(ring.tables().units.sum()) == unit_count_formula(p**k, n)
+
+
+def test_unit_count_formula_examples():
+    # x^7 - 1 = (x + 1)(x^3 + x + 1)(x^3 + x^2 + 1) over F_2; (x + 1)^4 = x^4 - 1
+    assert unit_count_formula(2, 7) == 1 * 7 * 7
+    assert unit_count_formula(2, 4) == 1 * 2**3
+    assert unit_count_formula(3, 1) == 2
+    assert unit_count_formula(2, 19) == 262143  # one coset of size 18 besides {0}
 
 
 def test_membership_census_cap_counts_its_work():
@@ -710,6 +744,35 @@ def test_membership_census_builds_no_weight_table():
     assert largest_table(QuotientRing(F2, 13).tables()) <= 2**13 * 13
 
 
+def test_membership_builds_no_extension_field(monkeypatch):
+    # the unit mask reads u*u', not the factors of x^n - 1, which at (3, 5)
+    # would need F_81 and at (2, 6) the factors of x^3 - 1 over F_4
+    built = []
+    init = Field.__init__
+
+    def counting_init(self, p, k=1, modulus=None):
+        built.append((p, k))
+        init(self, p, k, modulus)
+
+    def no_factors(field, n):
+        raise AssertionError("membership factors x^n - 1")
+
+    monkeypatch.setattr(Field, "__init__", counting_init)
+    monkeypatch.setattr(polyring, "factor_xn_minus_1", no_factors)
+    caches = (fields.default_field, polyring._ring_tables, census._self_duality)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        word = ((1, 2, 0, 0, 0), (0, 1, 1, 0, 0), (2,) * 5, (0, 0, 1, 0, 0))
+        assert membership_census(F3, 5, word).unit_count <= 3**5 * 2
+        assert max(membership_sweep(F2, 2).unit_counts) > 0
+        membership_census(F2, 6, ((1,) + (0,) * 5,) + ((0,) * 6,) * 3)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert built == []
+
+
 def test_membership_bound_unit_pairs():
     sw = membership_sweep(F2, 3)
     max_unit, _ = sw.max_nonconstant("unit")
@@ -727,6 +790,22 @@ def test_membership_unique_always_count_one():
         if rep.unique:
             assert rep.count == 1
             assert rep.solution_valid
+
+
+@pytest.mark.parametrize("field, n", [(F2, 3), (F2, 4), (F2, 5), (F3, 3), (F4, 3)])
+def test_membership_count_one_exactly_when_unique(field, n):
+    # over every word: (a, b) -> (c*a - d*b', c*b + d*a') is F_q-linear, so
+    # a word lies in one code exactly when that map is injective, that is
+    # when c*c' + d*d' is a unit (the gcd of QuotientRing.is_unit, not the
+    # tables' mask); n = 4 has repeated roots
+    ring = QuotientRing(field, n)
+    Q = ring.size
+    elems = list(ring.elements())
+    norms = [ring.mul(u, ring.reciprocal(u)) for u in elems]
+    unique = np.array([ring.is_unit(ring.add(norms[c], norms[d])) for d in range(Q) for c in range(Q)])  # at c + Q*d
+    counts = np.frombuffer(membership_sweep(field, n).counts, dtype=np.intc).reshape(Q * Q, Q * Q)
+    np.testing.assert_array_equal(counts == 1, np.broadcast_to(unique, counts.shape))
+    assert 0 < unique.sum() < Q * Q
 
 
 def test_constant_vectors():

@@ -222,6 +222,18 @@ def test_top_must_be_nonnegative():
     assert run_json("search", "--q", "2", "--n", "3", "--top", "0")["report"]["top"] == []
 
 
+def test_cap_must_be_nonnegative():
+    # a validation error that names the argument, not a cap refusal (exit 3)
+    argv = ("distance", "--q", "2", "--n", "3", "--a", "1", "--b", "0")
+    proc = run_cli(*argv, "--cap", "-1", expect=2)
+    assert "--cap" in proc.stderr and "Traceback" not in proc.stderr
+    proc = subprocess.run(CLI + list(argv), capture_output=True, text=True, timeout=300,
+                          env=child_env(FOURCIRC_CAP="-1"))
+    assert proc.returncode == 2, proc.stderr
+    assert "FOURCIRC_CAP" in proc.stderr and "Traceback" not in proc.stderr
+    assert "cap is 0" in run_cli(*argv, "--cap", "0", expect=3).stderr  # 0 refuses every job
+
+
 def test_json_round_trip():
     proc = run_cli("check", "--q", "2", "--n", "3", "--a", "0,1,0", "--b", "0,0,0")
     payload = json.loads(proc.stdout)
