@@ -424,7 +424,7 @@ def membership_census(field: Field, n: int, word, cap: int = DEFAULT_CAP) -> Mem
     c_rec = ring.reciprocal(c)
     d_rec = ring.reciprocal(d)
     delta = ring.add(ring.mul(c, c_rec), ring.mul(d, d_rec))
-    unique = ring.is_unit(delta)
+    unique = bool(t.units[ring.index(delta)])
     solution = None
     solution_valid = None
     if unique:

@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .fields import power_text
+from .fields import inverse_matrices, power_text
 from .polyring import QuotientRing, chunk_tables, times_matrices
 
 DEFAULT_CAP = 1 << 26
@@ -309,10 +309,11 @@ def least_weight_messages(ring: QuotientRing, ab: np.ndarray, witness: bool = Tr
         # the digits of a*a' + b*b': row 0 of a matrix holds the digits of 1*a or of 1*b
         delta = (times[:, 0, :1] @ times[:, 2] + times[:, 1, :1] @ times[:, 3])[:, 0] % p
         unit, blocks = (delta == minus_one).all(axis=1), times[:, order] * signs
-        for j in np.flatnonzero(~unit).tolist():
-            element = tuple((delta[j].reshape(n, k) @ place).tolist())
-            if ring.is_unit(element):
-                unit[j], blocks[j, 4:] = True, -blocks[j, 4:] @ times_matrices(field, ring.inv(element))
+        other = np.flatnonzero(~unit)
+        if len(other):  # Delta is a unit when its matrix M_a M_a' + M_b M_b' is invertible; the inverse replaces -1
+            inverses, invertible = inverse_matrices(field, (times[other, :2] @ times[other, 2:]).sum(axis=1))
+            other = other[invertible]
+            unit[other], blocks[other, 4:] = True, -blocks[other, 4:] @ inverses[invertible, None]
         gens = (blocks % p).transpose(0, 2, 1, 3).reshape(len(rows), nk, 8 * nk)
         out = np.empty((len(rows), 2 + 2 * n), dtype=np.int64)
         for h, sel in ((1, ~unit), (2, unit)):

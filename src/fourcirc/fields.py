@@ -102,19 +102,45 @@ def mul_matrices(field: "Field", xs) -> np.ndarray:
     return np.stack(cols, axis=2)
 
 
+def inverse_matrices(field: "Field", mats) -> tuple[np.ndarray, np.ndarray]:
+    """(inverses, invertible) over F_p of a stack of square integer
+    matrices (N, m, m), taken mod p, by Gauss-Jordan elimination on [M | I]
+    for all N at once: inverses[i] (int64) is meaningful where
+    invertible[i].  Pivots are inverted through the field's log/exp tables,
+    as codes below p are F_p, and at column c only columns c and up of
+    [M | I] still change.  A zero pivot has inverse 0, so its row stays
+    zero and the diagonal of M's side ends 1 exactly where M is invertible.
+    """
+    p, q, (count, m, _) = field.p, field.q, np.shape(mats)
+    inverse = field.exp_array[q - 1 - field.log_array[:p]]  # and 0 at 0, whose index q - 1 - 2(q - 1) wraps to a 0
+    work = np.zeros((count, m, 2 * m), dtype=np.min_scalar_type(p * (p - 1)))
+    work[:, :, :m], work[:, :, m:] = np.asarray(mats) % p, np.eye(m, dtype=work.dtype)
+    at = np.arange(count)
+    for c in range(m):
+        pivot = c + np.argmax(work[:, c:, c] != 0, axis=1)  # the first row at or below c with a nonzero in column c
+        top = work[at, pivot, c:]
+        work[at, pivot, c:] = work[:, c, c:]
+        work[:, c, c:] = top * inverse[top[:, :1]] % p
+        factor = (p - work[:, :, c : c + 1]) % p  # clears column c
+        factor[:, c] = 0
+        work[:, :, c:] = (work[:, :, c:] + factor * work[:, c : c + 1, c:]) % p
+    return work[:, :, m:].astype(np.int64), work[:, :, :m].diagonal(axis1=1, axis2=2).all(axis=1)
+
+
 def _lexleast_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """First monic irreducible of degree k in ascending code order.
+    """First monic irreducible of degree k >= 2 in ascending code order.
 
     Candidates are ordered by the integer encoding of their lower
     coefficients (c_0 + c_1 p + ...), which makes the choice reproducible
-    byte for byte across runs and platforms.
+    byte for byte across runs and platforms.  Those with the root 0 (c_0 =
+    0) or 1 (coefficient sum 0 mod p) are passed over before Rabin's test.
     """
     from .polyring import is_irreducible
 
     prime = default_field(p)
     for c in range(p**k):
         f = tuple(c // p**j % p for j in range(k)) + (1,)
-        if is_irreducible(prime, f):
+        if f[0] and sum(f) % p and is_irreducible(prime, f):
             return f
     raise AssertionError(f"no irreducible polynomial of degree {k} over F_{p}")
 

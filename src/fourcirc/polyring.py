@@ -16,7 +16,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fields import ORDER_CAP, Field, default_field, digits, embedding, field_sum, power_text, prime_divisors
+from .fields import (ORDER_CAP, Field, default_field, digits, embedding, field_sum, inverse_matrices, mul_matrices,
+                     power_text, prime_divisors)
 
 Poly = tuple  # coefficient tuple, ascending
 RingElem = tuple  # exactly n coefficients
@@ -52,12 +53,6 @@ def poly_neg(field: Field, f: Poly) -> Poly:
 
 def poly_sub(field: Field, f: Poly, g: Poly) -> Poly:
     return poly_add(field, f, poly_neg(field, g))
-
-
-def poly_scale(field: Field, c: int, f: Poly) -> Poly:
-    if c == 0:
-        return ()
-    return poly_trim([field.mul(c, x) for x in f])
 
 
 def poly_mul(field: Field, f: Poly, g: Poly) -> Poly:
@@ -103,7 +98,8 @@ def poly_mod(field: Field, f: Poly, g: Poly) -> Poly:
 def poly_monic(field: Field, f: Poly) -> Poly:
     if not f:
         return ()
-    return poly_scale(field, field.inv(f[-1]), f)
+    lead_inv = field.inv(f[-1])
+    return tuple(field.mul(lead_inv, c) for c in f)
 
 
 def poly_gcd(field: Field, f: Poly, g: Poly) -> Poly:
@@ -112,22 +108,6 @@ def poly_gcd(field: Field, f: Poly, g: Poly) -> Poly:
     while b:
         a, b = b, poly_mod(field, a, b)
     return poly_monic(field, a)
-
-
-def poly_ext_gcd(field: Field, f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
-    """Return (d, s, t), monic d = gcd(f, g) with s*f + t*g = d."""
-    r0, r1 = poly_trim(f), poly_trim(g)
-    s0, s1 = (field.one,), ()
-    t0, t1 = (), (field.one,)
-    while r1:
-        q, r = poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(field, s0, poly_mul(field, q, s1))
-        t0, t1 = t1, poly_sub(field, t0, poly_mul(field, q, t1))
-    if not r0:
-        return (), s0, t0
-    c = field.inv(r0[-1])
-    return poly_scale(field, c, r0), poly_scale(field, c, s0), poly_scale(field, c, t0)
 
 
 ROOT_CHUNK = 1 << 9  # elements first_roots evaluates the polynomials at in one pass
@@ -265,7 +245,9 @@ def cyclotomic_cosets(q: int, n: int) -> list[list[int]]:
 # quotient ring
 
 class QuotientRing:
-    """R(n, F_q) with residues as length-n coefficient tuples."""
+    """R(n, F_q) with residues as length-n coefficient tuples.  u is a unit
+    when its F_p multiplication matrix (times_matrices) is invertible
+    (inverse_matrices), and row 0 of the inverse holds the digits of u^-1."""
 
     def __init__(self, field: Field, n: int):
         if n < 1:
@@ -276,10 +258,6 @@ class QuotientRing:
         self.zero: RingElem = (0,) * n
         self.one: RingElem = (1,) + (0,) * (n - 1) if n > 1 else (1,)
         self.all_ones: RingElem = (1,) * n
-        # x^n - 1 as a dense polynomial, used for unit tests and inverses
-        self.modulus_poly: Poly = poly_trim(
-            [field.neg(1)] + [0] * (n - 1) + [1]
-        )
 
     # -- enumeration ---------------------------------------------------------
 
@@ -356,29 +334,16 @@ class QuotientRing:
     def weight(self, u: RingElem) -> int:
         return sum(1 for c in u if c)
 
-    # -- lifting and units -----------------------------------------------------
-
-    def lift(self, u: RingElem) -> Poly:
-        return poly_trim(u)
-
-    def reduce(self, f: Sequence[int]) -> RingElem:
-        """Fold a dense polynomial modulo x^n - 1."""
-        F, n = self.field, self.n
-        acc = [0] * n
-        for i, c in enumerate(f):
-            if c:
-                acc[i % n] = F.add(acc[i % n], c)
-        return tuple(acc)
+    # -- units ------------------------------------------------------------------
 
     def is_unit(self, u: RingElem) -> bool:
-        g = poly_gcd(self.field, self.lift(u), self.modulus_poly)
-        return poly_degree(g) == 0
+        return bool(inverse_matrices(self.field, times_matrices(self.field, [u]))[1][0])
 
     def inv(self, u: RingElem) -> RingElem:
-        d, s, _ = poly_ext_gcd(self.field, self.lift(u), self.modulus_poly)
-        if poly_degree(d) != 0:
+        inverses, invertible = inverse_matrices(self.field, times_matrices(self.field, [u]))
+        if not invertible[0]:
             raise ValueError("ring element is not a unit")
-        return self.reduce(poly_scale(self.field, self.field.inv(d[0]), s))
+        return tuple((inverses[0, 0].reshape(self.n, -1) @ self.field.p ** np.arange(self.field.k)).tolist())
 
     # -- index tables ----------------------------------------------------------
 
@@ -390,15 +355,19 @@ class QuotientRing:
         return f"QuotientRing(q={self.field.q}, n={self.n})"
 
 
+NORM_BLOCK = 1 << 15  # elements RingTables.norm multiplies out at once
+
+
 class RingTables:
     """Index-space tables of a quotient ring, indexed by element code.
 
     coeffs is the size x n array of coefficient codes of every element;
     neg, recip and norm are flat int64 arrays, the indices of -u, u' and
     u*u'; add(x, y) and times(m) give the indices of sums and of products
-    c*m; units marks the elements coprime to x^n - 1.  An element code is
-    also the base-p number of the n*k F_p digits of its coefficients, held
-    in digit_vectors, and addition and multiplication by a fixed m act on
+    c*m; units marks the elements coprime to x^n - 1, those with an
+    invertible multiplication matrix.  An element code is also the base-p
+    number of the n*k F_p digits of its coefficients, held in
+    digit_vectors, and addition and multiplication by a fixed m act on
     those digits F_p-linearly (times_matrices).  norm and units are built
     on first use.  No table holds more than Q * n * k entries.  The sweep,
     orbit labelling, membership and report rendering read these tables;
@@ -432,17 +401,20 @@ class RingTables:
     @cached_property
     def norm(self) -> np.ndarray:
         """Index of u*u' for every element u.  Its coefficient k, the sum over
-        i of u_i * u_(i-k), is read off the coefficient logarithms of all
-        elements at once, one lag k at a time, in O(Q*n) memory; u*u' is its
-        own reciprocal, so lag n - k repeats lag k."""
+        i of u_i * u_(i-k), is read off the coefficient logarithms of
+        NORM_BLOCK elements at a time, one lag k at a time, so no temporary
+        holds more than NORM_BLOCK * n entries; u*u' is its own reciprocal,
+        so lag n - k repeats lag k."""
         field, n = self.field, self.n
-        logs = field.log_array[self.coeffs]  # logs[u, i]: log of coefficient i of u
         i = np.arange(n)
-        prod = np.empty(logs.shape, dtype=np.int64)  # prod[u, k]: coefficient k of u*u'
-        for k in range(n // 2 + 1):
-            prod[:, k] = field_sum(field, field.exp_array[logs + logs[:, i - k]], 1)
-            prod[:, -k] = prod[:, k]
-        norm = prod @ field.q ** i
+        norm = np.empty(self.size, dtype=np.int64)
+        for start in range(0, self.size, NORM_BLOCK):
+            logs = field.log_array[self.coeffs[start : start + NORM_BLOCK]]  # logs[u, i]: log of coefficient i of u
+            prod = np.empty(logs.shape, dtype=np.int64)  # prod[u, k]: coefficient k of u*u'
+            for k in range(n // 2 + 1):
+                prod[:, k] = field_sum(field, field.exp_array[logs + logs[:, i - k]], 1)
+                prod[:, -k] = prod[:, k]
+            norm[start : start + NORM_BLOCK] = prod @ field.q**i
         norm.flags.writeable = False
         return norm
 
@@ -452,14 +424,14 @@ class RingTables:
 
         u -> u' is a ring automorphism, so u is a unit exactly when u*u' is,
         and u*u', its own reciprocal, takes at most q^(n//2 + 1) values: one
-        QuotientRing.is_unit gcd per value taken, gathered back through norm.
+        inverse_matrices call decides them all, on their times_matrices, and
+        the answers are gathered back through norm.
         """
-        ring = QuotientRing(self.field, self.n)
-        unit_at = np.zeros(self.size, dtype=bool)
-        unit_at[self.norm] = True  # the values norm takes, then whether each is a unit
-        for v in np.flatnonzero(unit_at).tolist():
-            unit_at[v] = ring.is_unit(ring.element(v))
-        units = unit_at[self.norm]
+        taken = np.zeros(self.size, dtype=bool)
+        taken[self.norm] = True
+        values = np.flatnonzero(taken)
+        taken[values] = inverse_matrices(self.field, times_matrices(self.field, self.coeffs[values]))[1]
+        units = taken[self.norm]
         units.flags.writeable = False
         return units
 
@@ -468,14 +440,13 @@ def times_matrices(field: Field, coeffs) -> np.ndarray:
     """The n*k x n*k F_p matrices M with (digit row of c) @ M = digit row
     of c*m mod p, one for each coefficient row m of coeffs (shape (..., n)).
     Coefficient j of c contributes coefficient (j + i) % n of c*m times
-    coefficient i of m, so M is the block circulant of the k x k matrices
-    whose row d holds the digits of y^d times m's coefficients."""
+    coefficient i of m, so M is the block circulant of the transposed
+    mul_matrices of m's coefficients, whose row d holds the digits of
+    y^d times the coefficient."""
     coeffs = np.asarray(coeffs)
     n, k = coeffs.shape[-1], field.k
     at = np.arange(n)
-    # [..., coefficient, in digit d, out digit]: the digits of y^d * coefficient, from the log tables
-    logs = field.log_array[coeffs][..., None] + field.log_array[field.p ** np.arange(k)]
-    blocks = field.digit_array[field.exp_array[logs]]
+    blocks = np.swapaxes(mul_matrices(field, coeffs.ravel()), 1, 2).reshape(*coeffs.shape, k, k)
     # rows (j, d), columns (l, out digit) from coefficient (l - j) % n
     blocks = blocks[..., (at - at[:, None]) % n, :, :]
     return np.swapaxes(blocks, -3, -2).reshape(*coeffs.shape[:-1], n * k, n * k)

@@ -11,12 +11,15 @@ import ...`, the way they import `helpers`.
 | `least_primitive_scan`      | the base of `Field`'s tables, by stepping powers    |
 | `monic_polys`               | building block of the three below                   |
 | `brute_gcd`                 | `polyring.poly_gcd`                                 |
+| `gcd_is_unit`               | `QuotientRing.is_unit` and `inv`, `RingTables`      |
+|                             | units: one `poly_gcd` with x^n - 1 per residue      |
 | `irreducible_scan`          | `polyring.is_irreducible`, by trial division        |
 | `least_irreducible_scan`    | `Field`'s default modulus                           |
 | `poly_eval`                 | `crt` roots and root-free factors, by Horner's rule |
 | `first_root_scan`           | `polyring.first_roots`, one `poly_eval` per element |
 | `root_of_unity_scan`        | the log-table root of unity of `factor_xn_minus_1`  |
 | `einsum_prime_tables`       | `RingTables` neg/recip/add/times, weights of coeffs |
+| `times_matrix_scan`         | `polyring.times_matrices`, SchoolbookField products |
 | `sum_weight_table`          | the Q x Q table of weight(u + v) behind             |
 |                             | `message_weights`, coefficient by coefficient       |
 | `is_two_factor_case`        | `polyring.is_primitive_root`, by coset count        |
@@ -27,7 +30,8 @@ import ...`, the way they import `helpers`.
 | `self_dual_matrix_sweep`    | `census.self_dual_pairs`, all pairs at once         |
 | `self_duality_scan`         | `census._self_duality`, a ring product per residue  |
 | `poly_truth_table`          | residue side of the sweep comparison                |
-| `rref`                      | `census.distinct_code_count`                        |
+| `rref`                      | `census.distinct_code_count`; its rank, the         |
+|                             | invertible flags of `fields.inverse_matrices`       |
 | `message_weights`           | `codes.least_weight_messages`: every message's      |
 |                             | weight, one Q x Q array per code, for an argmin     |
 | `second_pass_distance`      | `FourCirculantCode.min_distance`                    |
@@ -75,6 +79,8 @@ from fourcirc.polyring import (
     cyclotomic_cosets,
     factor_xn_minus_1,
     poly_divmod,
+    poly_gcd,
+    poly_trim,
 )
 
 SWEEP_CHUNK = 8192  # (a, b) pairs per batch of self_dual_matrix_sweep over F_p
@@ -193,6 +199,13 @@ def brute_gcd(field, f, g):
     return best
 
 
+def gcd_is_unit(ring, u) -> bool:
+    """Whether the residue u is coprime to x^n - 1, by one Euclidean gcd."""
+    field, n = ring.field, ring.n
+    modulus = poly_trim([field.neg(1)] + [0] * (n - 1) + [1])
+    return len(poly_gcd(field, poly_trim(u), modulus)) == 1
+
+
 def irreducible_scan(field, f) -> bool:
     """Trial division by every monic polynomial of degree <= deg(f)/2."""
     d = len(f) - 1
@@ -279,6 +292,21 @@ def einsum_prime_tables(p, n):
         "recip": E[:, [(n - j) % n for j in range(n)]] @ pw,
         "weight": (E != 0).sum(axis=1),
     }
+
+
+def times_matrix_scan(field, m):
+    """The n*k x n*k F_p matrix of c -> c*m for a coefficient row m: row
+    (j, d) holds the digits of y^d * x^j * m, whose coefficient (i + j) % n
+    is y^d * m_i, a SchoolbookField product."""
+    ref = SchoolbookField(field.p, field.k, field.modulus)
+    n, k = len(m), field.k
+    out = np.zeros((n * k, n * k), dtype=np.int64)
+    for j in range(n):
+        for d in range(k):
+            for i, c in enumerate(m):
+                at = (i + j) % n * k
+                out[j * k + d, at : at + k] = ref.coeffs(ref.mul(field.p**d, c))
+    return out
 
 
 def sum_weight_table(t):
@@ -652,7 +680,7 @@ def membership_scan(field, n, blocks):
     count = unit_count = sd_count = 0
     elems = [ring.element(i) for i in range(Q)]
     recs = [ring.reciprocal(u) for u in elems]
-    units = [ring.is_unit(u) for u in elems]
+    units = [gcd_is_unit(ring, u) for u in elems]
     # the products that involve b alone, computed once per b
     d_recs = [ring.mul(d, r) for r in recs]
     c_bs = [ring.mul(c, b) for b in elems]
@@ -677,14 +705,14 @@ def membership_tables(field, n):
     c + Q*d + Q^2*e + Q^3*f, as int64 arrays of Q^4 entries: for every pair
     (a, b), every message [c d] is encoded as [c d]*G mod p with G from
     generator_matrix, and each codeword's index is read off its 4n digits.
-    Units come from ring.is_unit and self-duality from self_duality_scan.
+    Units come from gcd_is_unit and self-duality from self_duality_scan.
     Prime fields only: the digits of an index are its F_p coefficients."""
     if field.k != 1:
         raise ValueError("membership_tables handles prime fields only")
     ring = QuotientRing(field, n)
     Q, p = ring.size, field.p
     elems = [ring.element(i) for i in range(Q)]
-    units = [ring.is_unit(u) for u in elems]
+    units = [gcd_is_unit(ring, u) for u in elems]
     have, need = self_duality_scan(ring)
     messages = np.arange(Q * Q)[:, None] // p ** np.arange(2 * n) % p  # digit row of message c + Q*d
     powers = p ** np.arange(4 * n)

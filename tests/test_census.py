@@ -34,6 +34,7 @@ from helpers import largest_table
 from oracles import (
     burnside_orbit_count,
     code_orbits_fixed_point,
+    gcd_is_unit,
     generator_matrix,
     is_self_dual_matrix,
     max_nonconstant_scan,
@@ -658,11 +659,12 @@ UNIT_POINTS = [(2, 1, 1), (2, 1, 4), (2, 1, 6), (3, 1, 5), (3, 1, 6), (2, 2, 3),
 
 @pytest.mark.parametrize("p,k,n", UNIT_POINTS)
 def test_units_match_gcd_on_every_residue(p, k, n, monkeypatch):
-    # one gcd per value of u*u', gathered back to every residue, against one
-    # gcd per residue; with factor_xn_minus_1 failing, as the mask must not
-    # need the factors (p divides n at (2, 4), (2, 6) and (3, 6))
+    # one elimination over the values of u*u', gathered back to every
+    # residue, against one gcd per residue; with factor_xn_minus_1 failing,
+    # as the mask must not need the factors (p divides n at (2, 4), (2, 6)
+    # and (3, 6))
     ring = QuotientRing(Field(p, k), n)
-    want = np.array([ring.is_unit(u) for u in ring.elements()])
+    want = np.array([gcd_is_unit(ring, u) for u in ring.elements()])
 
     def too_large(field, n):
         raise ValueError("splitting field above the cap")
@@ -796,13 +798,13 @@ def test_membership_unique_always_count_one():
 def test_membership_count_one_exactly_when_unique(field, n):
     # over every word: (a, b) -> (c*a - d*b', c*b + d*a') is F_q-linear, so
     # a word lies in one code exactly when that map is injective, that is
-    # when c*c' + d*d' is a unit (the gcd of QuotientRing.is_unit, not the
-    # tables' mask); n = 4 has repeated roots
+    # when c*c' + d*d' is a unit (one gcd each, not the tables' mask); n = 4
+    # has repeated roots
     ring = QuotientRing(field, n)
     Q = ring.size
     elems = list(ring.elements())
     norms = [ring.mul(u, ring.reciprocal(u)) for u in elems]
-    unique = np.array([ring.is_unit(ring.add(norms[c], norms[d])) for d in range(Q) for c in range(Q)])  # at c + Q*d
+    unique = np.array([gcd_is_unit(ring, ring.add(norms[c], norms[d])) for d in range(Q) for c in range(Q)])  # at c + Q*d
     counts = np.frombuffer(membership_sweep(field, n).counts, dtype=np.intc).reshape(Q * Q, Q * Q)
     np.testing.assert_array_equal(counts == 1, np.broadcast_to(unique, counts.shape))
     assert 0 < unique.sum() < Q * Q

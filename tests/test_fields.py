@@ -3,9 +3,10 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from fourcirc.fields import Embedding, Field, field_of_order, field_sum, is_prime, power_text, quad_char
+from fourcirc import polyring
+from fourcirc.fields import Embedding, Field, field_of_order, field_sum, inverse_matrices, is_prime, power_text, quad_char
 
-from oracles import SchoolbookField, least_irreducible_scan, least_primitive_scan
+from oracles import SchoolbookField, least_irreducible_scan, least_primitive_scan, rref
 
 
 def test_power_text_writes_digits_or_powers():
@@ -66,11 +67,44 @@ def test_deterministic_modulus():
 
 
 @pytest.mark.parametrize(
-    "p,k", [(p, k) for p, k in _prime_powers(1 << 12) if k > 1] + [(2, 16), (3, 10), (5, 6), (251, 2)],
+    "p,k", [(p, k) for p, k in _prime_powers(1 << 12) if k > 1] + [(2, 16), (3, 8), (3, 10), (5, 6), (251, 2)],
     ids=lambda v: str(v),
 )
 def test_default_modulus_is_least_irreducible(p, k):
     assert Field(p, k).modulus == least_irreducible_scan(p, k)
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (2, 11), (3, 8), (5, 4), (7, 2)])
+def test_candidates_with_root_zero_or_one_skip_rabin(p, k, monkeypatch):
+    # x or x - 1 divides them, so they are reducible at degree k >= 2
+    tested = []
+    rabin = polyring.is_irreducible
+
+    def counted(field, f):
+        tested.append(f)
+        return rabin(field, f)
+
+    monkeypatch.setattr(polyring, "is_irreducible", counted)
+    Field(p, k)
+    assert tested and all(f[0] and sum(f) % p for f in tested)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 251, 65521])
+def test_inverse_matrices_in_a_mixed_batch(p):
+    # random 5 x 5 matrices, a third made singular (row 4 a combination of
+    # rows 0 and 1), and permutation matrices that need a pivot search
+    rng = np.random.default_rng(p)
+    mats = rng.integers(0, p, (45, 5, 5))
+    mats[::3, 4] = (mats[::3, 0] + 2 * mats[::3, 1]) % p
+    mats[1::9] = np.eye(5, dtype=np.int64)[[3, 0, 4, 1, 2]] * rng.integers(1, p, (5, 1))
+    F = Field(p)
+    inverses, invertible = inverse_matrices(F, mats)
+    ranks = [sum(any(row) for row in rref(F, m.tolist())) for m in mats]
+    assert invertible.tolist() == [rank == 5 for rank in ranks]
+    assert 0 < invertible.sum() < len(mats) and inverses.dtype == np.int64
+    for m, inverse in zip(mats[invertible], inverses[invertible]):
+        np.testing.assert_array_equal(m @ inverse % p, np.eye(5, dtype=np.int64))
+    assert inverse_matrices(F, mats[:0])[0].shape == (0, 5, 5)
 
 
 @pytest.mark.parametrize(

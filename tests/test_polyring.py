@@ -1,13 +1,14 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourcirc import codes, polyring
-from fourcirc.fields import Embedding, Field, field_of_order
+from fourcirc.fields import Embedding, Field, field_of_order, inverse_matrices
 from fourcirc.polyring import (
     QuotientRing,
     _check_expansion,
@@ -19,10 +20,10 @@ from fourcirc.polyring import (
     monic_reciprocal,
     multiplicative_order,
     poly_divmod,
-    poly_ext_gcd,
     poly_gcd,
     poly_mul,
     poly_trim,
+    times_matrices,
 )
 
 from helpers import largest_table
@@ -30,13 +31,16 @@ from oracles import (
     brute_gcd,
     einsum_prime_tables,
     first_root_scan,
+    gcd_is_unit,
     irreducible_scan,
     monic_polys,
     order_scan,
     is_two_factor_case,
     poly_eval,
     root_of_unity_scan,
+    self_duality_scan,
     sum_weight_table,
+    times_matrix_scan,
 )
 
 F2, F3, F4, F5 = Field(2), Field(3), Field(2, 2), Field(5)
@@ -62,18 +66,6 @@ def test_gcd_matches_brute_force():
                 if not f and not g:
                     continue
                 assert poly_gcd(field, f, g) == brute_gcd(field, f, g)
-
-
-def test_ext_gcd_bezout():
-    from fourcirc.polyring import poly_add
-
-    for field in (F2, F3, F5):
-        for fc in range(1, field.q**3):
-            f = poly_trim([fc // field.q**j % field.q for j in range(3)])
-            g = (field.neg(1), 0, 0, 1)  # x^3 - 1
-            d, s, t = poly_ext_gcd(field, f, g)
-            assert poly_add(field, poly_mul(field, s, f), poly_mul(field, t, g)) == d
-            assert d == poly_gcd(field, f, g)
 
 
 def test_monic_reciprocal():
@@ -154,6 +146,62 @@ def test_ring_inverse():
         assert units > 0
 
 
+INVERSE_POINTS = [(F2, 4), (F2, 5), (F2, 6), (F3, 4), (F3, 6), (F5, 3), (F4, 3), (Field(2, 3), 2), (Field(3, 2), 2)]
+
+
+@pytest.mark.parametrize("field,n", INVERSE_POINTS, ids=lambda v: str(v))
+def test_units_and_inverses_match_gcd(field, n):
+    # the elimination on multiplication matrices, batched and one element at
+    # a time, against one Euclidean gcd with x^n - 1 per residue; p divides
+    # n at (2, 4), (2, 6) and (3, 6), where x^n - 1 has repeated factors
+    R = QuotientRing(field, n)
+    elems = list(R.elements())
+    want = [gcd_is_unit(R, u) for u in elems]
+    assert inverse_matrices(field, times_matrices(field, elems))[1].tolist() == want
+    for u, unit in zip(elems, want):
+        assert R.is_unit(u) == unit
+        if unit:
+            assert R.mul(u, R.inv(u)) == R.one
+        else:
+            with pytest.raises(ValueError, match="not a unit"):
+                R.inv(u)
+    assert 0 < sum(want) < R.size
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, Field(2, 3), Field(3, 2)], ids=str)
+def test_times_matrices_match_schoolbook(field):
+    rng = np.random.default_rng(field.q)
+    for shape in [(5,), (3, 4), (2, 2, 7)]:
+        coeffs = rng.integers(0, field.q, shape)
+        got = times_matrices(field, coeffs)
+        assert got.shape == shape[:-1] + (shape[-1] * field.k,) * 2
+        for at in np.ndindex(shape[:-1]):
+            np.testing.assert_array_equal(got[at], times_matrix_scan(field, coeffs[at].tolist()))
+
+
+def test_norm_temporaries_stay_within_blocks():
+    # (3, 11): Q = 177,147 residues, six blocks; u*u' over all residues at
+    # once peaked at about 61 MB traced, four Q x n int64 temporaries
+    t = polyring.RingTables(QuotientRing(F3, 11))
+    tracemalloc.start()
+    try:
+        norm = t.norm
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < norm.nbytes + 6 * polyring.NORM_BLOCK * 11 * 8, peak / 2**20
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_norm_blocks_keep_values(monkeypatch, block):
+    # blocks that split the residues anywhere give u*u' of every residue
+    cases = [(F3, 5), (F2, 7), (F4, 4)]
+    monkeypatch.setattr(polyring, "NORM_BLOCK", block)
+    for field, n in cases:
+        ring = QuotientRing(field, n)
+        assert polyring.RingTables(ring).norm.tolist() == self_duality_scan(ring)[0], (field.q, n)
+
+
 def test_ring_index_round_trip():
     R = QuotientRing(F3, 4)
     for i in range(R.size):
@@ -167,7 +215,7 @@ def test_ring_tables_agree_with_ops():
         t = R.tables()
         elems = [R.element(i) for i in range(R.size)]
         assert t.coeffs.tolist() == [list(u) for u in elems]
-        assert t.units.tolist() == [R.is_unit(u) for u in elems]
+        assert t.units.tolist() == [gcd_is_unit(R, u) for u in elems]
         assert t.neg.tolist() == [R.index(R.neg(u)) for u in elems]
         assert t.recip.tolist() == [R.index(R.reciprocal(u)) for u in elems]
         assert (t.coeffs != 0).sum(axis=1).tolist() == [R.weight(u) for u in elems]
