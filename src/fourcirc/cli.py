@@ -112,12 +112,11 @@ def cmd_factor(args):
     body = {
         "q": field.q,
         "n": args.n,
-        "alpha": fact.alpha,
         "self_reciprocal": [list(g) for g in fact.self_reciprocal],
         "pairs": [[list(h), list(hs)] for h, hs in fact.pairs],
         "cosets": [list(c) for c in fact.cosets],
     }
-    return body, "fourcirc/factor/v1", {"field": field}
+    return body, "fourcirc/factor/v2", {"field": field}
 
 
 def cmd_check(args):
@@ -164,7 +163,7 @@ def cmd_crt(args):
         "b": list(code.b),
         "constituents": decompose_report(code),
     }
-    return body, "fourcirc/crt/v1", {"field": code.field}
+    return body, "fourcirc/crt/v2", {"field": code.field}
 
 
 def cmd_enumerate(args):

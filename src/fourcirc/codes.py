@@ -19,16 +19,12 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .fields import inverse_matrices, power_text
-from .polyring import QuotientRing, chunk_tables, times_matrices
+from .polyring import CapExceeded, QuotientRing, chunk_tables, times_matrices
 
 DEFAULT_CAP = 1 << 26
 PASS_WORDS = 1 << 15  # codewords least_weight_messages weighs in one pass
 CODE_BATCH = 64  # codes least_weight_messages searches side by side
 CHUNK_CODES = 256  # most codes per side of its chunk tables
-
-
-class CapExceeded(RuntimeError):
-    """An exhaustive scan would exceed its workload cap."""
 
 
 def check_distance_cap(ring: QuotientRing, cap: int) -> None:

@@ -1,22 +1,20 @@
 """CRT decomposition of a four circulant code into length-4 constituents.
 
-With x^n - 1 = prod of distinct irreducible factors, reducing (a, b) modulo
-each factor gives one constituent per factor, living over the extension
-field F_q[x]/(factor).  Extensions are realized as single-step extensions
-F_{p^(k*d)} together with a deterministic choice of root of the factor, and
-a and b are represented by their values at that root.
+With x^n - 1 = prod of distinct irreducible factors g_i over F_q, reducing
+(a, b) modulo each factor gives one constituent per factor, over the field
+F_q[x]/(g_i).  A constituent holds a mod g_i and b mod g_i as coefficient
+rows of length deg g_i; no extension field is built.
 
-Reconstruction inverts this by interpolation at the n-th roots of unity.
-The values at the other roots of a factor are Frobenius conjugates of the
-value at the chosen root, so the sum over them is a trace, and
-a_i = n^(-1) * sum over factors f of Tr_{F_{q^d}/F_q}(a(root_f) * root_f^(-i)).
-
-Both directions are array evaluations over each extension field's log and
-antilog tables, driven by a plan built once per (field, n): the factors
-grouped by extension field, the powers root^i and root^(-i) as logarithms,
-the embedding of F_q as a forward index array, and the way back to F_q as
-one table of y -> n^(-1) * Tr(y).  The plan is the F_q-linear map between
-(a, b) and its constituents; no per-coefficient field call is left.
+Reconstruction is a = sum over i of e_i * a~_i, for any lifts a~_i of the
+residues and the primitive idempotents e_i of factor_xn_minus_1 (e_i = 1
+mod g_i and 0 mod every other factor).  In the basis {x^j * e_i : j <
+deg g_i} of R(n, F_q), a constituent's residue row is its coordinates, so
+both directions are one F_q-linear map of n x n coefficient codes, built
+once per (field, n): row t of the decomposition map holds x^t mod g_i for
+every i, from one shift recurrence over all factors at once, and row
+(i, j) of the reconstruction map holds x^j * e_i, a cyclic shift of e_i.
+Either map is applied by the field's log and antilog tables, one array
+of products summed digit-wise.
 """
 
 from __future__ import annotations
@@ -27,208 +25,130 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import FourCirculantCode
-from .fields import Field, default_field, embedding, field_sum
-from .polyring import Poly, factor_xn_minus_1, first_roots, poly_degree
+from .fields import Field, field_sum
+from .polyring import PRODUCT_BLOCK, Poly, factor_xn_minus_1, poly_add, poly_degree, poly_mod, poly_mul, poly_trim
 
 
 @dataclass(frozen=True)
 class Constituent:
     """Image of (a, b) modulo one irreducible factor of x^n - 1.
 
-    kind is "self_reciprocal", "pair_first" or "pair_second"; field is the
-    extension F_{p^(k*deg)} and root the chosen zero of the factor there.
+    kind is "self_reciprocal", "pair_first" or "pair_second"; a_image and
+    b_image are the coefficient rows of a mod factor and b mod factor,
+    ascending, of length deg factor.
     """
 
     factor: Poly
     kind: str
-    base: Field
-    field: Field
-    root: int
-    a_image: int
-    b_image: int
+    a_image: tuple
+    b_image: tuple
 
     @property
     def degree(self) -> int:
         return poly_degree(self.factor)
 
 
-CHUNK_TERMS = 1 << 20  # extension elements one array evaluation holds at once
-
-
-@dataclass(frozen=True)
-class _Group:
-    """The factors of x^n - 1 of one degree d, which share F_{q^d}.
-
-    Products are sums of logarithms in field.log_array, read back through
-    field.exp_array, whose zero sentinel makes any product with 0 come out 0.
-    """
-
-    field: Field
-    positions: tuple[int, ...]  # places of the factors in _Plan.factors
-    up: np.ndarray  # up[j, i]: log of root_j^i, for 0 <= i < n
-    down: np.ndarray  # down[j, i]: log of root_j^(-i)
-    fwd: np.ndarray  # fwd[c]: image of the base code c in field
-    trace: np.ndarray  # trace[y]: base code of n^(-1) * Tr(y), Tr from field to F_q
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """Everything decompose and reconstruct need at one (field, n)."""
-
-    factors: tuple[tuple[Poly, str], ...]
-    contexts: tuple[tuple[Field, int], ...]  # per factor: its extension field and root there
-    groups: tuple[_Group, ...]
-
-
-def _trace_table(base: Field, ext: Field, back: np.ndarray, n: int) -> np.ndarray:
-    """Base code of n^(-1) * Tr(y) for every code y of ext = F_{q^d}.
-
-    Tr(y) = y + y^q + ... + y^(q^(d-1)) lies in the embedded F_q, which back
-    maps to base codes; y^(q^t) has logarithm log(y) * q^t, and 0 stays 0.
-    """
-    m, d = ext.q - 1, ext.k // base.k
-    y = np.arange(ext.q)
-    logs = ext.log_array[y][:, None] * np.array([base.q**t % m for t in range(d)]) % m
-    tr = field_sum(ext, ext.exp_array[logs] * (y != 0)[:, None], 1)
-    n_inv = pow(n, -1, base.p)  # the code of n^(-1) in the prime subfield
-    return base.exp_array[base.log_array[back[tr]] + base.log_table[n_inv]]
-
-
 @lru_cache(maxsize=None)
-def _plan(base: Field, n: int) -> _Plan:
-    """The factors of x^n - 1 with their contexts, grouped by extension field.
+def _maps(field: Field, n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The factors with their kinds, and the logarithms of the decomposition
+    and reconstruction maps, each n x n, at (field, n).
 
-    The factors of degree d share F_{q^d} = F_{p^(k*d)} and the embedding of
-    F_q in it, built once here; each factor's root is the least zero of its
-    embedded coefficients, found for the whole group in one first_roots
-    call, and its context is that field and root.
+    Factor i takes the places off_i, ..., off_i + d_i - 1 of a residue
+    row.  x * (u mod g) = sum of u_(j-1) x^j - u_(d-1) * (g - x^d), so
+    one step of the recurrence shifts every block up by one place and
+    subtracts its top coefficient times its factor's lower coefficients.
     """
-    factors = tuple(factor_xn_minus_1(base, n).factors())
-    by_degree: dict[int, list[int]] = {}
-    for pos, (factor, _) in enumerate(factors):
-        by_degree.setdefault(poly_degree(factor), []).append(pos)
-    contexts = [None] * len(factors)
-    groups = []
-    for d, positions in by_degree.items():
-        ext = base if d == 1 else default_field(base.p, base.k * d)
-        emb = embedding(base, ext)
-        roots = first_roots(ext, [tuple(emb.fwd[list(factors[pos][0])].tolist()) for pos in positions])
-        for pos, root in zip(positions, roots):
-            contexts[pos] = (ext, root)
-        logs = ext.log_array[roots][:, None]
-        group = _Group(
-            field=ext,
-            positions=tuple(positions),
-            up=logs * np.arange(n) % (ext.q - 1),
-            down=-logs * np.arange(n) % (ext.q - 1),
-            fwd=emb.fwd,
-            trace=_trace_table(base, ext, emb.back, n),
-        )
-        for arr in (group.up, group.down, group.trace):
-            arr.flags.writeable = False  # shared by every caller at this (field, n)
-        groups.append(group)
-    return _Plan(factors=factors, contexts=tuple(contexts), groups=tuple(groups))
+    fact = factor_xn_minus_1(field, n)
+    factors = tuple(fact.factors())
+    log, exp, neg = field.log_array, field.exp_array, field.neg_array
+    degrees = np.array([poly_degree(g) for g, _ in factors])
+    offsets = np.cumsum(degrees) - degrees
+    block = np.repeat(np.arange(len(factors)), degrees)  # block[place]: its factor
+    top = (offsets + degrees - 1)[block]  # the top place of each place's block
+    below = np.arange(-1, n - 1)
+    below[offsets] = n  # the place one down in the block, or n, which holds 0
+    lower = log[np.concatenate([g[:-1] for g, _ in factors])]  # logs of g_i's coefficients below x^d_i
+    down = np.zeros((n, n + 1), dtype=np.int64)  # down[t]: x^t mod every g_i, then a 0
+    down[0, offsets] = field.one
+    for t in range(n - 1):
+        row = down[t]
+        down[t + 1, :n] = field_sum(field, np.stack([row[below], neg[exp[log[row[top]] + lower]]]), 0)
+    down = down[:, :n]
+    lifts = np.array(fact.idempotents, dtype=np.int64)[block]  # e_i, once per place of factor i
+    power = np.arange(n) - offsets[block]  # j at place off_i + j
+    up = lifts[np.arange(n)[:, None], (np.arange(n) - power[:, None]) % n]  # x^j * e_i
+    down, up = log[down], log[up]
+    down.flags.writeable = up.flags.writeable = False  # shared by every caller at this (field, n)
+    return factors, down, up
 
 
-def _chunks(length: int, per_item: int) -> list[slice]:
-    """Slices that cover range(length), where one item puts per_item
-    elements in an array: as many items per slice as CHUNK_TERMS allows,
-    and at least one."""
-    step = max(1, CHUNK_TERMS // per_item)
-    return [slice(lo, lo + step) for lo in range(0, length, step)]
+def _apply(field: Field, rows: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """rows @ M over F_q, for coefficient rows (..., n) and M given by logs,
+    for as many columns at a time as PRODUCT_BLOCK allows."""
+    row_logs = field.log_array[rows][..., :, None]
+    step = max(1, PRODUCT_BLOCK // rows.size)
+    return np.concatenate([field_sum(field, field.exp_array[row_logs + logs[:, lo : lo + step]], rows.ndim - 1)
+                           for lo in range(0, logs.shape[1], step)], axis=-1)
 
 
 def decompose(code: FourCirculantCode) -> list[Constituent]:
-    """One constituent per irreducible factor of x^n - 1, deterministic order.
-
-    The images a(root) = sum over i of a_i * root^i are, per extension
-    field, one array of products a_i * root_j^i summed over i.
-    """
-    field, n = code.field, code.n
-    plan = _plan(field, n)
-    images = [()] * len(plan.factors)
-    coeffs = np.array([code.a, code.b], dtype=np.int64)
-    for g in plan.groups:
-        ext = g.field
-        logs = ext.log_array[g.fwd[coeffs]]  # (2, n)
-        for rows in _chunks(len(g.positions), 2 * n):
-            terms = ext.exp_array[logs[:, None, :] + g.up[rows]]  # a_i * root^i at [a or b, factor, i]
-            for pos, a_img, b_img in zip(g.positions[rows], *field_sum(ext, terms, 2).tolist()):
-                images[pos] = (a_img, b_img)
-    out = []
-    for (factor, kind), (ext, root), (a_img, b_img) in zip(plan.factors, plan.contexts, images):
-        out.append(
-            Constituent(
-                factor=factor,
-                kind=kind,
-                base=field,
-                field=ext,
-                root=root,
-                a_image=a_img,
-                b_image=b_img,
-            )
-        )
+    """One constituent per irreducible factor of x^n - 1, in the order of
+    Factorization.factors()."""
+    factors, down, _ = _maps(code.field, code.n)
+    a, b = _apply(code.field, np.array([code.a, code.b], dtype=np.int64), down).tolist()
+    out, at = [], 0
+    for factor, kind in factors:
+        d = poly_degree(factor)
+        out.append(Constituent(factor=factor, kind=kind, a_image=tuple(a[at : at + d]), b_image=tuple(b[at : at + d])))
+        at += d
     return out
 
 
-def constituent_self_dual(con: Constituent) -> bool:
-    """Hermitian self-duality test for a self-reciprocal constituent.
+def constituent_self_dual(field: Field, con: Constituent) -> bool:
+    """Hermitian self-duality test for a self-reciprocal constituent over
+    F_q = field: 1 + a*a' + b*b' = 0 mod g, with u' = u(x^(-1)) the ring
+    reciprocal.
 
-    For a factor of even degree 2m the conjugation is x -> x^(q^m), and the
-    condition reads 1 + a*conj(a) + b*conj(b) = 0.  A degree-1 factor has
-    trivial conjugation, giving the Euclidean form 1 + a^2 + b^2 = 0.
+    x^n = 1 mod g, so x^(-1) mod g is x^(n-1) mod g, and from g itself it
+    is -(g - g_0) / (x * g_0) = -(g_1 + g_2 x + ... + x^(d-1)) / g_0.  For
+    a self-reciprocal g, u -> u' is the conjugation of F_q[x]/(g) over its
+    subfield of index 2 (x -> x^(q^(d/2))), or the identity when d = 1.
     """
     if con.kind != "self_reciprocal":
         raise ValueError("Hermitian test only applies to self-reciprocal constituents")
-    F = con.field
-    d = con.degree
-    if d == 1:
-        conj_a, conj_b = con.a_image, con.b_image
-    else:
-        if d % 2:
-            raise AssertionError("self-reciprocal factor of odd degree > 1")
-        exp = con.base.q ** (d // 2)
-        conj_a = F.pow(con.a_image, exp)
-        conj_b = F.pow(con.b_image, exp)
-    s = F.add(F.one, F.add(F.mul(con.a_image, conj_a), F.mul(con.b_image, conj_b)))
-    return s == F.zero
+    g = con.factor
+    minus_inv = field.neg(field.inv(g[0]))
+    x_inv = poly_trim([field.mul(minus_inv, c) for c in g[1:]])
+
+    def times_reciprocal(u: tuple) -> Poly:
+        u = poly_trim(u)
+        reciprocal: Poly = ()
+        for c in reversed(u):  # Horner's rule in x^(-1)
+            reciprocal = poly_add(field, poly_mod(field, poly_mul(field, reciprocal, x_inv), g), poly_trim((c,)))
+        return poly_mul(field, u, reciprocal)
+
+    total = poly_add(field, (field.one,), poly_add(field, times_reciprocal(con.a_image), times_reciprocal(con.b_image)))
+    return not poly_mod(field, total, g)
 
 
 def reconstruct(field: Field, n: int, constituents: list[Constituent]) -> tuple[tuple, tuple]:
-    """Interpolate (a, b) in R(n, F_q) back from all its constituents.
-
-    The roots of a factor f of degree d are root^(q^j) for j < d, and a has
-    coefficients in F_q, so a(root^(q^j)) = a(root)^(q^j).  Lagrange
-    interpolation at the n-th roots of unity therefore reads
-
-        a_i = n^(-1) * sum over f of Tr(a(root_f) * root_f^(-i)),
-
-    with Tr(y) = y + y^q + ... + y^(q^(d-1)) the trace from F_{q^d} to F_q;
-    n is invertible because factor_xn_minus_1 requires gcd(n, q) = 1.  The
-    same holds for b.  The constituents must be exactly those of decompose
-    over this field, in any order.
-
-    Per extension field, a(root_f) * root_f^(-i) is one array for all f
-    and i, and the plan's table of y -> n^(-1) * Tr(y), built from the d
-    Frobenius powers of every element, maps it to F_q in one lookup.
-    """
-    plan = _plan(field, n)
-    if sorted(con.factor for con in constituents) != sorted(factor for factor, _ in plan.factors):
+    """(a, b) in R(n, F_q) back from all its constituents: the sum over
+    factors of e_i * a~_i, and the same for b.  The constituents must be
+    exactly one per factor of x^n - 1 over this field, in any order."""
+    factors, _, up = _maps(field, n)
+    place, at = {}, 0
+    for factor, _ in factors:
+        place[factor] = at
+        at += poly_degree(factor)
+    if sorted(con.factor for con in constituents) != sorted(place):
         raise ValueError("constituents are not exactly the factors of x^n - 1")
-    place = {factor: pos for pos, (factor, _) in enumerate(plan.factors)}
-    images = [()] * len(plan.factors)
+    residues = np.empty((2, n), dtype=np.int64)
     for con in constituents:
-        pos = place[con.factor]
-        if (con.base, con.field, con.root) != (field, *plan.contexts[pos]):
-            raise ValueError("constituent does not match its deterministic context")
-        images[pos] = (con.a_image, con.b_image)
-    logs = [g.field.log_array[[images[pos] for pos in g.positions]].T[:, :, None] for g in plan.groups]
-    out = np.empty((2, n), dtype=np.int64)
-    for cols in _chunks(n, 2 * len(plan.factors)):
-        # n^(-1) * Tr(image * root^(-i)) at [a or b, factor, i]
-        traces = [g.trace[g.field.exp_array[lg + g.down[:, cols]]] for g, lg in zip(plan.groups, logs)]
-        out[:, cols] = field_sum(field, np.concatenate(traces, axis=1), 1)
-    a, b = out.tolist()
+        at, d = place[con.factor], con.degree
+        if len(con.a_image) != d or len(con.b_image) != d:
+            raise ValueError(f"constituent images must have {d} coefficients, the degree of their factor")
+        residues[:, at : at + d] = con.a_image, con.b_image
+    a, b = _apply(field, residues, up).tolist()
     return tuple(a), tuple(b)
 
 
@@ -239,12 +159,12 @@ def decompose_report(code: FourCirculantCode) -> list[dict]:
         out.append(
             {
                 "factor": list(con.factor),
-                "field": f"{con.field.p}^{con.field.k}",
+                "degree": con.degree,
                 "kind": con.kind,
-                "a_image": list(con.field.coeffs(con.a_image)),
-                "b_image": list(con.field.coeffs(con.b_image)),
+                "a_image": list(con.a_image),
+                "b_image": list(con.b_image),
                 "hermitian_self_dual": (
-                    constituent_self_dual(con) if con.kind == "self_reciprocal" else None
+                    constituent_self_dual(code.field, con) if con.kind == "self_reciprocal" else None
                 ),
             }
         )

@@ -371,9 +371,10 @@ class Field:
 def default_field(p: int, k: int = 1) -> Field:
     """F_{p^k} with its default modulus, built once per (p, k).
 
-    The splitting field of x^n - 1, the extension fields of the CRT
-    constituents and F_{q^2} of the Hermitian count are all fields of this
-    kind; building one costs O(p^k) table work, so they are shared.
+    F_{q^2} of the Hermitian count and the prime fields behind Rabin's test
+    on candidate moduli are fields of this kind; building one costs O(p^k)
+    table work, so they are shared.  Factoring x^n - 1 and the CRT work
+    over F_q alone and build none.
     """
     return Field(p, k)
 
@@ -421,6 +422,11 @@ class Embedding:
     goes to c_0 + c_1 root + ..., one product of the two fields' digit
     arrays.  fwd[x] is the image of x, and back[y] the preimage of y, or -1
     off the embedded subfield; both are read-only index arrays.
+
+    No library path embeds a field any more.  The class stays for two
+    outside readers: perfbench/traced.py times field construction by
+    rebinding Embedding.__init__, and the splitting-field CRT oracles of
+    tests/oracles.py embed F_q in F_(q^d).
     """
 
     __slots__ = ("src", "dst", "fwd", "back", "root")
@@ -459,7 +465,7 @@ class Embedding:
 def embedding(src: Field, dst: Field) -> Embedding:
     """The Embedding of src in dst, built once per pair of fields.
 
-    Building one costs O(|src| * k) work and memory; the factorization of
-    x^n - 1 and the CRT constituents use the same ones.
+    Building one costs O(|src| * k) work and memory.  Only the
+    splitting-field oracles of tests/oracles.py call it.
     """
     return Embedding(src, dst)

@@ -2,9 +2,9 @@
 
 Polynomials are tuples of field element codes, ascending in degree, with no
 trailing zeros; the zero polynomial is ().  Ring residues are tuples of
-exactly n codes.  The factorization of x^n - 1 is computed from cyclotomic
-cosets: each irreducible factor is the minimal polynomial of a power of a
-primitive n-th root of unity in the splitting field.
+exactly n codes.  The factorization of x^n - 1 is computed over F_q alone,
+from the primitive idempotents of R(n, F_q), which the cyclotomic coset
+sums yield; no extension field is built.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fields import (ORDER_CAP, Field, default_field, digits, embedding, field_sum, inverse_matrices, mul_matrices,
-                     power_text, prime_divisors)
+from .fields import Field, digits, field_sum, inverse_matrices, mul_matrices, prime_divisors
 
 Poly = tuple  # coefficient tuple, ascending
 RingElem = tuple  # exactly n coefficients
@@ -116,6 +115,11 @@ ROOT_CHUNK = 1 << 9  # elements first_roots evaluates the polynomials at in one 
 def first_roots(field: Field, polys: Sequence[Poly]) -> list[int]:
     """Least element code z with f(z) = 0, for each f in polys; every z is
     a root of the zero polynomial.
+
+    Neither the factoring of x^n - 1 nor the CRT calls it.  It stays for
+    fields.Embedding, which perfbench/traced.py times by rebinding
+    Embedding.__init__, and for the splitting-field CRT oracles of
+    tests/oracles.py.
 
     A polynomial c0 + c1*x has the one root -c0/c1.  The others are
     evaluated at ROOT_CHUNK elements at a time, in code order, by Horner's
@@ -491,20 +495,30 @@ def _ring_tables(field: Field, n: int) -> RingTables:
 # ---------------------------------------------------------------------------
 # factorization of x^n - 1
 
+class CapExceeded(RuntimeError):
+    """An exhaustive scan, or the factoring of x^n - 1, would exceed its workload cap."""
+
+
+FACTOR_CAP = 1 << 26  # field operations factor_xn_minus_1 is charged at most
+
+
 @dataclass(frozen=True)
 class Factorization:
-    """x^n - 1 = alpha * prod(self_reciprocal) * prod(h * h_star for pairs).
+    """x^n - 1 = prod(self_reciprocal) * prod(h * h_star for pairs).
 
-    All factors are monic irreducible; within a pair the lexicographically
-    smaller coefficient vector comes first.
+    All factors are monic irreducible.  Self-reciprocal factors and pairs
+    are ordered by degree and then by coefficient tuple (ascending powers);
+    within a pair the smaller coefficient tuple comes first.  idempotents
+    holds the primitive idempotent e of each factor g, in the order of
+    factors(): e = 1 mod g and e = 0 mod every other factor.
     """
 
     field: Field
     n: int
-    alpha: int
     self_reciprocal: tuple[Poly, ...]
     pairs: tuple[tuple[Poly, Poly], ...]
     cosets: tuple[tuple[int, ...], ...]
+    idempotents: tuple[RingElem, ...]
 
     def factors(self) -> list[tuple[Poly, str]]:
         """All factors with kind labels, in a deterministic order."""
@@ -513,16 +527,6 @@ class Factorization:
             out.append((h, "pair_first"))
             out.append((hstar, "pair_second"))
         return out
-
-
-def _find_primitive_root_of_unity(big: Field, n: int) -> int:
-    """First element of multiplicative order exactly n, in code order.
-
-    With m = |big| - 1, the element g^L has order m / gcd(L, m).
-    """
-    m = big.q - 1
-    orders = m // np.gcd(big.log_array[1:], m)
-    return 1 + int(np.flatnonzero(orders == n)[0])
 
 
 def _check_expansion(field: Field, n: int, factors: Sequence[Poly]) -> None:
@@ -544,66 +548,150 @@ def _check_expansion(field: Field, n: int, factors: Sequence[Poly]) -> None:
         raise AssertionError("factor product does not re-expand to x^n - 1")
 
 
+def coset_count(q: int, n: int) -> int:
+    """The number of cyclotomic cosets of q mod n, gcd(q, n) = 1, without
+    listing them: the sum over d | n of phi(d) / ord_d(q), as the residues
+    of order d mod n fall into cosets of size ord_d(q)."""
+    divisors = [1]
+    for p in prime_divisors(n):
+        e = 1
+        while n % p ** (e + 1) == 0:
+            e += 1
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    total = 0
+    for d in divisors:
+        phi = d
+        for p in prime_divisors(d):
+            phi -= phi // p
+        total += phi // multiplicative_order(q, d)
+    return total
+
+
+def factor_charge(field: Field, n: int) -> int:
+    """The field operations factor_xn_minus_1 is charged at (field, n).
+
+    With r factors, r Euclidean algorithms on polynomials of degree up to
+    n (about n^2 operations each) read the factors off their idempotents,
+    and the r - 1 splits of the refinement each cost about p(p - 1) n^2:
+    r n^2 + (r - 1) p (p - 1) n^2.
+    """
+    r, p = coset_count(field.q, n), field.p
+    return (r + (r - 1) * p * (p - 1)) * n * n
+
+
+PRODUCT_BLOCK = 1 << 20  # terms one array of products holds at most
+
+
+def _times(field: Field, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """rows * z in R(n, F_q) for rows (..., n) and one row z: the sum over
+    the nonzero terms z_t of z_t times rows shifted by t, taken for as many
+    terms at a time as PRODUCT_BLOCK allows."""
+    n = rows.shape[-1]
+    at = np.flatnonzero(z)
+    step = max(1, PRODUCT_BLOCK // max(rows.size, 1))
+    parts = [np.zeros_like(rows)]  # z may be 0
+    for t in (at[lo : lo + step] for lo in range(0, len(at), step)):
+        shifted = rows[..., (np.arange(n) - t[:, None]) % n]  # [..., t, i]: coefficient i - t of the row
+        parts.append(field_sum(field, field.exp_array[field.log_array[shifted] + field.log_array[z[t]][:, None]],
+                               rows.ndim - 1))
+    return field_sum(field, np.stack(parts), 0)
+
+
+def primitive_idempotents(field: Field, n: int, cosets: Sequence[Sequence[int]]) -> np.ndarray:
+    """The primitive idempotents of R(n, F_q), one coefficient row each,
+    gcd(n, q) = 1 (MacWilliams and Sloane, The Theory of Error-Correcting
+    Codes, ch. 8).
+
+    u -> u^q permutes coefficients (i -> q*i), so B = {u : u^q = u} is
+    spanned by the coset sums c_C = sum of x^i over i in C, and B = F_q^r,
+    one coordinate per factor of x^n - 1; e_i is 1 at coordinate i and 0
+    elsewhere.  A z in B with z^p = z has its values in F_p, and E_lam(z) =
+    1 - (z - lam)^(p-1), lam in F_p, marks where z = lam: orthogonal
+    idempotents that sum to 1.  {1} is refined by all of them, dropping
+    the zeros, for z = Tr(theta * c_C) = sum over i < k of (theta *
+    c_C)^(p^i), every coset C and theta = 1, y, ..., y^(k-1); the traces
+    of the values of the c_C tell every two coordinates apart, and over
+    F_p, z is c_C itself.  v -> v^(p^i) moves coefficient j to place p^i
+    * j and raises it to the power p^i, so z costs no ring product, and
+    the pieces times (z - lam)^j are taken for all pieces and lam at once,
+    one product by the sparse z at a time.  The refinement stops once it
+    holds r pieces.
+    """
+    p, k = field.p, field.k
+    pieces = np.zeros((1, n), dtype=np.int64)
+    pieces[0, 0] = field.one
+    lam = field.log_array[:p, None]  # logarithms of lam = 0, ..., p - 1
+    for coset in cosets:
+        for theta in (p**u for u in range(k)):  # the codes of y^u
+            if len(pieces) == len(cosets):
+                return pieces
+            conjugates = np.zeros((k, n), dtype=np.int64)
+            for i in range(k):
+                conjugates[i, np.array(coset) * p**i % n] = field.frobenius(theta, i)
+            z = field_sum(field, conjugates, 0)
+            w = np.repeat(pieces[:, None, :], p, axis=1)  # w[e, lam] = e * (z - lam)^j, from j = 0
+            for _ in range(p - 1):
+                lam_w = field.exp_array[field.log_array[w] + lam]
+                w = field_sum(field, np.stack([_times(field, w, z), field.neg_array[lam_w]]), 0)
+            split = field_sum(field, np.stack(np.broadcast_arrays(pieces[:, None, :], field.neg_array[w])), 0)
+            split = split.reshape(-1, n)
+            pieces = split[split.any(axis=1)]
+    return pieces
+
+
 @lru_cache(maxsize=None)
 def factor_xn_minus_1(field: Field, n: int) -> Factorization:
-    """Factor x^n - 1 into distinct monic irreducibles via cyclotomic cosets.
+    """Factor x^n - 1 into distinct monic irreducibles over F_q alone.
 
     Requires n >= 1 and gcd(n, q) = 1, so the factors are distinct and their
-    number equals the number of cyclotomic cosets of q mod n.  Every minimal
-    polynomial is formed in the splitting field F_{q^m} (m the order of
-    q mod n), which must be within the field order cap, and its
-    coefficients are pulled back into F_q through the deterministic
-    subfield embedding; a pullback failure would mean the construction is
-    wrong and raises immediately.
+    number r equals the number of cyclotomic cosets of q mod n.  Refused
+    with CapExceeded, before any work, when factor_charge exceeds
+    FACTOR_CAP.  The r primitive idempotents e_i come from
+    primitive_idempotents, and each factor is g_i = gcd(1 - e_i, x^n - 1),
+    the zeros of 1 - e_i being those of g_i.  The result is certified: the
+    factors are r in number, their degrees are the coset sizes, and they
+    multiply out to x^n - 1.  Pairwise coprime factors, as many as
+    x^n - 1 has irreducible factors, are irreducible.
     """
     if n < 1:
         raise ValueError(f"ring length must be >= 1, got {n}")
     if math.gcd(n, field.p) != 1:
         raise ValueError(f"x^n - 1 has repeated roots when gcd(n, q) != 1 (n={n}, q={field.q})")
-    m = multiplicative_order(field.q, n)
-    # q >= 2, so q^m > ORDER_CAP once 2^m is, and q^m is never formed at large m
-    if m >= ORDER_CAP.bit_length() or field.q**m > ORDER_CAP:
-        raise ValueError(
-            f"x^n - 1 splits only over F_(q^m) with n={n}, q={field.q}, m={m}: "
-            f"q^m = {power_text(field.q, m)} exceeds the field order cap {ORDER_CAP}"
+    charge = factor_charge(field, n)
+    if charge > FACTOR_CAP:
+        raise CapExceeded(
+            f"factoring x^n - 1 over F_{field.q} at n={n} takes about {charge} field operations, "
+            f"cap is {FACTOR_CAP}"
         )
     cosets = cyclotomic_cosets(field.q, n)
-    big = field if m == 1 else default_field(field.p, field.k * m)
-    emb = embedding(field, big)
-    beta = _find_primitive_root_of_unity(big, n)
+    xn1 = poly_trim([field.neg(1)] + [0] * (n - 1) + [1])
+    idempotent = {}
+    for e in primitive_idempotents(field, n, cosets).tolist():
+        one_minus_e = [field.neg(c) for c in e]
+        one_minus_e[0] = field.add(one_minus_e[0], field.one)
+        idempotent[poly_gcd(field, poly_trim(one_minus_e), xn1)] = tuple(e)
+    factors = list(idempotent)
 
-    factors = []
-    for coset in cosets:
-        g_big: Poly = (big.one,)
-        for i in coset:
-            root = big.pow(beta, i)
-            g_big = poly_mul(big, g_big, (big.neg(root), big.one))
-        factors.append(tuple(emb.preimage(c) for c in g_big))
-
-    self_rec: list[Poly] = []
-    pairs: list[tuple[Poly, Poly]] = []
-    waiting: dict[Poly, None] = {}
-    for g in factors:
-        rg = monic_reciprocal(field, g)
-        if rg == g:
-            self_rec.append(g)
-        elif rg in waiting:
-            pairs.append((g, rg) if g < rg else (rg, g))
-            del waiting[rg]
-        else:
-            waiting[g] = None
-    if waiting:
-        raise AssertionError("non-self-reciprocal factor without a partner")
-
-    _check_expansion(field, n, factors)
     if len(factors) != len(cosets):
         raise AssertionError("factor count does not match coset count")
+    if sorted(map(poly_degree, factors)) != sorted(map(len, cosets)):
+        raise AssertionError("factor degrees do not match coset sizes")
+    _check_expansion(field, n, factors)
 
+    def order(g: Poly) -> tuple:
+        return len(g), g
+
+    self_rec = sorted((g for g in factors if monic_reciprocal(field, g) == g), key=order)
+    pairs = sorted({tuple(sorted((g, monic_reciprocal(field, g)))) for g in factors if g not in self_rec},
+                   key=lambda pair: order(pair[0]))
+    ordered = self_rec + [h for pair in pairs for h in pair]
+    if len(ordered) != len(factors):
+        raise AssertionError("non-self-reciprocal factor without a partner")
     return Factorization(
         field=field,
         n=n,
-        alpha=field.one,
         self_reciprocal=tuple(self_rec),
         pairs=tuple(pairs),
         cosets=tuple(tuple(c) for c in cosets),
+        idempotents=tuple(idempotent[g] for g in ordered),
     )

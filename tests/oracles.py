@@ -15,9 +15,13 @@ import ...`, the way they import `helpers`.
 |                             | units: one `poly_gcd` with x^n - 1 per residue      |
 | `irreducible_scan`          | `polyring.is_irreducible`, by trial division        |
 | `least_irreducible_scan`    | `Field`'s default modulus                           |
-| `poly_eval`                 | `crt` roots and root-free factors, by Horner's rule |
+| `poly_eval`                 | oracle roots and root-free factors, Horner's rule   |
 | `first_root_scan`           | `polyring.first_roots`, one `poly_eval` per element |
-| `root_of_unity_scan`        | the log-table root of unity of `factor_xn_minus_1`  |
+| `primitive_root_of_unity`   | building block of `splitting_field_factors`: the    |
+|                             | least element of order n, read off the log table    |
+| `root_of_unity_scan`        | `primitive_root_of_unity`, by scalar powers         |
+| `splitting_field_factors`   | `polyring.factor_xn_minus_1`, as a set: minimal     |
+|                             | polynomials over the splitting field F_(q^m)        |
 | `einsum_prime_tables`       | `RingTables` neg/recip/add/times, weights of coeffs |
 | `times_matrix_scan`         | `polyring.times_matrices`, SchoolbookField products |
 | `sum_weight_table`          | the Q x Q table of weight(u + v) behind             |
@@ -49,9 +53,12 @@ import ...`, the way they import `helpers`.
 | `membership_scan`           | `census.membership_census`, all q^(2n) pairs        |
 | `membership_tables`         | the three `census.membership_sweep` tables, every   |
 |                             | message of every pair through `generator_matrix`    |
-| `horner_decompose`          | `crt.decompose`, one Horner step per coefficient,   |
-|                             | at roots found by `first_root_scan`                 |
-| `trace_loop_reconstruct`    | `crt.reconstruct`, one trace per coefficient        |
+| `remainder_decompose`       | `crt.decompose`, one `poly_divmod` per factor       |
+| `horner_decompose`          | `crt.decompose` on `splitting_field_factors`: a and |
+|                             | b at each factor's root found by `first_root_scan`, |
+|                             | one Horner step per coefficient                     |
+| `trace_loop_reconstruct`    | `crt.reconstruct`, from `horner_decompose` images:  |
+|                             | one trace per coefficient                           |
 | `max_nonconstant_scan`      | `MembershipSweep.max_nonconstant`, all q^(4n) words |
 | `entropy_volume_gap`        | `asympt.entropy` against `asympt.ball_volume`       |
 | `nested_render`             | `cli.render` of pair lists, whole-text json.dumps   |
@@ -64,6 +71,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -78,8 +86,10 @@ from fourcirc.polyring import (
     QuotientRing,
     cyclotomic_cosets,
     factor_xn_minus_1,
+    multiplicative_order,
     poly_divmod,
     poly_gcd,
+    poly_mul,
     poly_trim,
 )
 
@@ -249,6 +259,35 @@ def root_of_unity_scan(field, n):
         if field.pow(z, n) == 1 and all(field.pow(z, n // l) != 1 for l in primes):
             return z
     raise ValueError(f"no element of order {n} in F_{field.q}")
+
+
+def primitive_root_of_unity(big: Field, n: int) -> int:
+    """First element of multiplicative order exactly n, in code order.
+
+    With m = |big| - 1, the element g^L has order m / gcd(L, m).
+    """
+    m = big.q - 1
+    orders = m // np.gcd(big.log_array[1:], m)
+    return 1 + int(np.flatnonzero(orders == n)[0])
+
+
+def splitting_field_factors(field: Field, n: int) -> list:
+    """The irreducible factors of x^n - 1 over F_q, gcd(n, q) = 1, one per
+    cyclotomic coset C, in coset order: prod over i in C of (x - beta^i),
+    formed in the splitting field F_(q^m) (m the order of q mod n, q^m <=
+    2^16), with beta its least element of order n, and pulled back into
+    F_q through the subfield embedding."""
+    m = multiplicative_order(field.q, n)
+    big = field if m == 1 else Field(field.p, field.k * m)
+    emb = embedding(field, big)
+    beta = primitive_root_of_unity(big, n)
+    factors = []
+    for coset in cyclotomic_cosets(field.q, n):
+        g = (big.one,)
+        for i in coset:
+            g = poly_mul(big, g, (big.neg(big.pow(beta, i)), big.one))
+        factors.append(tuple(emb.preimage(c) for c in g))
+    return factors
 
 
 def is_two_factor_case(field: Field, n: int) -> bool:
@@ -747,7 +786,32 @@ def max_nonconstant_scan(sweep, which):
 # ---------------------------------------------------------------------------
 # CRT constituents
 
-def _constituent_context(field, factor):
+def remainder_decompose(code):
+    """crt.decompose by one schoolbook poly_divmod of a and of b per factor
+    of factor_xn_minus_1, in its order."""
+    field = code.field
+    out = []
+    for factor, kind in factor_xn_minus_1(field, code.n).factors():
+        d = len(factor) - 1
+        a, b = (poly_divmod(field, poly_trim(u), factor)[1] for u in (code.a, code.b))
+        out.append(Constituent(factor=factor, kind=kind, a_image=a + (0,) * (d - len(a)),
+                               b_image=b + (0,) * (d - len(b))))
+    return out
+
+
+@dataclass(frozen=True)
+class RootImage:
+    """a and b at a deterministic root of one factor of x^n - 1, in the
+    factor's extension field F_(q^d)."""
+
+    factor: tuple
+    field: Field
+    root: int
+    a_image: int
+    b_image: int
+
+
+def constituent_context(field, factor):
     """Extension field F_{q^d} of a factor of degree d, the embedding of
     F_q in it and the least root of the embedded factor, by a plain scan."""
     d = len(factor) - 1
@@ -756,7 +820,8 @@ def _constituent_context(field, factor):
     return ext, emb, first_root_scan(ext, [emb.apply(c) for c in factor])
 
 
-def _eval_at_root(ext, emb, coeffs, root):
+def eval_at_root(ext, emb, coeffs, root):
+    """The F_q polynomial coeffs at root of ext, by Horner's rule."""
     acc = 0
     for c in reversed(coeffs):
         acc = ext.add(ext.mul(acc, root), emb.apply(c))
@@ -764,47 +829,35 @@ def _eval_at_root(ext, emb, coeffs, root):
 
 
 def horner_decompose(code):
-    """crt.decompose by Horner evaluation at each factor's root, one field
-    operation per coefficient."""
-    field, n = code.field, code.n
-    fact = factor_xn_minus_1(field, n)
+    """a and b at the root of each factor of splitting_field_factors, by
+    Horner evaluation, one field operation per coefficient."""
+    field = code.field
     out = []
-    for factor, kind in fact.factors():
-        ext, emb, root = _constituent_context(field, factor)
-        a_img = _eval_at_root(ext, emb, code.a, root)
-        b_img = _eval_at_root(ext, emb, code.b, root)
-        out.append(
-            Constituent(
-                factor=factor,
-                kind=kind,
-                base=field,
-                field=ext,
-                root=root,
-                a_image=a_img,
-                b_image=b_img,
-            )
-        )
+    for factor in splitting_field_factors(field, code.n):
+        ext, emb, root = constituent_context(field, factor)
+        out.append(RootImage(factor, ext, root, eval_at_root(ext, emb, code.a, root),
+                             eval_at_root(ext, emb, code.b, root)))
     return out
 
 
-def trace_loop_reconstruct(field, n, constituents):
-    """crt.reconstruct by the trace formula a_i = n^(-1) * sum over f of
-    Tr(a(root_f) * root_f^(-i)), one scalar trace per coefficient and factor."""
-    expected = sorted(factor for factor, _ in factor_xn_minus_1(field, n).factors())
-    if sorted(con.factor for con in constituents) != expected:
-        raise ValueError("constituents are not exactly the factors of x^n - 1")
+def trace_loop_reconstruct(field, n, images):
+    """(a, b) from horner_decompose images by the trace formula a_i = n^(-1)
+    * sum over f of Tr(a(root_f) * root_f^(-i)), one scalar trace per
+    coefficient and factor."""
+    if sorted(im.factor for im in images) != sorted(splitting_field_factors(field, n)):
+        raise ValueError("images are not exactly the factors of x^n - 1")
     a = [field.zero] * n
     b = [field.zero] * n
-    for con in constituents:
-        ext, emb, root = _constituent_context(field, con.factor)
-        if (con.base, con.field, con.root) != (field, ext, root):
-            raise ValueError("constituent does not match its deterministic context")
+    for im in images:
+        ext, emb, root = constituent_context(field, im.factor)
+        if (im.field, im.root) != (ext, root):
+            raise ValueError("image does not match its deterministic context")
         step = ext.inv(root)
-        for image, out in ((con.a_image, a), (con.b_image, b)):
+        for image, out in ((im.a_image, a), (im.b_image, b)):
             y = image
             for i in range(n):
                 trace, t = ext.zero, y
-                for _ in range(con.degree):
+                for _ in range(len(im.factor) - 1):
                     trace = ext.add(trace, t)
                     t = ext.pow(t, field.q)
                 out[i] = field.add(out[i], emb.preimage(trace))

@@ -111,7 +111,7 @@ def test_criterion_05_constituents():
                 code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
                 for con in decompose(code):
                     if con.kind == "self_reciprocal":
-                        assert constituent_self_dual(con), (field.q, n, ai, bi)
+                        assert constituent_self_dual(field, con), (field.q, n, ai, bi)
             for _ in range(100):
                 a = ring.element(rng.randrange(ring.size))
                 b = ring.element(rng.randrange(ring.size))

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -54,12 +55,14 @@ def test_enumerate_snapshot():
 
 
 def test_factor_snapshot():
-    rep = run_json("factor", "--q", "3", "--n", "7")["report"]
+    payload = run_json("factor", "--q", "3", "--n", "7")
+    assert payload["schema"] == "fourcirc/factor/v2"
+    rep = payload["report"]
     degrees = sorted(len(f) - 1 for f in rep["self_reciprocal"]) + [
         len(h) - 1 for pair in rep["pairs"] for h in pair
     ]
     assert degrees == [1, 6]
-    assert rep["alpha"] == 1
+    assert list(rep) == ["q", "n", "self_reciprocal", "pairs", "cosets"]
     assert rep["cosets"] == [[0], [1, 2, 3, 4, 5, 6]]
     assert rep["self_reciprocal"] == [[2, 1], [1, 1, 1, 1, 1, 1, 1]]
 
@@ -132,11 +135,14 @@ def test_failed_allocation_exits_3(args, module, monkeypatch, capsys):
 
 
 def test_crt_snapshot():
-    rep = run_json("crt", "--q", "2", "--n", "3", "--a", "0,1,0", "--b", "0,0,0")["report"]
+    payload = run_json("crt", "--q", "2", "--n", "3", "--a", "0,1,0", "--b", "0,0,0")
+    assert payload["schema"] == "fourcirc/crt/v2"
+    rep = payload["report"]
     kinds = [c["kind"] for c in rep["constituents"]]
     assert kinds == ["self_reciprocal", "self_reciprocal"]
     assert all(c["hermitian_self_dual"] for c in rep["constituents"])
-    assert rep["constituents"][1]["field"] == "2^2"
+    assert rep["constituents"][1]["degree"] == 2
+    assert rep["constituents"][1]["a_image"] == [0, 1]  # x mod x^2 + x + 1
 
 
 def test_bound_snapshot():
@@ -274,7 +280,6 @@ def test_exit_code_cap():
     [
         (["distance", "--q", "2", "--n", "100000", "--a", "1", "--b", "0"], 3, "2^200000 codeword"),
         (["enumerate", "--q", "2", "--n", "100000"], 3, "2^200000 pairs"),
-        (["factor", "--q", "2", "--n", "10000019"], 2, "q^m = 2^1428574 exceeds"),
     ],
 )
 def test_refusals_write_huge_sizes_as_powers(args, code, need):
@@ -283,6 +288,22 @@ def test_refusals_write_huge_sizes_as_powers(args, code, need):
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 300, proc.stderr
     assert need in proc.stderr
+
+
+def test_factor_and_crt_charge_refuses_huge_lengths_at_once():
+    # the charge on factoring x^n - 1 refuses before any work, in one line;
+    # the splitting-field path refused (2, 19) to (3, 17) with exit 2
+    for args in (["factor", "--q", "2", "--n", "1000003"],
+                 ["crt", "--q", "2", "--n", "1000003", "--a", "1", "--b", "0,1"],
+                 ["factor", "--q", "3", "--n", "10000019"]):
+        start = time.perf_counter()
+        proc = run_cli(*args, expect=3)
+        assert time.perf_counter() - start < 1, args
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "field operations, cap is" in proc.stderr, proc.stderr
+    for q, n in [("2", "19"), ("2", "29"), ("3", "17")]:
+        run_cli("factor", "--q", q, "--n", n)
+        run_cli("crt", "--q", q, "--n", n, "--a", "1,1,0,1", "--b", "0,1")
 
 
 ABOVE_127 = [
@@ -573,7 +594,7 @@ def test_tracer_runs(tmp_path):
     # (Field.add, Embedding.__init__, QuotientRing.mul, RingTables.__init__,
     # ...), so renaming one fails here as well as in the traced benchmark
     payload, data = run_traced(tmp_path, ["crt", "--q", "2^2", "--n", "5", "--a", "1,1", "--b", "0,1"])
-    assert payload["schema"] == "fourcirc/crt/v1"
+    assert payload["schema"] == "fourcirc/crt/v2"
     assert data["job"] == "t"
     assert data["leaves"]["fields.mul"][0] > 0
 

@@ -5,13 +5,14 @@ import time
 
 import pytest
 
-from fourcirc import cli, crt, fields, polyring
+from fourcirc import cli, crt, polyring
 from fourcirc.codes import FourCirculantCode
 from fourcirc.crt import Constituent, constituent_self_dual, decompose, decompose_report, reconstruct
 from fourcirc.fields import Field
-from fourcirc.polyring import QuotientRing, factor_xn_minus_1
+from fourcirc.polyring import QuotientRing, factor_xn_minus_1, is_irreducible, poly_mul, poly_pow_mod, poly_trim
 
-from oracles import horner_decompose, poly_eval, trace_loop_reconstruct
+from oracles import (constituent_context, eval_at_root, horner_decompose, poly_eval, remainder_decompose,
+                     trace_loop_reconstruct)
 
 F2, F3, F5 = Field(2), Field(3), Field(5)
 
@@ -21,6 +22,10 @@ ROUND_TRIP_POINTS = [
     (Field(2, 4), 15), (F2, 1), (Field(2, 3, modulus=(1, 0, 1, 1)), 9),
     (Field(131), 5), (Field(257), 2),
 ]
+
+# the first five split x^n - 1 only over F_(q^m) with q^m > 2^16; (2, 255)
+# has 35 factors
+REACH_POINTS = [(F2, 19), (F2, 29), (F3, 17), (F2, 199), (F3, 199), (F2, 255)]
 
 
 def make_code(field, n, a, b):
@@ -33,21 +38,19 @@ def test_decompose_example():
     assert [c.kind for c in cons] == ["self_reciprocal", "self_reciprocal"]
     lin, quad = cons
     assert lin.factor == (1, 1)
-    assert lin.field == F2
-    assert lin.a_image == 1  # a = x evaluated at the root 1
-    assert lin.b_image == 0
+    assert (lin.a_image, lin.b_image) == ((1,), (0,))  # x = 1 mod x + 1
     assert quad.factor == (1, 1, 1)
-    assert quad.field.q == 4
-    assert quad.a_image == quad.root  # a = x maps to the chosen root
-    # root really is a root of the factor inside F_4
-    assert poly_eval(quad.field, quad.factor, quad.root) == 0
+    assert (quad.a_image, quad.b_image) == ((0, 1), (0, 0))  # x mod x^2 + x + 1
+    # in F_4 the residue x takes the value of the root of x^2 + x + 1
+    ext, emb, root = constituent_context(F2, quad.factor)
+    assert eval_at_root(ext, emb, quad.a_image, root) == root
+    assert poly_eval(ext, [emb.apply(c) for c in quad.factor], root) == 0
 
 
 def test_decompose_zero():
     code = make_code(F3, 5, (0,) * 5, (0,) * 5)
     for con in decompose(code):
-        assert con.a_image == 0
-        assert con.b_image == 0
+        assert con.a_image == con.b_image == (0,) * con.degree
 
 
 def test_decompose_requires_coprime_length():
@@ -78,30 +81,52 @@ def random_codes(field, n, count, rng):
 
 
 def test_decompose_and_reconstruct_match_oracles():
-    # the array evaluations against one Horner step and one scalar trace per
-    # coefficient, at every round-trip point
+    # the residue maps against one schoolbook remainder per factor, and
+    # against the splitting field: each residue takes the oracle's image at
+    # the oracle's root, and the round trip equals the trace formula's
     rng = random.Random(20261018)
     for field, n in ROUND_TRIP_POINTS:
         for code in random_codes(field, n, 20, rng):
             cons = decompose(code)
-            assert cons == horner_decompose(code), (field, n, code.a, code.b)
+            assert cons == remainder_decompose(code), (field, n, code.a, code.b)
+            images = {im.factor: im for im in horner_decompose(code)}
+            assert sorted(images) == sorted(con.factor for con in cons)
+            for con in cons:
+                im = images[con.factor]
+                emb = constituent_context(field, con.factor)[1]
+                assert eval_at_root(im.field, emb, con.a_image, im.root) == im.a_image
+                assert eval_at_root(im.field, emb, con.b_image, im.root) == im.b_image
             shuffled = rng.sample(cons, len(cons))
-            assert reconstruct(field, n, shuffled) == trace_loop_reconstruct(field, n, shuffled)
-            # images the round trip never produces: every constituent holds (1, 0)
-            ones = [dataclasses.replace(con, a_image=1, b_image=0) for con in cons]
-            assert reconstruct(field, n, ones) == trace_loop_reconstruct(field, n, ones)
+            assert reconstruct(field, n, shuffled) == trace_loop_reconstruct(field, n, list(images.values()))
+            # images the round trip never produces: every residue is (1, 0),
+            # which takes the values 1 and 0 at every root
+            ones = [dataclasses.replace(con, a_image=(1,) + (0,) * (con.degree - 1), b_image=(0,) * con.degree)
+                    for con in cons]
+            root_ones = [dataclasses.replace(im, a_image=1, b_image=0) for im in images.values()]
+            assert reconstruct(field, n, ones) == trace_loop_reconstruct(field, n, root_ones)
 
 
 def test_evaluations_in_small_chunks(monkeypatch):
-    # one factor (decompose) or one coefficient (reconstruct) per array when
-    # the chunk budget is tiny, as for x^n - 1 with very many factors
-    monkeypatch.setattr(crt, "CHUNK_TERMS", 1)
+    # one term (refinement products) or one column (both maps) per array
+    # when the block is tiny: the same factors, idempotents and residues
     rng = random.Random(7)
-    for field, n in [(F2, 7), (F3, 20), (Field(2, 4), 15)]:
-        for code in random_codes(field, n, 5, rng):
-            cons = decompose(code)
-            assert cons == horner_decompose(code)
-            assert reconstruct(field, n, cons) == (code.a, code.b)
+    points = [(F2, 7), (F3, 20), (Field(2, 4), 15), (Field(2, 2), 5)]
+    want = {point: factor_xn_minus_1(*point) for point in points}
+    try:
+        for block in (1, 7):
+            monkeypatch.setattr(polyring, "PRODUCT_BLOCK", block)
+            monkeypatch.setattr(crt, "PRODUCT_BLOCK", block)
+            factor_xn_minus_1.cache_clear()
+            crt._maps.cache_clear()
+            for field, n in points:
+                assert factor_xn_minus_1(field, n) == want[field, n]
+                for code in random_codes(field, n, 5, rng):
+                    cons = decompose(code)
+                    assert cons == remainder_decompose(code)
+                    assert reconstruct(field, n, cons) == (code.a, code.b)
+    finally:
+        factor_xn_minus_1.cache_clear()
+        crt._maps.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -111,7 +136,7 @@ def test_evaluations_in_small_chunks(monkeypatch):
 )
 def test_crt_report_bodies_match_oracle(q, order, n, modulus, monkeypatch, capsys):
     # fourcirc crt prints the same JSON (but for the wall time) and text
-    # bodies with the Horner oracle in place of decompose
+    # bodies with the schoolbook remainders in place of decompose
     rng = random.Random(n)
     argv = ["crt", "--q", q, "--n", str(n),
             "--a", ",".join(str(rng.randrange(order)) for _ in range(n)),
@@ -119,41 +144,34 @@ def test_crt_report_bodies_match_oracle(q, order, n, modulus, monkeypatch, capsy
     if modulus:
         argv += ["--modulus", modulus]
     bodies = []
-    for decomposer in (decompose, horner_decompose):
+    for decomposer in (decompose, remainder_decompose):
         monkeypatch.setattr(crt, "decompose", decomposer)
         outs = []
         for fmt in ("json", "text"):
             assert cli.main(argv + ["--format", fmt]) == 0
             outs.append(capsys.readouterr().out)
         payload = json.loads(outs[0])
+        assert payload["schema"] == "fourcirc/crt/v2"
         payload["manifest"].pop("wall_time_s")
         bodies.append((json.dumps(payload, indent=2), outs[1]))
     assert bodies[0] == bodies[1]
 
 
-def test_plan_and_factorization_share_extension_field(monkeypatch):
-    # x^23 - 1 over F_2 has two factors of degree 11, both over F_2^11, the
-    # splitting field that factor_xn_minus_1 builds first
-    caches = (fields.default_field, polyring.factor_xn_minus_1, crt._plan)
+def test_crt_builds_no_field_but_the_base(monkeypatch):
+    # factoring, both maps and the Hermitian test work over F_q alone: no
+    # Field is constructed, where the splitting-field path built F_(2^11)
+    # at (2, 23) and F_16 at (F_4, 5)
+    points = [(F2, 23), (Field(2, 2), 5), (F3, 20), (F2, 29)]
     built = []
-    init = Field.__init__
-
-    def counting_init(self, p, k=1, modulus=None):
-        built.append((p, k))
-        init(self, p, k, modulus)
-
-    for cache in caches:
-        cache.cache_clear()
-    monkeypatch.setattr(Field, "__init__", counting_init)
-    try:
-        plan = crt._plan(Field(2), 23)
-        shared = fields.default_field(2, 11)
-    finally:
-        for cache in caches:
-            cache.cache_clear()
-    assert built.count((2, 11)) == 1
-    assert [g.field is shared for g in plan.groups] == [False, True]  # degrees 1 and 11
-    assert all(ext is shared for ext, _ in plan.contexts if ext.k == 11)
+    monkeypatch.setattr(Field, "__init__", lambda self, *args, **kwargs: built.append(args))
+    factor_xn_minus_1.cache_clear()
+    crt._maps.cache_clear()
+    for field, n in points:
+        for code in random_codes(field, n, 3, random.Random(n)):
+            cons = decompose(code)
+            assert reconstruct(field, n, cons) == (code.a, code.b)
+            decompose_report(code)
+    assert built == []
 
 
 def test_reconstruct_rejects_bad_constituents():
@@ -166,24 +184,19 @@ def test_reconstruct_rejects_bad_constituents():
         reconstruct(F2, 7, [lin, cubic1])  # missing factor
     with pytest.raises(ValueError):
         reconstruct(F2, 7, [lin, cubic1, cubic2, lin])  # extra copy
-    moved = dataclasses.replace(cubic1, root=cubic1.field.pow(cubic1.root, 2))
-    with pytest.raises(ValueError):
-        reconstruct(F2, 7, [lin, moved, cubic2])  # another root of the same factor
-    # decomposed over another base field: F_4 has other factors of x^3 - 1,
-    # and F_8 under another modulus has the same linear factors but other roots
+    with pytest.raises(ValueError, match="3 coefficients"):
+        reconstruct(F2, 7, [lin, dataclasses.replace(cubic1, a_image=(1, 0)), cubic2])  # short residue
+    # decomposed over another base field: F_4 has other factors of x^3 - 1
     with pytest.raises(ValueError):
         reconstruct(F2, 3, decompose(make_code(Field(2, 2), 3, (0, 1, 0), (1, 0, 0))))
     other = Field(2, 3, modulus=(1, 0, 1, 1))
     cons = decompose(make_code(other, 7, (0, 1) + (0,) * 5, (3,) + (0,) * 6))
-    with pytest.raises(ValueError):
-        reconstruct(Field(2, 3), 7, cons)
     assert reconstruct(other, 7, cons) == ((0, 1) + (0,) * 5, (3,) + (0,) * 6)
 
 
 def test_round_trip_many_linear_factors_at_large_q():
-    # 2^16 = 1 mod 255, so x^255 - 1 splits into 255 linear factors over
-    # F_{2^16}: every constituent lives in one shared copy of the base field,
-    # and the round trip stays cheap however many factors there are
+    # 2^16 = 1 mod 255, so x^255 - 1 splits into 255 linear factors x - c
+    # over F_{2^16}, and each residue is the value at c
     field = Field(2, 16)
     ring = QuotientRing(field, 255)
     a = tuple((7 * i + 3) % field.q for i in range(255))
@@ -193,38 +206,57 @@ def test_round_trip_many_linear_factors_at_large_q():
     assert reconstruct(field, 255, cons) == (a, b)
     assert time.perf_counter() - start < 20
     assert len(cons) == 255
-    assert all(con.field is cons[0].field == field for con in cons)
-    assert all(con.root == field.neg(con.factor[0]) for con in cons)  # x - root
+    assert all(con.degree == 1 for con in cons)
+    for con in cons[::17]:
+        c = field.neg(con.factor[0])
+        assert con.a_image == (poly_eval(field, a, c),) and con.b_image == (poly_eval(field, b, c),)
+
+
+@pytest.mark.parametrize("field, n", REACH_POINTS, ids=[f"{field.q}-{n}" for field, n in REACH_POINTS])
+def test_factor_and_round_trip_beyond_the_splitting_field_cap(field, n):
+    # the factors re-expand, have the coset sizes as degrees and pass
+    # Rabin's test, and the CRT round trip returns its input
+    fact = factor_xn_minus_1(field, n)
+    factors = [g for g, _ in fact.factors()]
+    product = (field.one,)
+    for g in factors:
+        product = poly_mul(field, product, g)
+    assert product == poly_trim([field.neg(1)] + [0] * (n - 1) + [1])
+    assert sorted(len(g) - 1 for g in factors) == sorted(map(len, fact.cosets))
+    assert all(is_irreducible(field, g) for g in factors)
+    for code in random_codes(field, n, 5, random.Random(n)):
+        cons = decompose(code)
+        assert cons == remainder_decompose(code)
+        assert reconstruct(field, n, cons) == (code.a, code.b)
+
 
 def test_images_respect_evaluation():
+    # the residues of a take the values a(root) at every root of each factor
     ring = QuotientRing(F3, 5)
     code = FourCirculantCode(ring, (1, 2, 0, 0, 1), (0, 1, 1, 0, 2))
     for con in decompose(code):
-        ext = con.field
-        # recompute a(root) directly in the extension
-        from fourcirc.fields import Embedding
-
-        emb = Embedding(F3, ext)
-        acc = 0
-        for c in reversed(code.a):
-            acc = ext.add(ext.mul(acc, con.root), emb.apply(c))
-        assert acc == con.a_image
+        ext, emb, root = constituent_context(F3, con.factor)
+        for _ in range(con.degree):  # the Frobenius conjugates root^(3^j)
+            assert eval_at_root(ext, emb, con.a_image, root) == eval_at_root(ext, emb, code.a, root)
+            assert eval_at_root(ext, emb, con.b_image, root) == eval_at_root(ext, emb, code.b, root)
+            root = ext.pow(root, 3)
 
 
 def test_hermitian_examples():
     code = make_code(F2, 3, (0, 1, 0), (0, 0, 0))
     lin, quad = decompose(code)
-    assert constituent_self_dual(quad)  # 1 + w*w^2 = 1 + 1 = 0 in F_4
-    assert constituent_self_dual(lin)  # 1 + 1*1 + 0 = 0 over F_2
-    # degree-1 arithmetic over F_3: images (1, 1) satisfy 1 + 1 + 1 = 0
-    con = Constituent(
-        factor=(2, 1), kind="self_reciprocal", base=F3, field=F3, root=1, a_image=1, b_image=1
-    )
-    assert constituent_self_dual(con)
-    con2 = Constituent(
-        factor=(2, 1), kind="self_reciprocal", base=F3, field=F3, root=1, a_image=1, b_image=0
-    )
-    assert not constituent_self_dual(con2)
+    assert constituent_self_dual(F2, quad)  # 1 + x * x^2 = 1 + x^3 = 0 mod x^2 + x + 1
+    assert constituent_self_dual(F2, lin)  # 1 + 1*1 + 0 = 0 over F_2
+    # degree-1 arithmetic over F_3: residues (1, 1) satisfy 1 + 1 + 1 = 0
+    con = Constituent(factor=(2, 1), kind="self_reciprocal", a_image=(1,), b_image=(1,))
+    assert constituent_self_dual(F3, con)
+    assert not constituent_self_dual(F3, dataclasses.replace(con, b_image=(0,)))
+    # x^2 + 1 over F_3: x' = x^(-1) = -x, so a = x, b = 0 gives 1 - x^2 = 2,
+    # and a = x, b = 1 gives 1 - x^2 + 1 = 0 mod x^2 + 1; with a' = a instead
+    # the second would read 1 + x^2 + 1 = 1
+    con = Constituent(factor=(1, 0, 1), kind="self_reciprocal", a_image=(0, 1), b_image=(0, 0))
+    assert not constituent_self_dual(F3, con)
+    assert constituent_self_dual(F3, dataclasses.replace(con, b_image=(1, 0)))
 
 
 def test_hermitian_rejects_pair_kinds():
@@ -235,19 +267,17 @@ def test_hermitian_rejects_pair_kinds():
     assert kinds.count("pair_first") == 1 and kinds.count("pair_second") == 1
     pair_con = next(c for c in cons if c.kind == "pair_first")
     with pytest.raises(ValueError):
-        constituent_self_dual(pair_con)
+        constituent_self_dual(F2, pair_con)
 
 
 def test_conjugation_inverts_root():
-    # for a self-reciprocal factor of degree 2m, root^(q^m) is 1/root
-    for field, n in [(F2, 3), (F2, 5), (F3, 5), (F5, 3)]:
-        code = FourCirculantCode(QuotientRing(field, n), (0, 1) + (0,) * (n - 2), (0,) * n)
-        for con in decompose(code):
-            if con.kind != "self_reciprocal" or con.degree == 1:
-                continue
-            ext = con.field
-            exp = field.q ** (con.degree // 2)
-            assert ext.pow(con.root, exp) == ext.inv(con.root)
+    # for a self-reciprocal factor g of degree 2m, x^(q^m) = x^(-1) = x^(n-1)
+    # mod g: the ring reciprocal is the conjugation of F_q[x]/(g)
+    for field, n in [(F2, 3), (F2, 5), (F3, 5), (F5, 3), (F2, 9), (F3, 10), (Field(2, 2), 5)]:
+        for g in factor_xn_minus_1(field, n).self_reciprocal:
+            if len(g) > 2:
+                frobenius = poly_pow_mod(field, (0, 1), field.q ** ((len(g) - 1) // 2), g)
+                assert frobenius == poly_pow_mod(field, (0, 1), n - 1, g), (field, n, g)
 
 
 def test_self_dual_iff_constituent_conditions():
@@ -259,7 +289,7 @@ def test_self_dual_iff_constituent_conditions():
     """
     from fourcirc.polyring import poly_mod, poly_trim
 
-    for field, n in [(F2, 3), (F2, 7)]:
+    for field, n in [(F2, 3), (F2, 7), (Field(2, 2), 3), (F3, 4)]:
         ring = QuotientRing(field, n)
         fact = factor_xn_minus_1(field, n)
         paired = [h for pair in fact.pairs for h in pair]
@@ -269,7 +299,7 @@ def test_self_dual_iff_constituent_conditions():
                 sd = code.is_self_dual_poly()
                 cons = decompose(code)
                 herm = all(
-                    constituent_self_dual(c) for c in cons if c.kind == "self_reciprocal"
+                    constituent_self_dual(field, c) for c in cons if c.kind == "self_reciprocal"
                 )
                 residue = poly_trim(code.criterion_residue())
                 pair_div = all(not poly_mod(field, residue, h) for h in paired)
@@ -279,7 +309,8 @@ def test_self_dual_iff_constituent_conditions():
 def test_decompose_report_shape():
     code = make_code(F2, 3, (0, 1, 0), (0, 0, 0))
     rep = decompose_report(code)
-    assert rep[0]["field"] == "2^1"
-    assert rep[1]["field"] == "2^2"
+    assert [list(con) for con in rep] == [["factor", "degree", "kind", "a_image", "b_image", "hermitian_self_dual"]] * 2
+    assert [con["degree"] for con in rep] == [1, 2]
+    assert rep[1]["a_image"] == [0, 1]
     assert rep[1]["hermitian_self_dual"] is True
     assert rep[0]["factor"] == [1, 1]

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -37,8 +38,10 @@ from oracles import (
     order_scan,
     is_two_factor_case,
     poly_eval,
+    primitive_root_of_unity,
     root_of_unity_scan,
     self_duality_scan,
+    splitting_field_factors,
     sum_weight_table,
     times_matrix_scan,
 )
@@ -378,7 +381,7 @@ def test_first_root_matches_scan(p, k, chunk, monkeypatch):
 @pytest.mark.parametrize("p,k,n", [(2, 1, 23), (2, 1, 89), (2, 2, 5)])
 @pytest.mark.parametrize("chunk", [None, 1, 7, 64])
 def test_first_roots_of_plan_groups(p, k, n, chunk, monkeypatch):
-    # the embedded factors of x^n - 1 of each degree, as crt's plan finds their roots
+    # the embedded factors of x^n - 1 of each degree, whose roots the CRT oracles use
     if chunk:
         monkeypatch.setattr(polyring, "ROOT_CHUNK", chunk)
     base = Field(p, k)
@@ -417,9 +420,16 @@ def test_factor_examples():
     for n in (0, -1):
         with pytest.raises(ValueError, match="ring length must be >= 1"):
             factor_xn_minus_1(F2, n)
-    # x^19 - 1 splits only over F_(2^18), above the field order cap
-    with pytest.raises(ValueError, match=r"n=19, q=2, m=18"):
-        factor_xn_minus_1(F2, 19)
+    # 2 is a primitive root mod 19: (x + 1)(x^18 + ... + 1), though x^19 - 1
+    # splits only over F_(2^18), above the field order cap
+    fact = factor_xn_minus_1(F2, 19)
+    assert fact.self_reciprocal == ((1, 1), (1,) * 19)
+    # the order is by degree, then by coefficients: the pair of cubics at
+    # (2, 7), and over F_4 at n = 3 the linear factors x - 1 and the pair
+    # x - w, x - w^2
+    assert factor_xn_minus_1(F2, 7).pairs == (((1, 0, 1, 1), (1, 1, 0, 1)),)
+    assert factor_xn_minus_1(F4, 3).self_reciprocal == ((1, 1),)
+    assert factor_xn_minus_1(F4, 3).pairs == (((2, 1), (3, 1)),)
 
 
 def test_expansion_check_rejects_a_missing_factor():
@@ -450,8 +460,9 @@ def test_factorization_properties():
             assert expand(field, factors) == expected
             # count matches cosets
             assert len(factors) == len(fact.cosets)
-            # distinctness
+            # distinctness, and the same set as over the splitting field
             assert len(set(factors)) == len(factors)
+            assert set(factors) == set(splitting_field_factors(field, n))
             # classification
             for g in fact.self_reciprocal:
                 assert monic_reciprocal(field, g) == g
@@ -469,12 +480,63 @@ def test_factorization_properties():
                         assert poly_eval(field, g, x) != 0
 
 
+def test_factors_equal_the_splitting_field_at_every_desk_point():
+    # q in {2, 3, 4, 5, 7} and n < 60: the same set of factors as the
+    # minimal polynomials over F_(q^m) wherever q^m <= 2^16 (107 points);
+    # the other 92 points run only over F_q, and certify themselves
+    both = 0
+    for q in (2, 3, 4, 5, 7):
+        field = field_of_order(q)
+        for n in range(1, 60):
+            if math.gcd(n, q) == 1:
+                factors = {g for g, _ in factor_xn_minus_1(field, n).factors()}
+                if q ** multiplicative_order(q, n) <= 1 << 16:
+                    assert factors == set(splitting_field_factors(field, n)), (q, n)
+                    both += 1
+    assert both == 107
+
+
+def test_primitive_idempotents_and_their_factors():
+    # e^2 = e, e_i e_j = 0, sum of e = 1, and e = 1 mod its own factor and
+    # 0 mod every other one, by schoolbook ring products and remainders
+    for field, n in [(F2, 7), (F2, 9), (F2, 15), (F3, 8), (F4, 5), (F5, 6), (Field(3, 2), 5), (Field(7), 4)]:
+        ring = QuotientRing(field, n)
+        fact = factor_xn_minus_1(field, n)
+        factors = [g for g, _ in fact.factors()]
+        total = ring.zero
+        for i, e in enumerate(fact.idempotents):
+            assert ring.mul(e, e) == e
+            assert all(ring.mul(e, f) == ring.zero for f in fact.idempotents[i + 1 :])
+            total = ring.add(total, e)
+            for j, g in enumerate(factors):
+                residue = poly_divmod(field, poly_trim(e), g)[1]
+                assert residue == ((field.one,) if i == j else ()), (field, n, i, j)
+        assert total == ring.one
+
+
+def test_coset_count_and_factor_charge():
+    # the number of cosets without listing them, and the charge built on it
+    for q in (2, 3, 4, 5, 7, 9, 16, 131):
+        for n in range(1, 120):
+            if math.gcd(n, q) == 1:
+                assert polyring.coset_count(q, n) == len(cyclotomic_cosets(q, n)), (q, n)
+    assert polyring.factor_charge(F2, 89) == (9 + 8 * 2) * 89**2
+    assert polyring.factor_charge(Field(257), 4) == (4 + 3 * 257 * 256) * 16
+    for field, n in [(F2, 1000003), (Field(65521), 2), (F3, 10000019)]:
+        start = time.perf_counter()
+        with pytest.raises(polyring.CapExceeded, match=f"at n={n} takes about"):
+            factor_xn_minus_1(field, n)
+        assert time.perf_counter() - start < 1
+    factor_xn_minus_1(Field(65521), 1)  # one factor: nothing to refine
+
+
 @pytest.mark.parametrize(
     "q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 49, 64, 81, 121, 128, 131, 243, 256, 257]
 )
 def test_root_of_unity_matches_scan(q):
-    # the least element of order n, read off the log table, at every n | q - 1
+    # the least element of order n, read off the log table, at every n | q - 1:
+    # the root of unity of the splitting-field oracle
     big = field_of_order(q)
     for n in range(1, q):
         if (q - 1) % n == 0:
-            assert polyring._find_primitive_root_of_unity(big, n) == root_of_unity_scan(big, n), n
+            assert primitive_root_of_unity(big, n) == root_of_unity_scan(big, n), n
