@@ -26,7 +26,8 @@ import numpy as np
 
 from .codes import FourCirculantCode
 from .fields import Field, field_sum
-from .polyring import PRODUCT_BLOCK, Poly, factor_xn_minus_1, poly_add, poly_degree, poly_mod, poly_mul, poly_trim
+from .polyring import (FACTOR_CAP, PRODUCT_BLOCK, CapExceeded, Poly, factor_charge, factor_xn_minus_1, poly_add,
+                       poly_degree, poly_mod, poly_mul, poly_trim)
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,11 @@ class Constituent:
 
     kind is "self_reciprocal", "pair_first" or "pair_second"; a_image and
     b_image are the coefficient rows of a mod factor and b mod factor,
-    ascending, of length deg factor.
+    ascending, of length deg factor; n is the length of the ring R(n, F_q)
+    they come from.
     """
 
+    n: int
     factor: Poly
     kind: str
     a_image: tuple
@@ -46,6 +49,16 @@ class Constituent:
     @property
     def degree(self) -> int:
         return poly_degree(self.factor)
+
+
+def crt_charge(field: Field, n: int) -> int:
+    """The field operations decompose and its Hermitian tests are charged
+    at (field, n): factor_charge and 16 n^2 more, about 8 n^2 for the two
+    n x n maps, built through about eight arrays of that size, and at
+    most 6 n^2 for the tests, as each reduces an n-term reciprocal mod g
+    (n d operations) and multiplies and reduces residues of degree below
+    d (2 d^2), for a and for b, and the degrees d sum to at most n."""
+    return factor_charge(field, n) + 16 * n * n
 
 
 @lru_cache(maxsize=None)
@@ -57,7 +70,13 @@ def _maps(field: Field, n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     row.  x * (u mod g) = sum of u_(j-1) x^j - u_(d-1) * (g - x^d), so
     one step of the recurrence shifts every block up by one place and
     subtracts its top coefficient times its factor's lower coefficients.
+
+    Refused with CapExceeded, before any work, when crt_charge exceeds
+    FACTOR_CAP.
     """
+    charge = crt_charge(field, n)
+    if charge > FACTOR_CAP:
+        raise CapExceeded(f"the CRT of R({n}, F_{field.q}) takes about {charge} field operations, cap is {FACTOR_CAP}")
     fact = factor_xn_minus_1(field, n)
     factors = tuple(fact.factors())
     log, exp, neg = field.log_array, field.exp_array, field.neg_array
@@ -99,48 +118,44 @@ def decompose(code: FourCirculantCode) -> list[Constituent]:
     out, at = [], 0
     for factor, kind in factors:
         d = poly_degree(factor)
-        out.append(Constituent(factor=factor, kind=kind, a_image=tuple(a[at : at + d]), b_image=tuple(b[at : at + d])))
+        out.append(Constituent(n=code.n, factor=factor, kind=kind, a_image=tuple(a[at : at + d]),
+                               b_image=tuple(b[at : at + d])))
         at += d
     return out
 
 
 def constituent_self_dual(field: Field, con: Constituent) -> bool:
     """Hermitian self-duality test for a self-reciprocal constituent over
-    F_q = field: 1 + a*a' + b*b' = 0 mod g, with u' = u(x^(-1)) the ring
-    reciprocal.
+    F_q = field: 1 + a*a' + b*b' = 0 mod g, with u' the ring reciprocal of
+    u in R(n, F_q) (coefficient j moves to (n - j) mod n), reduced mod g.
 
-    x^n = 1 mod g, so x^(-1) mod g is x^(n-1) mod g, and from g itself it
-    is -(g - g_0) / (x * g_0) = -(g_1 + g_2 x + ... + x^(d-1)) / g_0.  For
-    a self-reciprocal g, u -> u' is the conjugation of F_q[x]/(g) over its
-    subfield of index 2 (x -> x^(q^(d/2))), or the identity when d = 1.
+    For a self-reciprocal g, u -> u' mod g is the conjugation of
+    F_q[x]/(g) over its subfield of index 2 (x -> x^(q^(d/2))), or the
+    identity when d = 1.
     """
     if con.kind != "self_reciprocal":
         raise ValueError("Hermitian test only applies to self-reciprocal constituents")
-    g = con.factor
-    minus_inv = field.neg(field.inv(g[0]))
-    x_inv = poly_trim([field.mul(minus_inv, c) for c in g[1:]])
+    g, n = con.factor, con.n
 
-    def times_reciprocal(u: tuple) -> Poly:
-        u = poly_trim(u)
-        reciprocal: Poly = ()
-        for c in reversed(u):  # Horner's rule in x^(-1)
-            reciprocal = poly_add(field, poly_mod(field, poly_mul(field, reciprocal, x_inv), g), poly_trim((c,)))
-        return poly_mul(field, u, reciprocal)
+    def norm(u: tuple) -> Poly:  # u * u' mod g
+        lift = tuple(u) + (0,) * (n - len(u))
+        return poly_mul(field, poly_trim(u), poly_mod(field, poly_trim([lift[-j % n] for j in range(n)]), g))
 
-    total = poly_add(field, (field.one,), poly_add(field, times_reciprocal(con.a_image), times_reciprocal(con.b_image)))
+    total = poly_add(field, (field.one,), poly_add(field, norm(con.a_image), norm(con.b_image)))
     return not poly_mod(field, total, g)
 
 
 def reconstruct(field: Field, n: int, constituents: list[Constituent]) -> tuple[tuple, tuple]:
     """(a, b) in R(n, F_q) back from all its constituents: the sum over
     factors of e_i * a~_i, and the same for b.  The constituents must be
-    exactly one per factor of x^n - 1 over this field, in any order."""
+    exactly one per factor of x^n - 1 over this field, in any order, all
+    of length n."""
     factors, _, up = _maps(field, n)
     place, at = {}, 0
     for factor, _ in factors:
         place[factor] = at
         at += poly_degree(factor)
-    if sorted(con.factor for con in constituents) != sorted(place):
+    if any(con.n != n for con in constituents) or sorted(con.factor for con in constituents) != sorted(place):
         raise ValueError("constituents are not exactly the factors of x^n - 1")
     residues = np.empty((2, n), dtype=np.int64)
     for con in constituents:

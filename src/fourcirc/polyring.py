@@ -571,12 +571,15 @@ def factor_charge(field: Field, n: int) -> int:
     """The field operations factor_xn_minus_1 is charged at (field, n).
 
     With r factors, r Euclidean algorithms on polynomials of degree up to
-    n (about n^2 operations each) read the factors off their idempotents,
-    and the r - 1 splits of the refinement each cost about p(p - 1) n^2:
-    r n^2 + (r - 1) p (p - 1) n^2.
+    n (at most about n^2 operations each) read the factors off their
+    idempotents.  The refinement takes about one step per factor, and a
+    step row-reduces at most r rows of n digits, the pieces times powers
+    of z, about r n operations, once per piece and once more per value a
+    piece splits into; it looks for the values among all of F_p, p per
+    value, about 2r values in all: r n^2 + r^2 n + 2 p r.
     """
-    r, p = coset_count(field.q, n), field.p
-    return (r + (r - 1) * p * (p - 1)) * n * n
+    r = coset_count(field.q, n)
+    return r * (n * n + r * n + 2 * field.p)
 
 
 PRODUCT_BLOCK = 1 << 20  # terms one array of products holds at most
@@ -597,6 +600,81 @@ def _times(field: Field, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
     return field_sum(field, np.stack(parts), 0)
 
 
+def _values_split(field: Field, pieces: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The pieces e * E_lam, over every piece e and every value lam that z
+    takes on e, for orthogonal idempotents e and a z in B with z^p = z.
+
+    The rows e, e z, e z^2, ... of each piece are row-reduced over F_p,
+    on their digits, with the powers that made them alongside, until e
+    z^m depends on those before it: then mu_e(t) = t^m - ..., read off
+    the powers, is the least polynomial with mu_e(z) e = 0, and its roots,
+    all in F_p and distinct as z^p = z, are the values of z on e, each
+    marked by the idempotent E_lam, 1 where z = lam and 0 elsewhere
+    (_lagrange_rows).  All pieces step together; a piece drops out at its
+    m, and one with m = 1 stays whole.
+    """
+    p, (count, n), width = field.p, pieces.shape, pieces.shape[1] * field.k
+    inverse = field.exp_array[field.q - 1 - field.log_array[:p]]  # F_p inverses, as in inverse_matrices
+    rows = pieces  # e z^j, for the pieces still stepping
+    span = np.zeros((count, 0, n), dtype=np.int64)  # their e z^i, i < j
+    basis = np.zeros((count, 0, width + min(p, n) + 1), dtype=np.int64)  # reduced rows: digits, then powers of z
+    pivots = np.zeros((count, 0), dtype=np.int64)
+    out = []
+    for j in range(min(p, n) + 1):  # m is at most the number of values, p, and of coordinates, n
+        reduced = np.zeros((len(rows), basis.shape[2]), dtype=np.int64)
+        reduced[:, :width] = field.digit_array[rows].reshape(len(rows), width)
+        reduced[:, width + j] = 1
+        lead = np.take_along_axis(reduced, pivots, 1)
+        reduced = (reduced - (lead[:, None, :] @ basis)[:, 0]) % p
+        done = ~reduced[:, :width].any(axis=1)  # e z^j = -(sum of mu_i e z^i, i < j)
+        if j == 1:
+            out.append(span[done, 0])
+        elif done.any():
+            mu = reduced[done, width : width + j + 1]
+            out.append(_lagrange_rows(field, mu, span[done]))
+        live = ~done
+        if not live.any():
+            break
+        reduced, basis, pivots, span = reduced[live], basis[live], pivots[live], span[live]
+        at = np.argmax(reduced[:, :width] != 0, axis=1)
+        reduced = reduced * inverse[reduced[np.arange(len(reduced)), at]][:, None] % p
+        basis = (basis - basis[np.arange(len(basis)), :, at][:, :, None] * reduced[:, None, :]) % p
+        basis = np.concatenate([basis, reduced[:, None]], axis=1)
+        pivots = np.concatenate([pivots, at[:, None]], axis=1)
+        span = np.concatenate([span, rows[live][:, None]], axis=1)
+        rows = _times(field, rows[live], z)
+    return np.concatenate(out)
+
+
+def _lagrange_rows(field: Field, mu: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """The rows e E_lam for every root lam of each mu_e (coefficient rows
+    (D, m + 1) over F_p, ascending, monic, m >= 2), from span[e, i] = e z^i.
+
+    The roots are found among all of F_p, as many rows of candidates at
+    a time as PRODUCT_BLOCK allows.  e z^i = sum over lam of lam^i e E_lam,
+    so the rows e E_lam are the inverse of the Vandermonde matrix of the
+    roots times the rows e z^i.
+    """
+    p, (count, m, n) = field.p, span.shape
+    lam, step = np.arange(p), max(1, PRODUCT_BLOCK // p)
+    found = []
+    for lo in range(0, count, step):
+        value = np.zeros((len(mu[lo : lo + step]), p), dtype=np.int64)
+        for c in mu[lo : lo + step, ::-1].T:  # Horner's rule at every lam at once
+            value = (value * lam + c[:, None]) % p
+        found.append(value == 0)
+    found = np.concatenate(found)
+    if (found.sum(axis=1) != m).any():
+        raise AssertionError("z takes values outside F_p")
+    lam = np.nonzero(found)[1].reshape(count, m)  # the roots of each mu_e
+    vandermonde = np.ones((count, m, m), dtype=np.int64)  # [e, i, lam]: lam^i
+    for i in range(1, m):
+        vandermonde[:, i] = vandermonde[:, i - 1] * lam % p
+    solve = inverse_matrices(field, vandermonde)[0]
+    split = np.einsum("eli,eink->elnk", solve, field.digit_array[span]) % p
+    return (split @ p ** np.arange(field.k)).reshape(-1, n)
+
+
 def primitive_idempotents(field: Field, n: int, cosets: Sequence[Sequence[int]]) -> np.ndarray:
     """The primitive idempotents of R(n, F_q), one coefficient row each,
     gcd(n, q) = 1 (MacWilliams and Sloane, The Theory of Error-Correcting
@@ -605,37 +683,27 @@ def primitive_idempotents(field: Field, n: int, cosets: Sequence[Sequence[int]])
     u -> u^q permutes coefficients (i -> q*i), so B = {u : u^q = u} is
     spanned by the coset sums c_C = sum of x^i over i in C, and B = F_q^r,
     one coordinate per factor of x^n - 1; e_i is 1 at coordinate i and 0
-    elsewhere.  A z in B with z^p = z has its values in F_p, and E_lam(z) =
-    1 - (z - lam)^(p-1), lam in F_p, marks where z = lam: orthogonal
-    idempotents that sum to 1.  {1} is refined by all of them, dropping
-    the zeros, for z = Tr(theta * c_C) = sum over i < k of (theta *
-    c_C)^(p^i), every coset C and theta = 1, y, ..., y^(k-1); the traces
-    of the values of the c_C tell every two coordinates apart, and over
-    F_p, z is c_C itself.  v -> v^(p^i) moves coefficient j to place p^i
-    * j and raises it to the power p^i, so z costs no ring product, and
-    the pieces times (z - lam)^j are taken for all pieces and lam at once,
-    one product by the sparse z at a time.  The refinement stops once it
-    holds r pieces.
+    elsewhere.  A z in B with z^p = z has its values in F_p, and {1} is
+    refined by the idempotents that mark where z takes each of its values
+    (_values_split), dropping nothing, for z = Tr(theta * c_C) = sum over
+    i < k of (theta * c_C)^(p^i), every coset C but {0} (c_{0} = 1 is
+    constant) and theta = 1, y, ..., y^(k-1); the traces of the values of
+    the c_C tell every two coordinates apart, and over F_p, z is c_C
+    itself.  v -> v^(p^i) moves coefficient j to place p^i * j and raises
+    it to the power p^i, so z costs no ring product.  The refinement stops
+    once it holds r pieces.
     """
     p, k = field.p, field.k
     pieces = np.zeros((1, n), dtype=np.int64)
     pieces[0, 0] = field.one
-    lam = field.log_array[:p, None]  # logarithms of lam = 0, ..., p - 1
-    for coset in cosets:
+    for coset in cosets[1:]:  # c_{0} = 1 takes one value
         for theta in (p**u for u in range(k)):  # the codes of y^u
             if len(pieces) == len(cosets):
                 return pieces
             conjugates = np.zeros((k, n), dtype=np.int64)
             for i in range(k):
                 conjugates[i, np.array(coset) * p**i % n] = field.frobenius(theta, i)
-            z = field_sum(field, conjugates, 0)
-            w = np.repeat(pieces[:, None, :], p, axis=1)  # w[e, lam] = e * (z - lam)^j, from j = 0
-            for _ in range(p - 1):
-                lam_w = field.exp_array[field.log_array[w] + lam]
-                w = field_sum(field, np.stack([_times(field, w, z), field.neg_array[lam_w]]), 0)
-            split = field_sum(field, np.stack(np.broadcast_arrays(pieces[:, None, :], field.neg_array[w])), 0)
-            split = split.reshape(-1, n)
-            pieces = split[split.any(axis=1)]
+            pieces = _values_split(field, pieces, field_sum(field, conjugates, 0))
     return pieces
 
 

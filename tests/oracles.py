@@ -794,7 +794,7 @@ def remainder_decompose(code):
     for factor, kind in factor_xn_minus_1(field, code.n).factors():
         d = len(factor) - 1
         a, b = (poly_divmod(field, poly_trim(u), factor)[1] for u in (code.a, code.b))
-        out.append(Constituent(factor=factor, kind=kind, a_image=a + (0,) * (d - len(a)),
+        out.append(Constituent(n=code.n, factor=factor, kind=kind, a_image=a + (0,) * (d - len(a)),
                                b_image=b + (0,) * (d - len(b))))
     return out
 

@@ -304,6 +304,25 @@ def test_factor_and_crt_charge_refuses_huge_lengths_at_once():
     for q, n in [("2", "19"), ("2", "29"), ("3", "17")]:
         run_cli("factor", "--q", q, "--n", n)
         run_cli("crt", "--q", q, "--n", n, "--a", "1,1,0,1", "--b", "0,1")
+    # large primes cost no p^2: x^2 - 1 = (x + 1)(x - 1) over F_65521
+    body = run_json("factor", "--q", "65521", "--n", "2")["report"]
+    assert body["self_reciprocal"] == [[1, 1], [65520, 1]]
+
+
+def test_crt_at_the_largest_artin_length_inside_its_charge():
+    # 2 generates (Z/1907)^*, so x^1907 - 1 = (x - 1) * (a factor of degree
+    # 1906): the largest such length crt's charge admits runs in seconds,
+    # maps and Hermitian tests included; the next one, 1931, is refused
+    a = ",".join("1" if i % 3 else "0" for i in range(1907))
+    start = time.perf_counter()
+    body = run_json("crt", "--q", "2", "--n", "1907", "--a", a, "--b", "0,1")["report"]
+    assert time.perf_counter() - start < 30
+    assert [con["degree"] for con in body["constituents"]] == [1, 1906]
+    assert all(con["hermitian_self_dual"] is not None for con in body["constituents"])
+    start = time.perf_counter()
+    proc = run_cli("crt", "--q", "2", "--n", "1931", "--a", "1", "--b", "0,1", expect=3)
+    assert time.perf_counter() - start < 1
+    assert proc.stderr.count("\n") == 1 and "the CRT of R(1931, F_2) takes about" in proc.stderr, proc.stderr
 
 
 ABOVE_127 = [

@@ -248,13 +248,13 @@ def test_hermitian_examples():
     assert constituent_self_dual(F2, quad)  # 1 + x * x^2 = 1 + x^3 = 0 mod x^2 + x + 1
     assert constituent_self_dual(F2, lin)  # 1 + 1*1 + 0 = 0 over F_2
     # degree-1 arithmetic over F_3: residues (1, 1) satisfy 1 + 1 + 1 = 0
-    con = Constituent(factor=(2, 1), kind="self_reciprocal", a_image=(1,), b_image=(1,))
+    con = Constituent(n=1, factor=(2, 1), kind="self_reciprocal", a_image=(1,), b_image=(1,))
     assert constituent_self_dual(F3, con)
     assert not constituent_self_dual(F3, dataclasses.replace(con, b_image=(0,)))
     # x^2 + 1 over F_3: x' = x^(-1) = -x, so a = x, b = 0 gives 1 - x^2 = 2,
     # and a = x, b = 1 gives 1 - x^2 + 1 = 0 mod x^2 + 1; with a' = a instead
     # the second would read 1 + x^2 + 1 = 1
-    con = Constituent(factor=(1, 0, 1), kind="self_reciprocal", a_image=(0, 1), b_image=(0, 0))
+    con = Constituent(n=4, factor=(1, 0, 1), kind="self_reciprocal", a_image=(0, 1), b_image=(0, 0))
     assert not constituent_self_dual(F3, con)
     assert constituent_self_dual(F3, dataclasses.replace(con, b_image=(1, 0)))
 

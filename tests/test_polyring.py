@@ -520,14 +520,33 @@ def test_coset_count_and_factor_charge():
         for n in range(1, 120):
             if math.gcd(n, q) == 1:
                 assert polyring.coset_count(q, n) == len(cyclotomic_cosets(q, n)), (q, n)
-    assert polyring.factor_charge(F2, 89) == (9 + 8 * 2) * 89**2
-    assert polyring.factor_charge(Field(257), 4) == (4 + 3 * 257 * 256) * 16
-    for field, n in [(F2, 1000003), (Field(65521), 2), (F3, 10000019)]:
+    assert polyring.factor_charge(F2, 89) == 9 * (89**2 + 9 * 89 + 2 * 2)
+    assert polyring.factor_charge(Field(65521), 2) == 2 * (4 + 2 * 2 + 2 * 65521)
+    for field, n in [(F2, 1000003), (F2, 4095), (F3, 10000019)]:
         start = time.perf_counter()
         with pytest.raises(polyring.CapExceeded, match=f"at n={n} takes about"):
             factor_xn_minus_1(field, n)
         assert time.perf_counter() - start < 1
     factor_xn_minus_1(Field(65521), 1)  # one factor: nothing to refine
+
+
+def test_large_fields_factor_inside_the_charge():
+    # the refinement looks for the values of z, not through all of F_p, so
+    # large fields cost no p^2: the splitting-field factors at every n < 60
+    # with q^m <= 2^16 (m = 1 above q = 256), and the worst points of that
+    # reach (q = 1 mod n, n factors) within the charge and in under 2 s
+    assert {g for g, _ in factor_xn_minus_1(Field(65521), 2).factors()} == {(65520, 1), (1, 1)}
+    for q in (127, 131, 251, 256, 257, 4099, 65521, 1 << 16):
+        field = field_of_order(q)
+        for n in range(1, 60):
+            if math.gcd(n, q) == 1 and q ** multiplicative_order(q, n) <= 1 << 16:
+                assert polyring.factor_charge(field, n) <= polyring.FACTOR_CAP, (q, n)
+                factors = {g for g, _ in factor_xn_minus_1(field, n).factors()}
+                assert factors == set(splitting_field_factors(field, n)), (q, n)
+    for q, n in [(65521, 240), (7681, 256), (1 << 16, 257)]:
+        start = time.perf_counter()
+        assert len(factor_xn_minus_1(field_of_order(q), n).factors()) == polyring.coset_count(q, n)
+        assert time.perf_counter() - start < 2, (q, n)
 
 
 @pytest.mark.parametrize(
