@@ -183,10 +183,14 @@ def code_distances(
     """Exact minimum distance for each (a, b) row of an index pair array,
     from least_weight_messages with no witness, on the pairs' coefficient
     rows.  Adds the messages evaluated to counters["messages_enumerated"]
-    when counters is given."""
+    when counters is given.  Indices outside [0, q^n) are refused, as
+    their digits would read as another residue."""
     ring = QuotientRing(field, n)
     check_distance_cap(ring, cap)
-    rows = np.asarray(pairs)[:, :, None] // field.q ** np.arange(n) % field.q  # exact: index pairs are int64
+    pairs = np.asarray(pairs)
+    if pairs.size and (int(pairs.min()) < 0 or int(pairs.max()) >= field.q**n):
+        raise ValueError(f"residue indices must lie in [0, {power_text(field.q, n)}) at n={n} over F_{field.q}")
+    rows = pairs[:, :, None] // field.q ** np.arange(n) % field.q  # exact: index pairs are int64
     found = list(least_weight_messages(ring, rows, witness=False))
     count_messages(counters, sum(m.messages for m in found))
     return [m.weight for m in found]

@@ -57,8 +57,9 @@ def crt_charge(field: Field, n: int) -> int:
     n x n maps, built through about eight arrays of that size, and at
     most 6 n^2 for the tests, as each reduces an n-term reciprocal mod g
     (n d operations) and multiplies and reduces residues of degree below
-    d (2 d^2), for a and for b, and the degrees d sum to at most n."""
-    return factor_charge(field, n) + 16 * n * n
+    d (2 d^2), for a and for b, and the degrees d sum to at most n.
+    factor_charge refuses first where n^2 alone exceeds FACTOR_CAP."""
+    return factor_charge(field, n)[0] + 16 * n * n
 
 
 @lru_cache(maxsize=None)
@@ -124,6 +125,14 @@ def decompose(code: FourCirculantCode) -> list[Constituent]:
     return out
 
 
+def _check_codes(field: Field, con: Constituent) -> None:
+    """Refuse image codes outside [0, q), which the field's tables would
+    read as other elements."""
+    codes = (*con.a_image, *con.b_image)
+    if codes and (min(codes) < 0 or max(codes) >= field.q):
+        raise ValueError(f"constituent of factor {list(con.factor)} has image codes outside [0, {field.q})")
+
+
 def constituent_self_dual(field: Field, con: Constituent) -> bool:
     """Hermitian self-duality test for a self-reciprocal constituent over
     F_q = field: 1 + a*a' + b*b' = 0 mod g, with u' the ring reciprocal of
@@ -135,6 +144,7 @@ def constituent_self_dual(field: Field, con: Constituent) -> bool:
     """
     if con.kind != "self_reciprocal":
         raise ValueError("Hermitian test only applies to self-reciprocal constituents")
+    _check_codes(field, con)
     g, n = con.factor, con.n
 
     def norm(u: tuple) -> Poly:  # u * u' mod g
@@ -162,6 +172,7 @@ def reconstruct(field: Field, n: int, constituents: list[Constituent]) -> tuple[
         at, d = place[con.factor], con.degree
         if len(con.a_image) != d or len(con.b_image) != d:
             raise ValueError(f"constituent images must have {d} coefficients, the degree of their factor")
+        _check_codes(field, con)
         residues[:, at : at + d] = con.a_image, con.b_image
     a, b = _apply(field, residues, up).tolist()
     return tuple(a), tuple(b)

@@ -418,29 +418,34 @@ class Embedding:
 
     The source modulus root goes to root, the first root of the source
     modulus in code order (0 for a prime source, whose modulus is empty), so
-    embeddings are deterministic.  The map is F_p-linear: c_0 + c_1 y + ...
-    goes to c_0 + c_1 root + ..., one product of the two fields' digit
-    arrays.  fwd[x] is the image of x, and back[y] the preimage of y, or -1
-    off the embedded subfield; both are read-only index arrays.
+    embeddings are deterministic.  The root comes from one Horner pass over
+    every element of the destination at once, a log/exp gather and a field
+    sum per coefficient.  The map is F_p-linear: c_0 + c_1 y + ... goes to
+    c_0 + c_1 root + ..., one product of the two fields' digit arrays.
+    fwd[x] is the image of x, and back[y] the preimage of y, or -1 off the
+    embedded subfield; both are read-only index arrays.  Building one costs
+    O(|dst| k) work and memory.
 
-    No library path embeds a field any more.  The class stays for two
-    outside readers: perfbench/traced.py times field construction by
-    rebinding Embedding.__init__, and the splitting-field CRT oracles of
-    tests/oracles.py embed F_q in F_(q^d).
+    No library path embeds a field.  The class stays for two outside
+    readers: perfbench/traced.py times field construction by rebinding
+    Embedding.__init__, and the splitting-field oracles of tests/oracles.py
+    embed F_q in F_(q^d).
     """
 
     __slots__ = ("src", "dst", "fwd", "back", "root")
 
     def __init__(self, src: Field, dst: Field):
-        from .polyring import first_roots
-
         if src.p != dst.p:
             raise ValueError("embedding requires equal characteristic")
         if dst.k % src.k != 0:
             raise ValueError(f"F_{src.q} does not embed in F_{dst.q}")
         self.src = src
         self.dst = dst
-        self.root = first_roots(dst, [src.modulus])[0]
+        log, exp = dst.log_array, dst.exp_array
+        values = np.zeros(dst.q, dtype=np.int64)  # values[z]: the source modulus at z, so far
+        for c in reversed(src.modulus):
+            values = field_sum(dst, np.stack([exp[log[values] + log], np.full(dst.q, c)]), 0)
+        self.root = int(np.argmax(values == 0))
         powers = [dst.one]
         for _ in range(src.k - 1):
             powers.append(dst.mul(powers[-1], self.root))
@@ -449,7 +454,7 @@ class Embedding:
         self.back = np.full(dst.q, -1, dtype=np.int64)
         self.back[self.fwd] = np.arange(src.q)
         for arr in (self.fwd, self.back):
-            arr.flags.writeable = False  # shared through embedding()
+            arr.flags.writeable = False
 
     def apply(self, x: int) -> int:
         return int(self.fwd[x])
@@ -459,13 +464,3 @@ class Embedding:
         if x < 0:
             raise ValueError(f"element {y} is not in the embedded subfield")
         return x
-
-
-@lru_cache(maxsize=None)
-def embedding(src: Field, dst: Field) -> Embedding:
-    """The Embedding of src in dst, built once per pair of fields.
-
-    Building one costs O(|src| * k) work and memory.  Only the
-    splitting-field oracles of tests/oracles.py call it.
-    """
-    return Embedding(src, dst)

@@ -109,48 +109,6 @@ def poly_gcd(field: Field, f: Poly, g: Poly) -> Poly:
     return poly_monic(field, a)
 
 
-ROOT_CHUNK = 1 << 9  # elements first_roots evaluates the polynomials at in one pass
-
-
-def first_roots(field: Field, polys: Sequence[Poly]) -> list[int]:
-    """Least element code z with f(z) = 0, for each f in polys; every z is
-    a root of the zero polynomial.
-
-    Neither the factoring of x^n - 1 nor the CRT calls it.  It stays for
-    fields.Embedding, which perfbench/traced.py times by rebinding
-    Embedding.__init__, and for the splitting-field CRT oracles of
-    tests/oracles.py.
-
-    A polynomial c0 + c1*x has the one root -c0/c1.  The others are
-    evaluated at ROOT_CHUNK elements at a time, in code order, by Horner's
-    rule on one array for all of them: per chunk, max deg(f) steps of a
-    log/exp gather and a field sum, for every f without a root in the
-    chunks before, and the scan stops once every f has one.
-    """
-    roots = [field.div(field.neg(f[0]), f[1]) if len(f) == 2 else -1 for f in polys]
-    left = np.array([j for j, root in enumerate(roots) if root < 0], dtype=np.intp)
-    top = np.zeros((len(polys), max([1, *map(len, polys)])), dtype=np.int64)  # top[j]: polys[j], highest first
-    for row, f in zip(top, polys):
-        row[len(row) - len(f) :] = f[::-1]
-    log, exp = field.log_array, field.exp_array
-    for start in range(0, field.q, ROOT_CHUNK):
-        if not len(left):
-            break
-        z_log = log[start : start + ROOT_CHUNK]
-        coeffs = top[left]
-        values = np.repeat(coeffs[:, :1], len(z_log), axis=1)  # values[j, z - start]: f_j(z), so far
-        for c in coeffs[:, 1:].T:
-            values = field_sum(field, np.stack(np.broadcast_arrays(exp[log[values] + z_log], c[:, None])), 0)
-        zero = values == 0
-        found = zero.any(axis=1)
-        for j, at in zip(left[found].tolist(), zero[found].argmax(axis=1).tolist()):
-            roots[j] = start + at
-        left = left[~found]
-    if len(left):
-        raise ValueError(f"polynomial {list(polys[left[0]])} has no root in F_{field.q}")
-    return roots
-
-
 def monic_reciprocal(field: Field, f: Poly) -> Poly:
     """x^deg(f) * f(1/x), normalized monic.  Requires f(0) != 0."""
     if not f or f[0] == 0:
@@ -548,27 +506,10 @@ def _check_expansion(field: Field, n: int, factors: Sequence[Poly]) -> None:
         raise AssertionError("factor product does not re-expand to x^n - 1")
 
 
-def coset_count(q: int, n: int) -> int:
-    """The number of cyclotomic cosets of q mod n, gcd(q, n) = 1, without
-    listing them: the sum over d | n of phi(d) / ord_d(q), as the residues
-    of order d mod n fall into cosets of size ord_d(q)."""
-    divisors = [1]
-    for p in prime_divisors(n):
-        e = 1
-        while n % p ** (e + 1) == 0:
-            e += 1
-        divisors = [d * p**i for d in divisors for i in range(e + 1)]
-    total = 0
-    for d in divisors:
-        phi = d
-        for p in prime_divisors(d):
-            phi -= phi // p
-        total += phi // multiplicative_order(q, d)
-    return total
-
-
-def factor_charge(field: Field, n: int) -> int:
-    """The field operations factor_xn_minus_1 is charged at (field, n).
+def factor_charge(field: Field, n: int) -> tuple[int, list[list[int]]]:
+    """The field operations factor_xn_minus_1 is charged at (field, n),
+    and the cyclotomic cosets of q mod n, whose number r is that of the
+    factors.
 
     With r factors, r Euclidean algorithms on polynomials of degree up to
     n (at most about n^2 operations each) read the factors off their
@@ -576,10 +517,23 @@ def factor_charge(field: Field, n: int) -> int:
     step row-reduces at most r rows of n digits, the pieces times powers
     of z, about r n operations, once per piece and once more per value a
     piece splits into; it looks for the values among all of F_p, p per
-    value, about 2r values in all: r n^2 + r^2 n + 2 p r.
+    value, about 2r values in all: r n^2 + r^2 n + 2 p r.  As r >= 1, the
+    charge is at least n^2, and above FACTOR_CAP that floor alone refuses
+    with CapExceeded, before the cosets are listed.  Requires n >= 1 and
+    gcd(n, q) = 1.
     """
-    r = coset_count(field.q, n)
-    return r * (n * n + r * n + 2 * field.p)
+    if n < 1:
+        raise ValueError(f"ring length must be >= 1, got {n}")
+    if math.gcd(n, field.p) != 1:
+        raise ValueError(f"x^n - 1 has repeated roots when gcd(n, q) != 1 (n={n}, q={field.q})")
+    if n * n > FACTOR_CAP:
+        raise CapExceeded(
+            f"factoring x^n - 1 over F_{field.q} at n={n} takes at least {n * n} field operations, "
+            f"cap is {FACTOR_CAP}"
+        )
+    cosets = cyclotomic_cosets(field.q, n)
+    r = len(cosets)
+    return r * (n * n + r * n + 2 * field.p), cosets
 
 
 PRODUCT_BLOCK = 1 << 20  # terms one array of products holds at most
@@ -712,26 +666,21 @@ def factor_xn_minus_1(field: Field, n: int) -> Factorization:
     """Factor x^n - 1 into distinct monic irreducibles over F_q alone.
 
     Requires n >= 1 and gcd(n, q) = 1, so the factors are distinct and their
-    number r equals the number of cyclotomic cosets of q mod n.  Refused
-    with CapExceeded, before any work, when factor_charge exceeds
-    FACTOR_CAP.  The r primitive idempotents e_i come from
+    number r equals the number of cyclotomic cosets of q mod n, which
+    factor_charge lists.  Refused with CapExceeded, before any work, when
+    the charge exceeds FACTOR_CAP.  The r primitive idempotents e_i come from
     primitive_idempotents, and each factor is g_i = gcd(1 - e_i, x^n - 1),
     the zeros of 1 - e_i being those of g_i.  The result is certified: the
     factors are r in number, their degrees are the coset sizes, and they
     multiply out to x^n - 1.  Pairwise coprime factors, as many as
     x^n - 1 has irreducible factors, are irreducible.
     """
-    if n < 1:
-        raise ValueError(f"ring length must be >= 1, got {n}")
-    if math.gcd(n, field.p) != 1:
-        raise ValueError(f"x^n - 1 has repeated roots when gcd(n, q) != 1 (n={n}, q={field.q})")
-    charge = factor_charge(field, n)
+    charge, cosets = factor_charge(field, n)
     if charge > FACTOR_CAP:
         raise CapExceeded(
             f"factoring x^n - 1 over F_{field.q} at n={n} takes about {charge} field operations, "
             f"cap is {FACTOR_CAP}"
         )
-    cosets = cyclotomic_cosets(field.q, n)
     xn1 = poly_trim([field.neg(1)] + [0] * (n - 1) + [1])
     idempotent = {}
     for e in primitive_idempotents(field, n, cosets).tolist():

@@ -16,7 +16,8 @@ import ...`, the way they import `helpers`.
 | `irreducible_scan`          | `polyring.is_irreducible`, by trial division        |
 | `least_irreducible_scan`    | `Field`'s default modulus                           |
 | `poly_eval`                 | oracle roots and root-free factors, Horner's rule   |
-| `first_root_scan`           | `polyring.first_roots`, one `poly_eval` per element |
+| `first_root_scan`           | `Embedding.root` and the roots of the CRT oracles,  |
+|                             | one `poly_eval` per element                         |
 | `primitive_root_of_unity`   | building block of `splitting_field_factors`: the    |
 |                             | least element of order n, read off the log table    |
 | `root_of_unity_scan`        | `primitive_root_of_unity`, by scalar powers         |
@@ -81,7 +82,7 @@ from fourcirc.asympt import ball_volume, entropy
 from fourcirc.census import code_distances, self_dual_pairs
 from fourcirc.codes import FourCirculantCode
 from fourcirc.crt import Constituent
-from fourcirc.fields import Field, digits, embedding, mul_matrices
+from fourcirc.fields import Embedding, Field, digits, mul_matrices
 from fourcirc.polyring import (
     QuotientRing,
     cyclotomic_cosets,
@@ -279,7 +280,7 @@ def splitting_field_factors(field: Field, n: int) -> list:
     F_q through the subfield embedding."""
     m = multiplicative_order(field.q, n)
     big = field if m == 1 else Field(field.p, field.k * m)
-    emb = embedding(field, big)
+    emb = Embedding(field, big)
     beta = primitive_root_of_unity(big, n)
     factors = []
     for coset in cyclotomic_cosets(field.q, n):
@@ -816,7 +817,7 @@ def constituent_context(field, factor):
     F_q in it and the least root of the embedded factor, by a plain scan."""
     d = len(factor) - 1
     ext = field if d == 1 else Field(field.p, field.k * d)
-    emb = embedding(field, ext)
+    emb = Embedding(field, ext)
     return ext, emb, first_root_scan(ext, [emb.apply(c) for c in factor])
 
 

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -273,6 +274,15 @@ def test_code_distances_matches_min_distance():
     for (ai, bi), d in list(zip(pairs.tolist(), dists))[::7]:
         code = FourCirculantCode(ring, ring.element(ai), ring.element(bi))
         assert code.min_distance()[0] == d
+
+
+def test_code_distances_refuse_indices_outside_the_ring():
+    # outside [0, q^n) the digits decode as other residues: at (2, 3), -1
+    # and 9 both read as a code of distance 2
+    assert code_distances(F2, 3, [[0, 0], [7, 7], [1, 0]]) == [1, 2, 2]
+    for pairs in ([[-1, 0]], [[9, 0]], [[0, 8]], [[1, 2], [3, -8]]):
+        with pytest.raises(ValueError, match=re.escape("residue indices must lie in [0, 8) at n=3")):
+            code_distances(F2, 3, pairs)
 
 
 def test_distinct_codes_equal_pairs():

@@ -291,16 +291,21 @@ def test_refusals_write_huge_sizes_as_powers(args, code, need):
 
 
 def test_factor_and_crt_charge_refuses_huge_lengths_at_once():
-    # the charge on factoring x^n - 1 refuses before any work, in one line;
-    # the splitting-field path refused (2, 19) to (3, 17) with exit 2
-    for args in (["factor", "--q", "2", "--n", "1000003"],
-                 ["crt", "--q", "2", "--n", "1000003", "--a", "1", "--b", "0,1"],
-                 ["factor", "--q", "3", "--n", "10000019"]):
+    # the charge on factoring x^n - 1 refuses before any work, in one line:
+    # from the listed cosets up to n = 8191, where n^2 <= 2^26, and above
+    # that from n^2 alone, as there is at least one factor; the
+    # splitting-field path refused (2, 19) to (3, 17) with exit 2
+    for args, charge in [(["factor", "--q", "2", "--n", "8191"], "about 45596694786 "),
+                         (["factor", "--q", "2", "--n", "8209"], "at least 67387681 "),
+                         (["factor", "--q", "2", "--n", "1000003"], "at least 1000006000009 "),
+                         (["crt", "--q", "2", "--n", "1000003", "--a", "1", "--b", "0,1"], "at least"),
+                         (["factor", "--q", "3", "--n", "10000019"], "at least")]:
         start = time.perf_counter()
         proc = run_cli(*args, expect=3)
         assert time.perf_counter() - start < 1, args
         assert proc.stdout == "" and "Traceback" not in proc.stderr
-        assert proc.stderr.count("\n") == 1 and "field operations, cap is" in proc.stderr, proc.stderr
+        assert proc.stderr.count("\n") == 1 and f"takes {charge}" in proc.stderr, proc.stderr
+        assert "field operations, cap is 67108864" in proc.stderr, proc.stderr
     for q, n in [("2", "19"), ("2", "29"), ("3", "17")]:
         run_cli("factor", "--q", q, "--n", n)
         run_cli("crt", "--q", q, "--n", n, "--a", "1,1,0,1", "--b", "0,1")

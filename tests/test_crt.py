@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import time
 
 import pytest
@@ -192,6 +193,26 @@ def test_reconstruct_rejects_bad_constituents():
     other = Field(2, 3, modulus=(1, 0, 1, 1))
     cons = decompose(make_code(other, 7, (0, 1) + (0,) * 5, (3,) + (0,) * 6))
     assert reconstruct(other, 7, cons) == ((0, 1) + (0,) * 5, (3,) + (0,) * 6)
+
+
+def test_reconstruct_and_hermitian_reject_codes_outside_the_field():
+    # a negative code read as another element (reconstruct returned a pair),
+    # and a code at q or above ran off the field's tables (IndexError)
+    code = make_code(F2, 7, (1, 1, 0, 1, 0, 0, 0), (0, 1, 1, 0, 0, 0, 1))
+    lin, cubic1, cubic2 = decompose(code)
+    for bad in (-1, 2, 5):
+        for wrong, cons in [(cubic1, [lin, dataclasses.replace(cubic1, a_image=(bad, 0, 0)), cubic2]),
+                            (lin, [dataclasses.replace(lin, b_image=(bad,)), cubic1, cubic2])]:
+            message = f"factor {list(wrong.factor)} has image codes outside [0, 2)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                reconstruct(F2, 7, cons)
+        with pytest.raises(ValueError, match=re.escape("factor [1, 1] has image codes outside [0, 2)")):
+            constituent_self_dual(F2, dataclasses.replace(lin, a_image=(bad,)))
+    con = Constituent(n=4, factor=(1, 0, 1), kind="self_reciprocal", a_image=(0, 1), b_image=(0, 0))
+    assert constituent_self_dual(F3, dataclasses.replace(con, b_image=(2, 0)))  # 1 - x^2 + 4 = 0 mod x^2 + 1
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=re.escape("factor [1, 0, 1] has image codes outside [0, 3)")):
+            constituent_self_dual(F3, dataclasses.replace(con, b_image=(0, bad)))
 
 
 def test_round_trip_many_linear_factors_at_large_q():

@@ -6,7 +6,7 @@ import pytest
 from fourcirc import polyring
 from fourcirc.fields import Embedding, Field, field_of_order, field_sum, inverse_matrices, is_prime, power_text, quad_char
 
-from oracles import SchoolbookField, least_irreducible_scan, least_primitive_scan, rref
+from oracles import SchoolbookField, first_root_scan, least_irreducible_scan, least_primitive_scan, rref
 
 
 def test_power_text_writes_digits_or_powers():
@@ -300,3 +300,16 @@ def test_embedding_proper_subfield():
         Embedding(F4, Field(2, 3))
     with pytest.raises(ValueError):
         Embedding(Field(3), F16)
+
+
+def test_embedding_root_is_the_first_root_in_code_order():
+    # one Horner pass over every element finds the least root, as a scan of
+    # poly_eval does: the pairs above, two more, and F_q in F_(q^d) for the
+    # degrees d of the factors of x^n - 1 that the CRT oracles embed
+    pairs = [(Field(2), Field(2, 4)), (Field(2, 2), Field(2, 4)), (Field(11, 2), Field(11, 4)),
+             (Field(2, 3), Field(2, 6)), (Field(5, 2), Field(5, 4))]
+    for base, n in [(Field(2), 23), (Field(2), 89), (Field(2, 2), 5)]:
+        for d in {len(g) - 1 for g, _ in polyring.factor_xn_minus_1(base, n).factors()}:
+            pairs.append((base, Field(base.p, base.k * d)))
+    for src, dst in pairs:
+        assert Embedding(src, dst).root == first_root_scan(dst, src.modulus), (src, dst)

@@ -1,6 +1,4 @@
 import math
-import random
-import re
 import time
 import tracemalloc
 
@@ -9,13 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourcirc import codes, polyring
-from fourcirc.fields import Embedding, Field, field_of_order, inverse_matrices
+from fourcirc.fields import Field, field_of_order, inverse_matrices
 from fourcirc.polyring import (
     QuotientRing,
     _check_expansion,
     cyclotomic_cosets,
     factor_xn_minus_1,
-    first_roots,
     is_irreducible,
     is_primitive_root,
     monic_reciprocal,
@@ -31,7 +28,6 @@ from helpers import largest_table
 from oracles import (
     brute_gcd,
     einsum_prime_tables,
-    first_root_scan,
     gcd_is_unit,
     irreducible_scan,
     monic_polys,
@@ -354,47 +350,6 @@ def test_two_factor_case_matches_primitive_root():
             assert is_two_factor_case(field, n) == is_primitive_root(field.q, n)
 
 
-@pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (7, 1), (2, 11)])
-@pytest.mark.parametrize("chunk", [None, 1, 7, 64])
-def test_first_root_matches_scan(p, k, chunk, monkeypatch):
-    if chunk:  # several chunks, the last one short, so roots fall in later chunks
-        monkeypatch.setattr(polyring, "ROOT_CHUNK", chunk)
-    field = Field(p, k)
-    rng = random.Random(p * 100 + k)
-    polys = [(), (1,), (0, 0, 1), (field.q - 1, 0, 1)]
-    polys += [poly_trim([rng.randrange(field.q) for _ in range(rng.randint(2, 6))]) for _ in range(30)]
-    rooted, want, rootless = [], [], []
-    for f in polys:
-        try:
-            want.append(first_root_scan(field, f))
-            rooted.append(f)
-        except ValueError:
-            rootless.append(f)
-    assert first_roots(field, rooted) == want
-    assert rootless
-    for f in rootless:
-        with pytest.raises(ValueError, match=re.escape(f"polynomial {list(f)} has no root")):
-            first_roots(field, rooted[:3] + [f])
-    assert first_roots(field, []) == []
-
-
-@pytest.mark.parametrize("p,k,n", [(2, 1, 23), (2, 1, 89), (2, 2, 5)])
-@pytest.mark.parametrize("chunk", [None, 1, 7, 64])
-def test_first_roots_of_plan_groups(p, k, n, chunk, monkeypatch):
-    # the embedded factors of x^n - 1 of each degree, whose roots the CRT oracles use
-    if chunk:
-        monkeypatch.setattr(polyring, "ROOT_CHUNK", chunk)
-    base = Field(p, k)
-    by_degree = {}
-    for g, _ in factor_xn_minus_1(base, n).factors():
-        by_degree.setdefault(len(g) - 1, []).append(g)
-    for d, group in by_degree.items():
-        ext = Field(p, k * d)
-        emb = Embedding(base, ext)
-        polys = [tuple(emb.apply(c) for c in g) for g in group]
-        assert first_roots(ext, polys) == [first_root_scan(ext, f) for f in polys], d
-
-
 # -- factorization ----------------------------------------------------------------
 
 def expand(field, factors):
@@ -515,16 +470,13 @@ def test_primitive_idempotents_and_their_factors():
 
 
 def test_coset_count_and_factor_charge():
-    # the number of cosets without listing them, and the charge built on it
-    for q in (2, 3, 4, 5, 7, 9, 16, 131):
-        for n in range(1, 120):
-            if math.gcd(n, q) == 1:
-                assert polyring.coset_count(q, n) == len(cyclotomic_cosets(q, n)), (q, n)
-    assert polyring.factor_charge(F2, 89) == 9 * (89**2 + 9 * 89 + 2 * 2)
-    assert polyring.factor_charge(Field(65521), 2) == 2 * (4 + 2 * 2 + 2 * 65521)
-    for field, n in [(F2, 1000003), (F2, 4095), (F3, 10000019)]:
+    # the charge counts the cosets it lists, and n^2 alone refuses before
+    # any listing, as there is at least one factor
+    assert polyring.factor_charge(F2, 89) == (9 * (89**2 + 9 * 89 + 2 * 2), cyclotomic_cosets(2, 89))
+    assert polyring.factor_charge(Field(65521), 2)[0] == 2 * (4 + 2 * 2 + 2 * 65521)
+    for field, n, refusal in [(F2, 4095, "about"), (F2, 1000003, "at least"), (F3, 10000019, "at least")]:
         start = time.perf_counter()
-        with pytest.raises(polyring.CapExceeded, match=f"at n={n} takes about"):
+        with pytest.raises(polyring.CapExceeded, match=f"at n={n} takes {refusal}"):
             factor_xn_minus_1(field, n)
         assert time.perf_counter() - start < 1
     factor_xn_minus_1(Field(65521), 1)  # one factor: nothing to refine
@@ -540,12 +492,12 @@ def test_large_fields_factor_inside_the_charge():
         field = field_of_order(q)
         for n in range(1, 60):
             if math.gcd(n, q) == 1 and q ** multiplicative_order(q, n) <= 1 << 16:
-                assert polyring.factor_charge(field, n) <= polyring.FACTOR_CAP, (q, n)
+                assert polyring.factor_charge(field, n)[0] <= polyring.FACTOR_CAP, (q, n)
                 factors = {g for g, _ in factor_xn_minus_1(field, n).factors()}
                 assert factors == set(splitting_field_factors(field, n)), (q, n)
     for q, n in [(65521, 240), (7681, 256), (1 << 16, 257)]:
         start = time.perf_counter()
-        assert len(factor_xn_minus_1(field_of_order(q), n).factors()) == polyring.coset_count(q, n)
+        assert len(factor_xn_minus_1(field_of_order(q), n).factors()) == len(cyclotomic_cosets(q, n))
         assert time.perf_counter() - start < 2, (q, n)
 
 
